@@ -19,7 +19,6 @@ from .dictionaries import (
     build_dictionary,
     build_sensing,
     compose,
-    normalize_columns,
 )
 from .errors import EtrLabError, SuiteFailure
 from .etr import build_uncertainty_report, nonvanishing_bound
@@ -180,8 +179,6 @@ def _cmd_recover(args) -> int:
     a, y, psi, inst = _load_recover_inputs(args)
     cfg = SolverConfig(solver=solver, epsilon=args.epsilon,
                        max_sparsity=args.max_sparsity)
-    if solver == "omp" and not np.allclose(np.linalg.norm(a.a, axis=0), 1.0, atol=1e-8):
-        a = EffectiveSensing(normalize_columns(a.a), True)
     res = solve(solver, a, y, cfg, psi=psi, truth=inst)
     row = {
         "solver": solver,

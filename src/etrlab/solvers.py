@@ -14,7 +14,7 @@ RNG and I/O are never charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 from typing import Optional
 
 import numpy as np
@@ -214,30 +214,43 @@ def solve_omp(
     return _finish(a, alpha, y, cost, converged, psi, truth, cfg.epsilon, iterations=iters)
 
 
-def _project_ball(s, b, c, eps_r, cost, r):
-    """Project coords c onto {c' : ||s*c' - b|| <= eps_r}; returns new coords."""
-    miss = s * c - b
-    cost.charge(mult=2 * r, add=3 * r - 1)
-    if np.linalg.norm(miss) <= eps_r:
-        return c
+def _project_ball(s, b, b_over_s, eps_r, c, miss, work):
+    """Project coords c onto {c' : ||s*c' - b|| <= eps_r}: (new coords, bisected).
+
+    Returns c itself when it is already inside, and `b_over_s` (b / s) when
+    eps_r = 0. Otherwise a bisection finds the multiplier lam. It keeps
+    norm_at(lo) > eps_r >= norm_at(hi), so once the midpoint rounds to lo or
+    hi no later step moves either end: the loop stops there, with the hi
+    that all 200 steps would reach. The caller charges 200 steps for every
+    bisection. `miss` and `work` are scratch vectors of c's length.
+    """
+    np.multiply(s, c, out=miss)
+    np.subtract(miss, b, out=miss)
+    if sqrt(miss.dot(miss)) <= eps_r:
+        return c, False
     if eps_r == 0.0:
-        return b / s
+        return b_over_s, False
     # c'(lam) = (c + lam*s*b) / (1 + lam*s^2); ||s*c' - b|| decreasing in lam
     def norm_at(lam):
-        return float(np.linalg.norm(miss / (1.0 + lam * s * s)))
+        np.multiply(s, lam, out=work)
+        np.multiply(work, s, out=work)
+        np.add(work, 1.0, out=work)
+        np.divide(miss, work, out=work)
+        return sqrt(work.dot(work))
 
     lo, hi = 0.0, 1.0
     while norm_at(hi) > eps_r:
         hi *= 4.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if norm_at(mid) > eps_r:
             lo = mid
         else:
             hi = mid
     lam = hi
-    cost.charge(mult=200 * 3 * r, add=200 * 2 * r, cmp=201)
-    return (c + lam * s * b) / (1.0 + lam * s * s)
+    return (c + lam * s * b) / (1.0 + lam * s * s), True
 
 
 def solve_bp(
@@ -257,6 +270,10 @@ def solve_bp(
     iterate z is the reported solution; a support-restricted debias step
     replaces it only when that strictly improves both feasibility and the
     l1 objective.
+
+    The iterations reuse preallocated vectors, and their cost is charged
+    once per solve: the iteration count times the per-iteration counts,
+    plus 200 nominal steps for every iteration that ran the bisection.
     """
     y = np.asarray(y, dtype=float)
     mat = a.a
@@ -271,27 +288,38 @@ def solve_bp(
     if y_perp > cfg.epsilon + 1e-8:
         raise NoFeasibleSolution("y outside the reachable residual ball")
     eps_r = float(np.sqrt(max(0.0, cfg.epsilon ** 2 - y_perp ** 2)))
+    b_over_s = b / s
 
     rho = cfg.rho
-    z = np.zeros(n)
-    u = np.zeros(n)
+    z, z_old, u = np.zeros(n), np.zeros(n), np.zeros(n)
+    v, x, w, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    c, dc, miss, work = np.empty(rank), np.empty(rank), np.empty(rank), np.empty(rank)
     converged = False
+    bisections = 0
     it = 0
     for it in range(1, cfg.max_iterations + 1):
-        v = z - u
-        c = vr.T @ v
-        c_new = _project_ball(s, b, c, eps_r, cost, rank)
-        x = v + vr @ (c_new - c)
-        cost.charge(mult=2 * n * rank, add=2 * n * rank + n)
-        z_old = z
-        w = x + u
-        z = np.sign(w) * np.maximum(np.abs(w) - 1.0 / rho, 0.0)
-        u = u + x - z
-        cost.charge(mult=n, add=4 * n, cmp=n)
-        r_primal = float(np.linalg.norm(x - z))
-        r_dual = rho * float(np.linalg.norm(z - z_old))
-        cost.charge(mult=2 * n + 2, add=4 * n - 2, cmp=2)
-        scale = max(1.0, float(np.linalg.norm(z)))
+        np.subtract(z, u, out=v)
+        np.matmul(vr.T, v, out=c)
+        c_new, bisected = _project_ball(s, b, b_over_s, eps_r, c, miss, work)
+        bisections += bisected
+        np.subtract(c_new, c, out=dc)
+        np.matmul(vr, dc, out=x)
+        np.add(v, x, out=x)
+        # z = sign(x + u) * max(|x + u| - 1/rho, 0), written over the older iterate
+        z_old, z = z, z_old
+        np.add(x, u, out=w)
+        np.sign(w, out=z)
+        np.abs(w, out=w)
+        np.subtract(w, 1.0 / rho, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.multiply(z, w, out=z)
+        np.add(u, x, out=u)
+        np.subtract(u, z, out=u)
+        np.subtract(x, z, out=diff)
+        r_primal = sqrt(diff.dot(diff))
+        np.subtract(z, z_old, out=diff)
+        r_dual = rho * sqrt(diff.dot(diff))
+        scale = max(1.0, sqrt(z.dot(z)))
         if r_primal <= cfg.convergence_tol * scale and r_dual <= cfg.convergence_tol * scale:
             converged = True
             break
@@ -302,6 +330,13 @@ def solve_bp(
             elif r_dual > 10.0 * r_primal and rho > 1e-4:
                 rho /= 2.0
                 u *= 2.0
+    # per iteration: ball residual; x update; shrink and dual step; three norms
+    cost.charge(
+        mult=it * (2 * rank + 2 * n * rank + n + 2 * n + 2) + bisections * 200 * 3 * rank,
+        add=it * (3 * rank - 1 + 2 * n * rank + n + 4 * n + 4 * n - 2)
+        + bisections * 200 * 2 * rank,
+        cmp=it * (n + 2) + bisections * 201,
+    )
 
     alpha = z.copy()
     # guarded debias: least squares on the detected support
@@ -323,8 +358,12 @@ _SOLVE = {"l0-exhaustive": solve_l0, "omp": solve_omp, "basis-pursuit": solve_bp
 
 
 def solve(name: str, a, y, cfg, psi=None, truth=None) -> RecoveryResult:
+    """Dispatch to one solver; OMP on a matrix not flagged column-normalized
+    runs on the rescaled matrix with its coefficients mapped back."""
     if name not in _SOLVE:
         raise InvalidSparsity(f"unknown solver {name!r}")
+    if name == "omp" and not a.column_normalized:
+        return _omp_rescaled(a, y, cfg, psi, truth)
     return _SOLVE[name](a, y, cfg, psi=psi, truth=truth)
 
 
@@ -341,10 +380,7 @@ def run_battery(
     for name in SOLVER_NAMES:
         cfg = configs.get(name, SolverConfig(solver=name))
         try:
-            if name == "omp" and not a.column_normalized:
-                entries.append(BatteryEntry(name, _omp_rescaled(a, y, cfg, psi, truth)))
-            else:
-                entries.append(BatteryEntry(name, solve(name, a, y, cfg, psi=psi, truth=truth)))
+            entries.append(BatteryEntry(name, solve(name, a, y, cfg, psi=psi, truth=truth)))
         except Exception as exc:  # recorded, battery continues
             entries.append(BatteryEntry(name, None, error=f"{type(exc).__name__}: {exc}"))
     return entries

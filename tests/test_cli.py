@@ -53,6 +53,17 @@ def test_recover_instance_bundle(tmp_path, capsys):
     assert "support: 2" in capsys.readouterr().out
 
 
+def test_recover_omp_reports_coefficients_of_the_given_matrix(tmp_path, capsys):
+    save_matrix(tmp_path / "a.csv", 2.0 * np.eye(4))
+    save_vector(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]))
+    rc = main(["recover", "--solver", "omp", "--matrix", str(tmp_path / "a.csv"),
+               "--y", str(tmp_path / "y.csv")])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "support: 1" in printed
+    assert "l1_norm: 1.5\n" in printed
+
+
 def test_recover_instance_rejects_invalid(tmp_path, capsys):
     save_matrix(tmp_path / "basis.csv", np.eye(3))
     save_vector(tmp_path / "alpha.csv", np.array([0.0, 1e-6, 0.0]))  # below 0.1 floor

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,16 @@ from etrlab.dictionaries import (
 from etrlab.errors import EnumerationTooLarge, NoFeasibleSolution, NotNormalized
 from etrlab.geometry import colex_supports, gamma_exact
 from etrlab.rng import RandomStream
-from etrlab.solvers import SolverConfig, run_battery, solve_bp, solve_l0, solve_omp
+from etrlab.solvers import (
+    CostCounter,
+    SolverConfig,
+    _project_ball,
+    run_battery,
+    solve,
+    solve_bp,
+    solve_l0,
+    solve_omp,
+)
 from etrlab.sparsity import observe, plant
 
 E1 = np.array([1.0, 0.0])
@@ -181,6 +192,99 @@ def test_bp_not_converged_still_returns():
     res = solve_bp(a, obs.y, SolverConfig(max_iterations=3))
     assert res.converged is False
     assert res.alpha_hat.shape == (32,)
+
+
+# (m, n, k, seed, epsilon, max_iterations) -> iterations, converged,
+# (multiplies, additions, comparisons), sha256 of alpha_hat.tobytes().
+# Captured from the ADMM loop that charged its cost every iteration and ran
+# all 200 bisection steps; the lean loop must reproduce every bit.
+BP_GOLDEN = [
+    ((4, 32, 2, 1, 0.0, 4000), 4000, False, (1450181, 2214181, 136000),
+     "fe49433a6881eb7f0d5ef7c92464a77d9de8a961aaaef566f077edb804d82731"),
+    ((4, 32, 2, 2, 0.0, 4000), 1231, True, (447803, 682924, 41854),
+     "979dc63ce813c9ca97be65bcb1add5ef923c115d7e1d537c13b546f1bfa58027"),
+    ((12, 32, 3, 1, 0.0, 4000), 186, True, (184143, 221157, 6324),
+     "728729a95676c60ebac3a2777d6e7a3aa4dee3613e593a803de00c92b2fa07b6"),
+    ((32, 64, 3, 1, 0.0, 4000), 101, True, (702309, 743820, 6666),
+     "64a744cc673731a704542cdc1d1994f23bd42656d59ff242c2d7c577f39ebf5e"),
+    ((8, 24, 2, 5, 0.01, 4000), 592, True, (3128565, 2268389, 134384),
+     "5f0e2bcbb901cbd914cba6d7cd7514ac54d618bd5f24023d2e940f1804adfcc5"),
+    ((16, 32, 2, 1, 0.01, 300), 300, False, (3259539, 2360439, 70500),
+     "eb9110379baa9dd405adeb27a5f28462d28300c2f4ec0d115b118abc388bfe36"),
+]
+
+
+@pytest.mark.parametrize("case, iterations, converged, cost, digest", BP_GOLDEN)
+def test_bp_golden(case, iterations, converged, cost, digest):
+    m, n, k, seed, eps, cap = case
+    a, _, obs = _planted(m, n, k, seed=seed, epsilon=eps)
+    res = solve_bp(a, obs.y, SolverConfig(epsilon=eps, max_iterations=cap))
+    assert res.iterations == iterations
+    assert res.converged is converged
+    assert (res.cost.multiplies, res.cost.additions, res.cost.comparisons) == cost
+    assert hashlib.sha256(res.alpha_hat.tobytes()).hexdigest() == digest
+
+
+def _project_ball_200_steps(s, b, c, eps_r, cost, r):
+    """The ball projection as it was before the bisection's early exit."""
+    miss = s * c - b
+    cost.charge(mult=2 * r, add=3 * r - 1)
+    if np.linalg.norm(miss) <= eps_r:
+        return c
+    if eps_r == 0.0:
+        return b / s
+    # c'(lam) = (c + lam*s*b) / (1 + lam*s^2); ||s*c' - b|| decreasing in lam
+    def norm_at(lam):
+        return float(np.linalg.norm(miss / (1.0 + lam * s * s)))
+
+    lo, hi = 0.0, 1.0
+    while norm_at(hi) > eps_r:
+        hi *= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if norm_at(mid) > eps_r:
+            lo = mid
+        else:
+            hi = mid
+    lam = hi
+    cost.charge(mult=200 * 3 * r, add=200 * 2 * r, cmp=201)
+    return (c + lam * s * b) / (1.0 + lam * s * s)
+
+
+def test_project_ball_early_exit_matches_200_steps():
+    gen = np.random.default_rng(7)
+    # eps_r as a fraction of ||s*c - b||: inside the ball, on the affine set,
+    # next to the boundary (lam far below 1) and deep inside it (lam huge)
+    fractions = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12,
+                 1 - 2 ** -52, 1.0, 2.0)
+    bisected_count = 0
+    for trial in range(30):
+        r = int(gen.integers(1, 9))
+        s = np.sort(10.0 ** gen.uniform(-4, 3, r))[::-1]
+        b = gen.normal(size=r) * 10.0 ** gen.uniform(-3, 3)
+        c = gen.normal(size=r) * 10.0 ** gen.uniform(-3, 3)
+        gap = float(np.linalg.norm(s * c - b))
+        for f in fractions:
+            eps_r = gap * f
+            old = _project_ball_200_steps(s, b, c, eps_r, CostCounter(), r)
+            new, bisected = _project_ball(s, b, b / s, eps_r, c, np.empty(r), np.empty(r))
+            assert new.tobytes() == old.tobytes(), (trial, f)
+            assert bisected == (0.0 < eps_r < gap)
+            bisected_count += bisected
+    assert bisected_count >= 240
+
+
+def test_solve_rescales_omp_on_unnormalized_matrix():
+    a, inst, obs = _planted(12, 24, 2, seed=6)
+    assert not a.column_normalized
+    with pytest.raises(NotNormalized):
+        solve_omp(a, obs.y, SolverConfig(max_sparsity=2))
+    res = solve("omp", a, obs.y, SolverConfig(max_sparsity=2))
+    assert res.support == inst.support
+    np.testing.assert_allclose(a.a @ res.alpha_hat, obs.y, atol=1e-9)
+    battery = run_battery(a, obs.y, configs={"omp": SolverConfig("omp", max_sparsity=2)})
+    omp = next(e for e in battery if e.solver == "omp")
+    assert omp.result.alpha_hat.tobytes() == res.alpha_hat.tobytes()
 
 
 # ------------------------------------------------------------- battery
