@@ -6,12 +6,13 @@ Exit codes: 0 success, 2 verification-suite violation, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import EXPERIMENT_COMMANDS, ExperimentConfig, load_config
 from .dictionaries import (
     DICTIONARY_KINDS,
     EffectiveSensing,
@@ -21,7 +22,7 @@ from .dictionaries import (
     compose,
 )
 from .errors import EtrLabError, SuiteFailure
-from .etr import build_uncertainty_report, nonvanishing_bound
+from .etr import build_uncertainty_report
 from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
 from .numerics import load_matrix, load_vector
@@ -88,18 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 _SOLVER_ALIAS = {"l0": "l0-exhaustive", "bp": "basis-pursuit"}
 
-_DEFAULT_EXPERIMENT = {
-    "phase": "phase",
-    "mismatch": "mismatch",
-    "regime": "regime-map",
-}
-
 
 def _experiment_config(args, command: str) -> ExperimentConfig:
     if args.config:
         cfg = load_config(args.config)
-        expected = (("uncertainty-principle", "perturbation") if command == "verify"
-                    else (_DEFAULT_EXPERIMENT[command],))
+        expected = [e for e, line in EXPERIMENT_COMMANDS.items() if line.split()[0] == command]
         if cfg.experiment not in expected:
             raise EtrLabError(
                 f"config experiment {cfg.experiment!r} does not match subcommand {command!r}"
@@ -127,7 +121,7 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
         cfg.workers = args.workers
     if args.formats:
         cfg.formats = tuple(t.strip() for t in args.formats.split(","))
-    return cfg
+    return dataclasses.replace(cfg)  # a fresh copy runs the validation on the overrides
 
 
 def _cmd_geometry(args) -> int:
@@ -204,8 +198,8 @@ def _cmd_functional(args) -> int:
     print(f"u_value: {report.u_value:.12g}")
     print(f"lower_bound: {report.lower_bound:.12g}")
     print(f"regime: {report.regime}")
-    if report.u_value != float("inf"):
-        assert report.u_value >= nonvanishing_bound(args.k_psi, args.gamma) - 1e-12
+    if report.u_value < report.lower_bound - 1e-12:
+        raise EtrLabError(f"u_value {report.u_value!r} below its floor {report.lower_bound!r}")
     return 0
 
 

@@ -15,8 +15,18 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .etr import RegimeThresholds
+from .solvers import SOLVER_NAMES
 
-EXPERIMENTS = ("phase", "mismatch", "uncertainty-principle", "perturbation", "regime-map")
+# each experiment and the `etr-lab` arguments that run it
+EXPERIMENT_COMMANDS = {
+    "phase": "phase",
+    "mismatch": "mismatch",
+    "uncertainty-principle": "verify",
+    "perturbation": "verify --suite perturbation",
+    "regime-map": "regime",
+}
+EXPERIMENTS = tuple(EXPERIMENT_COMMANDS)
+FORMATS = ("csv", "md", "svg")
 
 
 @dataclass
@@ -54,6 +64,11 @@ class ExperimentConfig:
                             ("d_sweep", self.d_sweep)):
             if sweep and not all(isinstance(v, int) and v >= 1 for v in sweep):
                 raise ConfigError(f"{name} must hold positive integers")
+        for name, given, known in (("solvers", self.solvers, SOLVER_NAMES),
+                                   ("formats", self.formats, FORMATS)):
+            unknown = [v for v in given if v not in known]
+            if unknown:
+                raise ConfigError(f"unknown {name} {unknown}; known: {', '.join(known)}")
 
     @property
     def effective_workers(self) -> int:

@@ -14,13 +14,13 @@ from typing import Optional
 
 from .errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
 from .geometry import GeometryReport
+from .numerics import TOL
 
 REGIMES = ("non-unique", "opaque", "stable", "indeterminate")
 
 
 @dataclass(frozen=True)
 class RegimeThresholds:
-    gamma_zero_tol: float = 1e-10
     stable_c: float = 0.1          # minimum gamma_2k for the stable verdict
     sample_c0: float = 1.0         # constant in the m >= c0 * k * (ln(n/k)+1) budget
     battery_success_min: float = 0.9
@@ -68,20 +68,18 @@ class UncertaintyReport:
     regime: str
 
 
-def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int,
-                           gamma_zero_tol: float = 1e-10) -> float:
+def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
     if k_psi < 1 or cost < 1:
         raise InvalidSparsity("k_psi and cost must be >= 1")
-    if gamma_2k <= gamma_zero_tol:
+    if gamma_2k <= TOL.gamma_zero:
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
     return k_psi * (1.0 / gamma_2k) * math.log1p(cost)
 
 
-def nonvanishing_bound(k_psi: int, gamma_2k: float,
-                       gamma_zero_tol: float = 1e-10) -> float:
+def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     """(k_psi / gamma_2k) * ln 2; a floor under every uncertainty value."""
-    if gamma_2k <= gamma_zero_tol:
+    if gamma_2k <= TOL.gamma_zero:
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
     return k_psi / gamma_2k * math.log(2.0)
 
@@ -156,8 +154,8 @@ def classify_regime(
         f"m = {m}, budget = {budget}, oracle rate = {oracle:.2f}, "
         f"best polynomial rate = {poly:.2f}"
     )
-    if gamma_for_nonunique <= th.gamma_zero_tol:
-        return RegimeLabel("non-unique", f"{gamma_desc} <= {th.gamma_zero_tol}; {stats_desc}")
+    if gamma_for_nonunique <= TOL.gamma_zero:
+        return RegimeLabel("non-unique", f"{gamma_desc} <= {TOL.gamma_zero}; {stats_desc}")
     if gamma_for_stable >= th.stable_c and m >= budget and poly >= th.battery_success_min:
         return RegimeLabel("stable", f"{gamma_desc} >= c = {th.stable_c}; {stats_desc}")
     if oracle >= th.battery_success_min and poly <= th.battery_fail_max:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dictionaries import EffectiveSensing, self_coherence
-from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
+from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NotNormalized
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
@@ -42,6 +42,24 @@ def colex_supports(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for last in range(r - 1, n):
         for rest in colex_supports(last, r - 1):
             yield rest + (last,)
+
+
+def colex_blocks(n: int, r: int, rows: int) -> Iterator[np.ndarray]:
+    """colex_supports(n, r) as index arrays of <= rows rows, for batched work.
+
+    Rank q unranks through the combinatorial number system: its largest
+    element is the largest c with binomial(c, r) <= q, and the rest is the
+    subset of rank q - binomial(c, r) among the (r-1)-subsets.
+    """
+    total = comb(n, r)
+    for start in range(0, total, rows):
+        rank = np.arange(start, min(start + rows, total))
+        block = np.empty((len(rank), r), dtype=np.intp)
+        for i in range(r, 0, -1):
+            table = np.array([comb(c, i) for c in range(n)], dtype=np.int64)
+            block[:, i - 1] = np.searchsorted(table, rank, side="right") - 1
+            rank = rank - table[block[:, i - 1]]
+        yield block
 
 
 def _zero_cutoff(a: np.ndarray) -> float:
@@ -83,8 +101,7 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
 def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
     """Minimum of sigma_min over sampled supports; an upper bound on gamma_r.
 
-    When trials covers the full support count the enumeration is
-    exhausted instead, making the value equal to gamma_exact.
+    When trials covers the full support count this is gamma_exact itself.
     """
     mat = a.a
     n = mat.shape[1]
@@ -94,9 +111,7 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
         raise InvalidSparsity("trials must be >= 1")
     total = comb(n, r)
     if trials >= total and total <= EXACT_GUARD:
-        return min(
-            smallest_singular_value(mat[:, list(s)]) for s in colex_supports(n, r)
-        )
+        return gamma_exact(a, r)
     best = np.inf
     for t in range(trials):
         support = stream.split(t).choose_without_replacement(n, r)
@@ -135,7 +150,7 @@ def geometry_report(
     total = comb(n, r)
     try:
         lower = gamma_lower_coherence(a, r)
-    except Exception:
+    except NotNormalized:
         lower = 0.0  # columns not normalized: bound unavailable
     exact = witness = None
     examined = 0

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from . import svgplot
-from .config import ExperimentConfig
+from .config import EXPERIMENT_COMMANDS, ExperimentConfig
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import ConfigError, EnumerationTooLarge, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
@@ -109,7 +109,7 @@ def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
         f"- experiment: {cfg.experiment}",
         f"- master_seed: {cfg.master_seed}",
         f"- logarithms: natural (base e) throughout",
-        f"- reproduce: `etr-lab {cfg.experiment.replace('uncertainty-principle', 'verify').replace('perturbation', 'verify').replace('regime-map', 'regime')} "
+        f"- reproduce: `etr-lab {EXPERIMENT_COMMANDS[cfg.experiment]} "
         f"--seed {cfg.master_seed} --out {cfg.output_dir}`",
         "",
     ]

@@ -20,8 +20,6 @@ class Tolerances:
 
     rank_rel: float = 1e-12        # sigma_min / sigma_max below this => rank deficient
     ortho: float = 1e-10           # orthonormality of basis Gram matrices
-    unit_column: float = 1e-12     # unit-norm column check
-    residual_ortho: float = 1e-9   # least-squares residual orthogonality
     zero_tau: float = 1e-8         # relative magnitude threshold for "zero" coefficients
     gamma_zero: float = 1e-10      # gamma treated as exactly 0 below this
     feasibility_slack: float = 1e-10
@@ -31,20 +29,36 @@ TOL = Tolerances()
 
 
 def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-residual coefficients for a_sub @ c ~ y via SVD.
+    """Least-squares coefficients for a_sub @ c ~ y from the normal equations.
 
-    Raises RankDeficient when the column condition exceeds 1/rank_rel.
+    a_sub is one (m, c) matrix or a stack (B, m, c) sharing y. A matrix is
+    rank deficient when its Gram matrix is singular to the LU solve, or its
+    smallest Gram eigenvalue is not positive or below rank_rel^2 times the
+    largest: a single matrix then raises RankDeficient, a stack member gets
+    a NaN row in the (B, c) result.
     """
-    a_sub = np.atleast_2d(np.asarray(a_sub, dtype=float))
+    a_sub = np.asarray(a_sub, dtype=float)
     y = np.asarray(y, dtype=float)
-    if a_sub.shape[0] != y.shape[0]:
-        raise RankDeficient(
-            f"shape mismatch: {a_sub.shape[0]} rows vs {y.shape[0]} entries"
-        )
-    u, s, vt = np.linalg.svd(a_sub, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < TOL.rank_rel * s[0]:
-        raise RankDeficient(f"sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}")
-    return vt.T @ ((u.T @ y) / s)
+    stack = a_sub if a_sub.ndim == 3 else np.atleast_2d(a_sub)[None]
+    a_t = stack.transpose(0, 2, 1)
+    gram = a_t @ stack
+    rhs = a_t @ y
+    lam = np.linalg.eigvalsh(gram)
+    ok = (lam[:, 0] > 0) & (lam[:, 0] >= TOL.rank_rel ** 2 * np.maximum(lam[:, -1], 1e-300))
+    coef = np.full(rhs.shape, np.nan)
+    try:
+        coef[ok] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular member fails the whole solve
+        for i in np.flatnonzero(ok):
+            try:
+                coef[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    if a_sub.ndim == 3:
+        return coef
+    if np.isnan(coef[0, 0]):
+        raise RankDeficient(f"Gram eigenvalues {lam[0, 0]:.3e} to {lam[0, -1]:.3e}")
+    return coef[0]
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

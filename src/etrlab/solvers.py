@@ -14,22 +14,15 @@ RNG and I/O are never charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 from typing import Optional
 
 import numpy as np
 
 from .dictionaries import EffectiveSensing
-from .errors import (
-    EnumerationTooLarge,
-    InvalidSparsity,
-    NoFeasibleSolution,
-    NotNormalized,
-    Stalled,
-)
-from .geometry import colex_supports
-from .numerics import TOL
-from .sparsity import PlantedInstance
+from .errors import InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled
+from .numerics import TOL, least_squares
+from .sparsity import PlantedInstance, minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
 SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
@@ -66,16 +59,14 @@ class CostCounter:
         self.additions += add
         self.comparisons += cmp
 
-    def charge_least_squares(self, m: int, c: int) -> None:
-        # normal equations: Gram, rhs, Cholesky factor + two triangular solves
-        self.charge(
-            mult=m * c * c + m * c + c ** 3 // 3 + 2 * c * c,
-            add=m * c * c + m * c + c ** 3 // 3 + 2 * c * c,
-        )
+    def charge_least_squares(self, m: int, c: int, count: int) -> None:
+        # count solves of the normal equations: Gram, rhs, Cholesky + two triangular solves
+        ops = count * (m * c * c + m * c + c ** 3 // 3 + 2 * c * c)
+        self.charge(mult=ops, add=ops)
 
-    def charge_residual(self, m: int, c: int) -> None:
-        # A_S @ coef, subtraction, and the norm
-        self.charge(mult=m * c + m, add=m * c + m + m - 1, cmp=0)
+    def charge_residual(self, m: int, c: int, count: int) -> None:
+        # count residuals: A_S @ coef, subtraction, and the norm
+        self.charge(mult=count * (m * c + m), add=count * (m * c + m + m - 1), cmp=0)
 
 
 @dataclass
@@ -95,19 +86,6 @@ class BatteryEntry:
     solver: str
     result: Optional[RecoveryResult]
     error: Optional[str] = None
-
-
-def _ls_on_support(mat: np.ndarray, y: np.ndarray):
-    """Fast support-restricted least squares; None when numerically singular."""
-    gram = mat.T @ mat
-    try:
-        coef = np.linalg.solve(gram, mat.T @ y)
-    except np.linalg.LinAlgError:
-        return None
-    lam = np.linalg.eigvalsh(gram)
-    if lam[0] < TOL.rank_rel ** 2 * max(lam[-1], 1e-300) or lam[0] <= 0:
-        return None
-    return coef
 
 
 def _finish(a, alpha, y, cost, converged, psi, truth, epsilon, iterations=0) -> RecoveryResult:
@@ -150,24 +128,16 @@ def solve_l0(
     cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
     if np.linalg.norm(y) <= feas:
         return _finish(a, np.zeros(n), y, cost, True, psi, truth, cfg.epsilon)
-    examined = 0
-    for size in range(1, kmax + 1):
-        examined += comb(n, size)
-        if examined > L0_SUPPORT_GUARD:
-            raise EnumerationTooLarge(f"cumulative supports exceed {L0_SUPPORT_GUARD}")
-        for support in colex_supports(n, size):
-            cols = mat[:, list(support)]
-            cost.charge_least_squares(m, size)
-            coef = _ls_on_support(cols, y)
-            if coef is None:
-                continue
-            cost.charge_residual(m, size)
-            cost.charge(cmp=1)
-            if np.linalg.norm(cols @ coef - y) <= feas:
-                alpha = np.zeros(n)
-                alpha[list(support)] = coef
-                return _finish(a, alpha, y, cost, True, psi, truth, cfg.epsilon)
-    raise NoFeasibleSolution(f"no support up to size {kmax} fits within epsilon")
+    support, coef, tallies = minimal_support(mat, y, feas, kmax, L0_SUPPORT_GUARD)
+    for size, examined, nonsingular in tallies:  # a residual and a comparison per non-singular fit
+        cost.charge_least_squares(m, size, examined)
+        cost.charge_residual(m, size, nonsingular)
+        cost.charge(cmp=nonsingular)
+    if support is None:
+        raise NoFeasibleSolution(f"no support up to size {kmax} fits within epsilon")
+    alpha = np.zeros(n)
+    alpha[list(support)] = coef
+    return _finish(a, alpha, y, cost, True, psi, truth, cfg.epsilon)
 
 
 def solve_omp(
@@ -200,12 +170,13 @@ def solve_omp(
             raise Stalled("correlation max below 1e-12 with residual above epsilon")
         support.append(pick)
         cols = mat[:, support]
-        cost.charge_least_squares(m, len(support))
-        coef = _ls_on_support(cols, y)
-        if coef is None:
-            raise Stalled("selected columns became rank deficient")
+        cost.charge_least_squares(m, len(support), 1)
+        try:
+            coef = least_squares(cols, y)
+        except RankDeficient:
+            raise Stalled("selected columns became rank deficient") from None
         residual = y - cols @ coef
-        cost.charge_residual(m, len(support))
+        cost.charge_residual(m, len(support), 1)
         iters += 1
     alpha = np.zeros(n)
     if support:
@@ -342,9 +313,12 @@ def solve_bp(
     # guarded debias: least squares on the detected support
     supp = np.flatnonzero(np.abs(z) > TOL.zero_tau * max(float(np.linalg.norm(z)), 1.0))
     if 0 < len(supp) <= m:
-        coef = _ls_on_support(mat[:, supp], y)
-        cost.charge_least_squares(m, len(supp))
-        if coef is not None:
+        cost.charge_least_squares(m, len(supp), 1)
+        try:
+            coef = least_squares(mat[:, supp], y)
+        except RankDeficient:
+            pass
+        else:
             cand = np.zeros(n)
             cand[supp] = coef
             feas_ok = np.linalg.norm(mat @ cand - y) <= max(cfg.epsilon, 0.0) + cfg.convergence_tol

@@ -12,15 +12,15 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     InvalidSparsity,
-    RankDeficient,
     ZeroSignal,
 )
-from .geometry import colex_supports
+from .geometry import colex_blocks
 from .numerics import TOL, least_squares
 from .rng import RandomStream
 
 DEFAULT_TAU = TOL.zero_tau
 ENUMERATION_GUARD = 2 ** 24
+CHUNK_BYTES = 2 ** 18  # gathered columns per least-squares stack in minimal_support
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 
 
@@ -80,21 +80,44 @@ def representation_complexity(x: np.ndarray, psi, tau: float = DEFAULT_TAU) -> S
         coeffs = mat.T @ x
         support = np.flatnonzero(np.abs(coeffs) > tau * xnorm)
         return SparsityReport(k_psi=len(support), support=tuple(support), tau=tau)
-    n = mat.shape[1]
-    examined = 0
-    for size in range(1, n + 1):
-        examined += comb(n, size)
-        if examined > ENUMERATION_GUARD:
-            raise EnumerationTooLarge(f"> {ENUMERATION_GUARD} candidate supports")
-        for support in colex_supports(n, size):
-            cols = mat[:, list(support)]
-            try:
-                c = least_squares(cols, x)
-            except RankDeficient:
-                continue
-            if np.linalg.norm(cols @ c - x) <= tau * xnorm:
-                return SparsityReport(k_psi=size, support=support, tau=tau)
-    raise ZeroSignal("x is not in the column span of psi")  # unreachable for spanning psi
+    support, _, _ = minimal_support(mat, x, tau * xnorm, mat.shape[1], ENUMERATION_GUARD)
+    if support is None:
+        raise ZeroSignal("x is not in the column span of psi")  # unreachable for spanning psi
+    return SparsityReport(k_psi=len(support), support=support, tau=tau)
+
+
+def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, guard: int):
+    """Smallest support S whose least-squares fit has ||mat[:, S] c - y|| <= tol.
+
+    Sizes 1..max_size in increasing order, colex order within a size,
+    CHUNK_BYTES of gathered columns per least-squares stack; the first fit
+    in that order is returned. Raises EnumerationTooLarge before a size
+    that takes the cumulative support count past guard. Returns (support,
+    coef, tallies), support and coef None when nothing fits; tallies holds
+    (size, supports examined, non-singular ones) for each size walked.
+    """
+    m, n = mat.shape
+    tallies = []
+    for size in range(1, max_size + 1):
+        if sum(comb(n, s) for s in range(1, size + 1)) > guard:
+            raise EnumerationTooLarge(f"cumulative supports exceed {guard}")
+        examined = nonsingular = 0
+        for block in colex_blocks(n, size, max(1, CHUNK_BYTES // (8 * m * size))):
+            # rows of mat.T give each slice the layout of mat[:, list(S)]: same BLAS path, same bits
+            stack = mat.T[block].transpose(0, 2, 1)
+            coef = least_squares(stack, y)
+            resid = (stack @ coef[:, :, None])[:, :, 0] - y
+            # sqrt of the BLAS dot r . r, as np.linalg.norm computes it; NaN never fits
+            norms = np.sqrt(resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+            hits = np.flatnonzero(norms <= tol)
+            stop = int(hits[0]) + 1 if hits.size else len(block)
+            examined += stop
+            nonsingular += int(np.count_nonzero(~np.isnan(coef[:stop, 0])))
+            if hits.size:
+                tallies.append((size, examined, nonsingular))
+                return tuple(int(i) for i in block[stop - 1]), coef[stop - 1], tallies
+        tallies.append((size, examined, nonsingular))
+    return None, None, tallies
 
 
 def effective_sparsity(x: np.ndarray, psi: Dictionary, tau: float = DEFAULT_TAU) -> int:

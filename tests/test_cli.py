@@ -1,12 +1,17 @@
 import math
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 import etrlab.cli as cli
 from etrlab.cli import main
+from etrlab.config import EXPERIMENTS, ExperimentConfig
 from etrlab.errors import SuiteFailure
+from etrlab.etr import UncertaintyReport
+from etrlab.harness import render_report
 from etrlab.numerics import save_matrix, save_vector
 
 
@@ -164,3 +169,29 @@ def test_format_flag_controls_svg(tmp_path):
 def test_unknown_solver_rejected():
     with pytest.raises(SystemExit):
         main(["recover", "--solver", "magic"])
+
+
+def test_reproduce_line_selects_the_same_experiment(tmp_path):
+    for experiment in EXPERIMENTS:
+        out = str(tmp_path / experiment)
+        cfg = ExperimentConfig(experiment=experiment, master_seed=123, output_dir=out)
+        bundle = render_report([{"trial": 0}], cfg, experiment, [])
+        with open(bundle.summary_md) as fh:
+            (command,) = re.findall(r"- reproduce: `etr-lab (.*)`", fh.read())
+        args = cli.build_parser().parse_args(shlex.split(command))
+        rerun = cli._experiment_config(args, args.command)
+        assert (rerun.experiment, rerun.master_seed, rerun.output_dir) == (
+            experiment, 123, out)
+
+
+def test_format_flag_rejects_unknown_format(capsys):
+    assert main(["phase", "--format", "csv,pdf"]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_functional_floor_violation_is_an_error(monkeypatch, capsys):
+    below = UncertaintyReport(2, 2, 0.5, 100, 1.0, 2.0, "indeterminate")
+    monkeypatch.setattr(cli, "build_uncertainty_report", lambda *args: below)
+    rc = main(["functional", "--k", "2", "--k-psi", "2", "--gamma", "0.5", "--cost", "100"])
+    assert rc == 1
+    assert "below its floor" in capsys.readouterr().err

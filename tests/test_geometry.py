@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etrlab import geometry
 from etrlab.dictionaries import EffectiveSensing, build_sensing, normalize_columns
 from etrlab.errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
 from etrlab.geometry import (
+    colex_blocks,
     colex_supports,
     gamma_exact,
     gamma_lower_coherence,
@@ -48,6 +50,14 @@ def test_gamma_exact_duplicate_columns_with_witness():
     # kernel direction proportional to (1, -1, 0)
     cosine = abs(witness @ np.array([1.0, -1.0, 0.0])) / (np.linalg.norm(witness) * np.sqrt(2))
     assert cosine == pytest.approx(1.0, abs=1e-10)
+
+
+def test_colex_blocks_follow_colex_supports():
+    for n, r, rows in ((6, 1, 4), (6, 3, 1), (7, 4, 5), (10, 5, 1000), (5, 5, 2), (3, 0, 2)):
+        blocks = list(colex_blocks(n, r, rows))
+        assert all(1 <= len(b) <= rows for b in blocks)
+        flat = [tuple(int(i) for i in row) for b in blocks for row in b]
+        assert flat == list(colex_supports(n, r))
 
 
 def test_gamma_exact_three_column_example():
@@ -176,3 +186,15 @@ def test_geometry_report_duplicate_columns():
     rep = geometry_report(a, 2, mode="exact")
     assert rep.injective_on_r_sparse == "no"
     assert rep.witness is not None
+
+
+def test_geometry_report_bound_unavailable_only_without_normalization(monkeypatch):
+    rep = geometry_report(_random_a(8, 12, seed=3), 2, mode="exact")
+    assert rep.gamma_lower == 0.0
+
+    def broken(a, r):
+        raise ValueError("not a normalization problem")
+
+    monkeypatch.setattr(geometry, "gamma_lower_coherence", broken)
+    with pytest.raises(ValueError):
+        geometry_report(_random_a(8, 12, seed=3, normalized=True), 2, mode="exact")

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import math
 import os
 
@@ -152,6 +154,22 @@ def test_config_validation():
         ExperimentConfig(trials_per_cell=0)
 
 
+def test_config_rejects_unknown_solvers_and_formats(tmp_path):
+    with pytest.raises(ConfigError, match="solvers"):
+        ExperimentConfig(solvers=("basis-pursuit", "lasso"))
+    with pytest.raises(ConfigError, match="formats"):
+        ExperimentConfig(formats=("csv", "pdf"))
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, "[phase]\nsolvers = omp,lasso\n"))
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, "[phase]\nformats = csv,svg,html\n"))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(ExperimentConfig(), solvers=("l0",))
+    cfg = ExperimentConfig(solvers=("l0-exhaustive", "omp", "basis-pursuit"),
+                           formats=("csv", "md", "svg"))
+    assert cfg.solvers == ("l0-exhaustive", "omp", "basis-pursuit")
+
+
 def test_effective_workers_env(monkeypatch):
     cfg = ExperimentConfig(workers=3)
     assert cfg.effective_workers == 3
@@ -163,6 +181,16 @@ def test_effective_workers_env(monkeypatch):
 
 
 # ------------------------------------------------------ experiments (small)
+
+
+def test_toy_records_digest_is_pinned(tmp_path):
+    # a change to any record byte of the shipped toy config shows up here
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg"))
+    cfg.output_dir = str(tmp_path)
+    bundle = run_experiment(cfg)
+    with open(bundle.records_csv, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "095d785a52b5422b50fb2413b45a8ed307a025e41cc41a64bb7ace2624865d3c"
 
 
 def _tiny_phase(tmp_path, seed=7, workers=1):

@@ -39,6 +39,29 @@ def test_least_squares_rank_deficient():
         least_squares(a, np.arange(3.0))
 
 
+def test_least_squares_stack_marks_singular_members_only():
+    # copies and multiples of a column: singular to LU, though the Gram
+    # eigenvalue test alone may pass them; the stack solve must not fail
+    gen = np.random.default_rng(3)
+    members = []
+    for i in range(12):
+        mat = gen.normal(size=(5, 3))
+        if i % 3 == 0:
+            mat[:, 2] = mat[:, 0] * (1.0 if i % 2 else 2.0)
+        members.append(np.asfortranarray(mat))
+    y = gen.normal(size=5)
+    # each slice keeps its member's column-major layout, so the BLAS calls match
+    coef = least_squares(np.stack([mat.T for mat in members]).transpose(0, 2, 1), y)
+    assert coef.shape == (12, 3)
+    for i, mat in enumerate(members):
+        if i % 3 == 0:
+            assert np.all(np.isnan(coef[i]))
+            with pytest.raises(RankDeficient):
+                least_squares(mat, y)
+        else:
+            assert coef[i].tobytes() == least_squares(mat, y).tobytes()
+
+
 @given(hnp.arrays(float, (6, 3), elements=finite), hnp.arrays(float, (6,), elements=finite))
 @settings(max_examples=100, deadline=None)
 def test_residual_orthogonal_to_columns(a, y):

@@ -1,9 +1,11 @@
 import hashlib
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etrlab import sparsity
 from etrlab.dictionaries import (
     EffectiveSensing,
     build_dictionary,
@@ -13,10 +15,13 @@ from etrlab.dictionaries import (
 )
 from etrlab.errors import EnumerationTooLarge, NoFeasibleSolution, NotNormalized
 from etrlab.geometry import colex_supports, gamma_exact
+from etrlab.numerics import TOL
 from etrlab.rng import RandomStream
 from etrlab.solvers import (
+    L0_SUPPORT_GUARD,
     CostCounter,
     SolverConfig,
+    _finish,
     _project_ball,
     run_battery,
     solve,
@@ -99,6 +104,105 @@ def test_l0_noise_tolerance():
     assert res.residual_norm <= 1e-2 + 1e-10
     assert len(res.support) <= 2
     assert res.stability_ratio is not None
+
+
+def _ls_on_support_one(mat, y):
+    """Support least squares as solve_l0 ran it before the stacked search."""
+    gram = mat.T @ mat
+    try:
+        coef = np.linalg.solve(gram, mat.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+    lam = np.linalg.eigvalsh(gram)
+    if lam[0] < TOL.rank_rel ** 2 * max(lam[-1], 1e-300) or lam[0] <= 0:
+        return None
+    return coef
+
+
+def _solve_l0_one_at_a_time(a, y, cfg):
+    """solve_l0 as it was before the stacked search: one support per step."""
+    y = np.asarray(y, dtype=float)
+    mat = a.a
+    m, n = mat.shape
+    kmax = cfg.max_sparsity or min(m, n)
+    feas = cfg.epsilon + TOL.feasibility_slack
+    cost = CostCounter()
+    cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
+    if np.linalg.norm(y) <= feas:
+        return _finish(a, np.zeros(n), y, cost, True, None, None, cfg.epsilon)
+    examined = 0
+    for size in range(1, kmax + 1):
+        examined += comb(n, size)
+        if examined > L0_SUPPORT_GUARD:
+            raise EnumerationTooLarge(f"cumulative supports exceed {L0_SUPPORT_GUARD}")
+        for support in colex_supports(n, size):
+            cols = mat[:, list(support)]
+            cost.charge_least_squares(m, size, 1)
+            coef = _ls_on_support_one(cols, y)
+            if coef is None:
+                continue
+            cost.charge_residual(m, size, 1)
+            cost.charge(cmp=1)
+            if np.linalg.norm(cols @ coef - y) <= feas:
+                alpha = np.zeros(n)
+                alpha[list(support)] = coef
+                return _finish(a, alpha, y, cost, True, None, None, cfg.epsilon)
+    raise NoFeasibleSolution(f"no support up to size {kmax} fits within epsilon")
+
+
+def _assert_l0_matches_one_at_a_time(a, y, cfg):
+    """Same support, alpha_hat bytes, convergence and costs; or both infeasible."""
+    try:
+        old = _solve_l0_one_at_a_time(a, y, cfg)
+    except NoFeasibleSolution:
+        with pytest.raises(NoFeasibleSolution):
+            solve_l0(a, y, cfg)
+        return None
+    new = solve_l0(a, y, cfg)
+    assert new.support == old.support
+    assert new.alpha_hat.tobytes() == old.alpha_hat.tobytes()
+    assert new.converged == old.converged
+    counts = (new.cost.multiplies, new.cost.additions, new.cost.comparisons)
+    assert counts == (old.cost.multiplies, old.cost.additions, old.cost.comparisons)
+    assert all(type(c) is int for c in counts)
+    return new
+
+
+@pytest.mark.parametrize("chunk_bytes", [sparsity.CHUNK_BYTES, 2000])
+def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
+    # 2000 bytes cuts sizes 2 and 3 into chunks of 5 to 62 supports
+    monkeypatch.setattr(sparsity, "CHUNK_BYTES", chunk_bytes)
+    gen = np.random.default_rng(11)
+    sizes = []
+    for trial in range(300):
+        m, k = int(gen.integers(2, 17)), int(gen.integers(1, 4))
+        mat = gen.normal(size=(m, 16))
+        if trial % 5 == 0:  # exactly singular supports: a column and a copy or multiple
+            mat[:, 7] = mat[:, 3] * (1.0 if trial % 10 else 2.0)
+        if trial % 7 == 0:
+            mat[:, 5] = 0.0
+        alpha = np.zeros(16)
+        alpha[gen.choice(16, k, replace=False)] = gen.normal(size=k)
+        eps = 0.01 if trial % 2 else 0.0
+        noise = gen.normal(size=m)
+        y = mat @ alpha + eps * noise / np.linalg.norm(noise)
+        res = _assert_l0_matches_one_at_a_time(
+            EffectiveSensing(mat, False), y, SolverConfig(epsilon=eps, max_sparsity=k))
+        sizes.append(-1 if res is None else len(res.support))
+    assert {1, 2, 3} <= set(sizes)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_l0_search_hit_at_a_chunk_boundary(offset):
+    m, n = 3, 110
+    rows = sparsity.CHUNK_BYTES // (8 * m * 2)  # size-2 supports per chunk
+    assert comb(n, 2) > rows + 1
+    mat = np.random.default_rng(5).normal(size=(m, n))
+    support = list(colex_supports(n, 2))[rows + offset]
+    y = mat[:, list(support)] @ np.array([0.7, -1.3])
+    res = _assert_l0_matches_one_at_a_time(
+        EffectiveSensing(mat, False), y, SolverConfig(max_sparsity=2))
+    assert res.support == support
 
 
 # ----------------------------------------------------------------- omp
