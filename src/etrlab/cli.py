@@ -119,9 +119,9 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
         cfg.output_dir = args.out
     if args.workers is not None:
         cfg.workers = args.workers
-    if args.formats:
-        cfg.formats = tuple(t.strip() for t in args.formats.split(","))
-    return dataclasses.replace(cfg)  # a fresh copy runs the validation on the overrides
+    if args.formats:  # through replace, so the formats are validated
+        cfg = dataclasses.replace(cfg, formats=tuple(t.strip() for t in args.formats.split(",")))
+    return cfg
 
 
 def _cmd_geometry(args) -> int:

@@ -44,24 +44,6 @@ def colex_supports(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
-def colex_blocks(n: int, r: int, rows: int) -> Iterator[np.ndarray]:
-    """colex_supports(n, r) as index arrays of <= rows rows, for batched work.
-
-    Rank q unranks through the combinatorial number system: its largest
-    element is the largest c with binomial(c, r) <= q, and the rest is the
-    subset of rank q - binomial(c, r) among the (r-1)-subsets.
-    """
-    total = comb(n, r)
-    for start in range(0, total, rows):
-        rank = np.arange(start, min(start + rows, total))
-        block = np.empty((len(rank), r), dtype=np.intp)
-        for i in range(r, 0, -1):
-            table = np.array([comb(c, i) for c in range(n)], dtype=np.int64)
-            block[:, i - 1] = np.searchsorted(table, rank, side="right") - 1
-            rank = rank - table[block[:, i - 1]]
-        yield block
-
-
 def _zero_cutoff(a: np.ndarray) -> float:
     return TOL.gamma_zero * float(np.max(np.linalg.norm(a, axis=0)))
 
@@ -167,10 +149,8 @@ def geometry_report(
         upper = float(np.max(np.linalg.norm(a.a, axis=0)))  # trivial sigma bound
     else:
         raise InvalidSparsity(f"unknown mode {mode!r}")
-    if exact is not None and lower > exact:
-        # the r = 2 Gershgorin bound is tight; absorb last-ulp rounding
-        lower = min(lower, exact)
     if exact is not None:
+        lower = min(lower, exact)  # the r = 2 Gershgorin bound is tight; absorb last-ulp rounding
         injective = "no" if exact <= _zero_cutoff(a.a) else "yes"
     elif upper <= _zero_cutoff(a.a):
         injective = "no"

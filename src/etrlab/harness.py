@@ -48,11 +48,9 @@ def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[boo
 
 def isotonic_fit(values: list[float]) -> list[float]:
     """Pool-adjacent-violators: closest non-decreasing sequence (L2)."""
-    level = [float(v) for v in values]
-    weight = [1.0] * len(values)
     out: list[tuple[float, float]] = []
-    for lv, w in zip(level, weight):
-        out.append((lv, w))
+    for v in values:
+        out.append((float(v), 1.0))
         while len(out) > 1 and out[-2][0] > out[-1][0]:
             (l1, w1), (l2, w2) = out[-2], out[-1]
             out[-2:] = [((l1 * w1 + l2 * w2) / (w1 + w2), w1 + w2)]
@@ -153,30 +151,21 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         rows = []
         for solver in cfg.solvers:
             scfg = _solver_configs(cfg, cfg.k)[solver]
+            row = {"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
+                   "solver": solver, "trial": t}
             try:
                 res = solve(solver, a, obs.y, scfg, psi=psi.psi, truth=inst)
                 ok, match, rel = recovery_success(res.alpha_hat, inst.alpha_star)
-                rows.append({
-                    "experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
-                    "solver": solver, "trial": t, "success": ok,
-                    "support_match": match, "rel_error": rel,
-                    "cost_total": res.cost.total, "converged": res.converged,
-                    "error": "",
-                })
+                row.update(success=ok, support_match=match, rel_error=rel,
+                           cost_total=res.cost.total, converged=res.converged, error="")
             except Exception as exc:
-                rows.append({
-                    "experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
-                    "solver": solver, "trial": t, "success": False,
-                    "support_match": False, "rel_error": float("inf"),
-                    "cost_total": 0, "converged": False,
-                    "error": f"{type(exc).__name__}",
-                })
+                row.update(success=False, support_match=False, rel_error=float("inf"),
+                           cost_total=0, converged=False, error=type(exc).__name__)
+            rows.append(row)
         return rows
 
-    tasks = []
-    for ci, m in enumerate(m_sweep):
-        for t in range(cfg.trials_per_cell):
-            tasks.append(((ci, t), (lambda m=m, ci=ci, t=t: one_trial(ci, m, t))))
+    tasks = [((ci, t), (lambda m=m, ci=ci, t=t: one_trial(ci, m, t)))
+             for ci, m in enumerate(m_sweep) for t in range(cfg.trials_per_cell)]
     records = [row for rows in _run_tasks(tasks, cfg.effective_workers) for row in rows]
 
     threshold = sample_threshold(cfg.k, cfg.n, cfg.thresholds.sample_c0)
@@ -236,24 +225,17 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
         obs = observe(inst.x, phi, cfg.epsilon, stream.split(3))
         scfg = _solver_configs(cfg, k)["basis-pursuit"]
-        rows = []
+        keff = effective_sparsity(inst.x, identity)
         matched = solve("basis-pursuit", compose(phi, psi_star), obs.y, scfg,
                         psi=psi_star.psi, truth=inst)
-        ok, _, rel = recovery_success(matched.alpha_hat, inst.alpha_star)
-        rows.append({
-            "experiment": "mismatch", "phase": "recovery", "arm": "matched",
-            "m": m, "k": k, "d": d, "trial": t,
-            "k_eff": effective_sparsity(inst.x, identity),
-            "success": ok, "rel_error": rel,
-        })
         mism = solve("basis-pursuit", EffectiveSensing(phi.phi, False), obs.y, scfg,
                      psi=identity.psi, truth=inst)
-        ok2, _, rel2 = recovery_success(mism.alpha_hat, inst.x)
-        rows.append({
-            "experiment": "mismatch", "phase": "recovery", "arm": "mismatched",
-            "m": m, "k": k, "d": d, "trial": t,
-            "k_eff": rows[0]["k_eff"], "success": ok2, "rel_error": rel2,
-        })
+        rows = []
+        for arm, res, target in (("matched", matched, inst.alpha_star), ("mismatched", mism, inst.x)):
+            ok, _, rel = recovery_success(res.alpha_hat, target)
+            rows.append({"experiment": "mismatch", "phase": "recovery", "arm": arm,
+                         "m": m, "k": k, "d": d, "trial": t, "k_eff": keff,
+                         "success": ok, "rel_error": rel})
         return rows
 
     tasks = [((0, t), (lambda t=t: [census_trial(t)])) for t in range(cfg.trials_per_cell)]
@@ -448,10 +430,8 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
             "regime": label.label, "evidence": label.evidence.replace(",", ";"),
         }
 
-    tasks = []
-    for mi, m in enumerate(m_sweep):
-        for ki, k in enumerate(k_sweep):
-            tasks.append(((mi, ki), (lambda mi=mi, ki=ki, m=m, k=k: one_cell(mi, ki, m, k))))
+    tasks = [((mi, ki), (lambda mi=mi, ki=ki, m=m, k=k: one_cell(mi, ki, m, k)))
+             for mi, m in enumerate(m_sweep) for ki, k in enumerate(k_sweep)]
     records = _run_tasks(tasks, cfg.effective_workers)
 
     lines = ["| m \\ k | " + " | ".join(str(k) for k in k_sweep) + " |",

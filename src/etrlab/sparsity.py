@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -14,7 +15,7 @@ from .errors import (
     InvalidSparsity,
     ZeroSignal,
 )
-from .geometry import colex_blocks
+from .geometry import colex_supports
 from .numerics import TOL, least_squares
 from .rng import RandomStream
 
@@ -102,7 +103,9 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
         if sum(comb(n, s) for s in range(1, size + 1)) > guard:
             raise EnumerationTooLarge(f"cumulative supports exceed {guard}")
         examined = nonsingular = 0
-        for block in colex_blocks(n, size, max(1, CHUNK_BYTES // (8 * m * size))):
+        supports = colex_supports(n, size)
+        rows = max(1, CHUNK_BYTES // (8 * m * size))
+        while (block := np.array(list(islice(supports, rows)), dtype=np.intp)).size:
             # rows of mat.T give each slice the layout of mat[:, list(S)]: same BLAS path, same bits
             stack = mat.T[block].transpose(0, 2, 1)
             coef = least_squares(stack, y)

@@ -6,7 +6,6 @@ from etrlab import geometry
 from etrlab.dictionaries import EffectiveSensing, build_sensing, normalize_columns
 from etrlab.errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
 from etrlab.geometry import (
-    colex_blocks,
     colex_supports,
     gamma_exact,
     gamma_lower_coherence,
@@ -50,14 +49,6 @@ def test_gamma_exact_duplicate_columns_with_witness():
     # kernel direction proportional to (1, -1, 0)
     cosine = abs(witness @ np.array([1.0, -1.0, 0.0])) / (np.linalg.norm(witness) * np.sqrt(2))
     assert cosine == pytest.approx(1.0, abs=1e-10)
-
-
-def test_colex_blocks_follow_colex_supports():
-    for n, r, rows in ((6, 1, 4), (6, 3, 1), (7, 4, 5), (10, 5, 1000), (5, 5, 2), (3, 0, 2)):
-        blocks = list(colex_blocks(n, r, rows))
-        assert all(1 <= len(b) <= rows for b in blocks)
-        flat = [tuple(int(i) for i in row) for b in blocks for row in b]
-        assert flat == list(colex_supports(n, r))
 
 
 def test_gamma_exact_three_column_example():

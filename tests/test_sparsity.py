@@ -33,6 +33,24 @@ def test_complexity_spike_in_hadamard_is_dense():
     assert representation_complexity(x, build_dictionary("hadamard", 4)).k_psi == 4
 
 
+@pytest.mark.parametrize("gap", [1e-13, 1e-7])
+def test_complexity_general_matrix_with_near_duplicate_column(gap):
+    # e1 = (col1 - col0) / gap exactly, but the normal equations on {0, 1}
+    # square a condition number of about 1/gap: at 1e-13 the pair is
+    # singular to the rank test, at 1e-7 its fit misses tau, so both need
+    # the three columns {2, 3, 4}.
+    psi = np.zeros((4, 5))
+    psi[0, 0] = psi[2, 2] = psi[3, 3] = 1.0
+    psi[:, 1] = [1.0, gap, 0.0, 0.0]
+    psi[1:, 4] = 1.0
+    rep = representation_complexity(np.array([0.0, 1.0, 0.0, 0.0]), psi)
+    assert rep.k_psi == 3
+    assert rep.support == (2, 3, 4)
+    rep = representation_complexity(np.array([0.3, 1.0, 0.0, 0.0]), psi)
+    assert rep.k_psi == 4
+    assert rep.support == (0, 2, 3, 4)
+
+
 def test_complexity_zero_signal():
     with pytest.raises(ZeroSignal):
         representation_complexity(np.zeros(4), build_dictionary("identity", 4))
