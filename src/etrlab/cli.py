@@ -35,9 +35,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--seed", type=int, help="override master seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, help="parallel trial workers "
-                   "(default: ETRLAB_WORKERS or 1)")
-    p.add_argument("--format", dest="formats", help="comma list: csv,md,svg")
+    p.add_argument("--format", dest="formats", help="comma list: csv,md,svg (svg adds figures)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +115,6 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
         cfg.master_seed = args.seed
     if args.out:
         cfg.output_dir = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.formats:  # through replace, so the formats are validated
         cfg = dataclasses.replace(cfg, formats=tuple(t.strip() for t in args.formats.split(",")))
     return cfg

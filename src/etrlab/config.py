@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -49,7 +48,7 @@ class ExperimentConfig:
     max_iterations: int = 4000
     convergence_tol: float = 1e-8
     output_dir: str = "out"
-    workers: int = 0                # 0: ETRLAB_WORKERS or 1
+    workers: int = 1                # trials run sequentially; only 1 is accepted
     formats: tuple = ("csv", "md")
     thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
 
@@ -58,6 +57,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n == 0:
             self.n = self.d
+        if self.experiment in ("phase", "regime-map") and self.n != self.d:
+            raise ConfigError(f"{self.experiment} builds a d x d dictionary: n must equal d "
+                              f"(n = {self.n}, d = {self.d})")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
         for name, sweep in (("k_sweep", self.k_sweep), ("m_sweep", self.m_sweep),
@@ -69,12 +73,6 @@ class ExperimentConfig:
             unknown = [v for v in given if v not in known]
             if unknown:
                 raise ConfigError(f"unknown {name} {unknown}; known: {', '.join(known)}")
-
-    @property
-    def effective_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        return int(os.environ.get("ETRLAB_WORKERS", "1"))
 
 
 def _parse_sweep(text: str) -> tuple:

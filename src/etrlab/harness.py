@@ -1,14 +1,14 @@
 """Config-driven Monte-Carlo experiments and report rendering.
 
 Every trial owns a stream derived from (master_seed, cell index, trial
-index), so reruns of a config are bit-identical regardless of worker
-count: trials are merged by key before anything is written.
+index), and trials run one after another in a fixed order, so reruns of
+a config are bit-identical. Each run writes `<name>_records.csv` and
+`<name>_summary.md`; `formats` only decides whether SVG figures are drawn.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import svgplot
 from .config import EXPERIMENT_COMMANDS, ExperimentConfig
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
-from .errors import ConfigError, EnumerationTooLarge, IoFailure, SuiteFailure
+from .errors import EnumerationTooLarge, EtrLabError, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
 from .numerics import TOL
@@ -58,18 +58,6 @@ def isotonic_fit(values: list[float]) -> list[float]:
     for lv, w in out:
         fitted.extend([lv] * int(round(w)))
     return fitted
-
-
-def _run_tasks(tasks, workers: int):
-    """tasks: list of (sort_key, callable); returns results in key order."""
-    if workers <= 1:
-        results = [(key, fn()) for key, fn in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(key, pool.submit(fn)) for key, fn in tasks]
-        results = [(key, f.result()) for key, f in futures]
-    results.sort(key=lambda kv: kv[0])
-    return [r for _, r in results]
 
 
 def _fmt_value(v) -> str:
@@ -136,11 +124,10 @@ def _solver_configs(cfg: ExperimentConfig, k: int) -> dict:
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
-    if cfg.experiment != "phase":
-        raise ConfigError("config is not a phase experiment")
     m_sweep = cfg.m_sweep or tuple(range(4, 49, 4))
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
+    scfgs = _solver_configs(cfg, cfg.k)
 
     def one_trial(ci, m, t):
         stream = base.split(ci).split(t)
@@ -150,23 +137,21 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         a = compose(phi, psi)
         rows = []
         for solver in cfg.solvers:
-            scfg = _solver_configs(cfg, cfg.k)[solver]
             row = {"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
                    "solver": solver, "trial": t}
             try:
-                res = solve(solver, a, obs.y, scfg, psi=psi.psi, truth=inst)
+                res = solve(solver, a, obs.y, scfgs[solver], psi=psi.psi, truth=inst)
                 ok, match, rel = recovery_success(res.alpha_hat, inst.alpha_star)
                 row.update(success=ok, support_match=match, rel_error=rel,
                            cost_total=res.cost.total, converged=res.converged, error="")
-            except Exception as exc:
+            except (EtrLabError, np.linalg.LinAlgError) as exc:
                 row.update(success=False, support_match=False, rel_error=float("inf"),
                            cost_total=0, converged=False, error=type(exc).__name__)
             rows.append(row)
         return rows
 
-    tasks = [((ci, t), (lambda m=m, ci=ci, t=t: one_trial(ci, m, t)))
-             for ci, m in enumerate(m_sweep) for t in range(cfg.trials_per_cell)]
-    records = [row for rows in _run_tasks(tasks, cfg.effective_workers) for row in rows]
+    records = [row for ci, m in enumerate(m_sweep) for t in range(cfg.trials_per_cell)
+               for row in one_trial(ci, m, t)]
 
     threshold = sample_threshold(cfg.k, cfg.n, cfg.thresholds.sample_c0)
     lines = [f"budget threshold m* = ceil(c0 * k * (ln(n/k)+1)) = {threshold}", ""]
@@ -200,8 +185,6 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
 
 
 def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
-    if cfg.experiment != "mismatch":
-        raise ConfigError("config is not a mismatch experiment")
     d, k = cfg.d, cfg.k
     m = cfg.m or d // 2
     identity = build_dictionary("identity", d)
@@ -238,9 +221,8 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
                          "success": ok, "rel_error": rel})
         return rows
 
-    tasks = [((0, t), (lambda t=t: [census_trial(t)])) for t in range(cfg.trials_per_cell)]
-    tasks += [((1, t), (lambda t=t: recovery_trial(t))) for t in range(cfg.recovery_trials)]
-    records = [row for rows in _run_tasks(tasks, cfg.effective_workers) for row in rows]
+    records = [census_trial(t) for t in range(cfg.trials_per_cell)]
+    records += [row for t in range(cfg.recovery_trials) for row in recovery_trial(t)]
 
     census = [r for r in records if r["phase"] == "census"]
     dense = sum(1 for r in census if r["k_eff"] == d) / len(census)
@@ -275,14 +257,7 @@ def _subgroup_indicator(d: int) -> np.ndarray:
     return x
 
 
-def run_verification_suite(cfg: ExperimentConfig) -> ReportBundle:
-    if cfg.experiment not in ("uncertainty-principle", "perturbation"):
-        raise ConfigError("config is not a verification experiment")
-    return (_run_uncertainty_suite if cfg.experiment == "uncertainty-principle"
-            else _run_perturbation_suite)(cfg)
-
-
-def _run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
+def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
     d_sweep = cfg.d_sweep or (4, 16, 64)
     base = RandomStream(cfg.master_seed)
     records, violations, lines = [], [], []
@@ -331,12 +306,12 @@ def _run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def _run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
+def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
     d, n, k = cfg.d, cfg.n, cfg.k
     if comb(n, min(2 * k, n)) > 10 ** 5:
         raise EnumerationTooLarge("perturbation suite needs exhaustive gamma_2k")
     base = RandomStream(cfg.master_seed)
-    records, violations, slacks = [], [], []
+    violations, slacks = [], []
 
     def one(t):
         stream = base.split(t)
@@ -355,9 +330,8 @@ def _run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
         row["holds"], row["slack"] = holds, slack
         return row
 
-    tasks = [((t,), (lambda t=t: one(t))) for t in range(cfg.trials_per_cell)]
-    for row in _run_tasks(tasks, cfg.effective_workers):
-        records.append(row)
+    records = [one(t) for t in range(cfg.trials_per_cell)]
+    for row in records:
         if not row["degenerate"]:
             slacks.append(row["slack"])
             if not row["holds"]:
@@ -388,8 +362,6 @@ REGIME_COLORS = {
 
 
 def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
-    if cfg.experiment != "regime-map":
-        raise ConfigError("config is not a regime-map experiment")
     k_sweep = cfg.k_sweep or (1, 2, 3)
     m_sweep = cfg.m_sweep or (2, 4, 6, 8, 12, 16)
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
@@ -430,9 +402,8 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
             "regime": label.label, "evidence": label.evidence.replace(",", ";"),
         }
 
-    tasks = [((mi, ki), (lambda mi=mi, ki=ki, m=m, k=k: one_cell(mi, ki, m, k)))
-             for mi, m in enumerate(m_sweep) for ki, k in enumerate(k_sweep)]
-    records = _run_tasks(tasks, cfg.effective_workers)
+    records = [one_cell(mi, ki, m, k)
+               for mi, m in enumerate(m_sweep) for ki, k in enumerate(k_sweep)]
 
     lines = ["| m \\ k | " + " | ".join(str(k) for k in k_sweep) + " |",
              "|---" * (len(k_sweep) + 1) + "|"]
@@ -456,8 +427,8 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
 RUNNERS = {
     "phase": run_phase_transition,
     "mismatch": run_mismatch,
-    "uncertainty-principle": run_verification_suite,
-    "perturbation": run_verification_suite,
+    "uncertainty-principle": run_uncertainty_suite,
+    "perturbation": run_perturbation_suite,
     "regime-map": run_regime_map,
 }
 

@@ -20,11 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import EffectiveSensing
-from .errors import InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled
+from .errors import (
+    EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
+)
 from .numerics import TOL, least_squares
 from .sparsity import PlantedInstance, minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
+ADMM_RHO = 1.0  # initial ADMM penalty; adapted x2 / /2 within [1e-4, 1e4]
 SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
 
 
@@ -35,7 +38,6 @@ class SolverConfig:
     max_sparsity: int = 0  # 0: defaults to min(m, N) at solve time
     max_iterations: int = 4000
     convergence_tol: float = 1e-8
-    rho: float = 1.0  # ADMM penalty; adapted x2 / /2 within [1e-4, 1e4]
 
     def __post_init__(self):
         if not 0.0 < self.convergence_tol <= 1e-2:
@@ -261,7 +263,7 @@ def solve_bp(
     eps_r = float(np.sqrt(max(0.0, cfg.epsilon ** 2 - y_perp ** 2)))
     b_over_s = b / s
 
-    rho = cfg.rho
+    rho = ADMM_RHO
     z, z_old, u = np.zeros(n), np.zeros(n), np.zeros(n)
     v, x, w, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     c, dc, miss, work = np.empty(rank), np.empty(rank), np.empty(rank), np.empty(rank)
@@ -348,14 +350,16 @@ def run_battery(
     configs: Optional[dict[str, SolverConfig]] = None,
     psi: Optional[np.ndarray] = None,
 ) -> list[BatteryEntry]:
-    """Run all three solvers; per-solver failures become entries, not aborts."""
+    """Run all three solvers; a lab error or LinAlgError in one solver becomes
+    its entry's error instead of aborting the battery. Any other exception is a
+    bug and propagates."""
     configs = configs or {}
     entries = []
     for name in SOLVER_NAMES:
         cfg = configs.get(name, SolverConfig(solver=name))
         try:
             entries.append(BatteryEntry(name, solve(name, a, y, cfg, psi=psi, truth=truth)))
-        except Exception as exc:  # recorded, battery continues
+        except (EtrLabError, np.linalg.LinAlgError) as exc:  # recorded, battery continues
             entries.append(BatteryEntry(name, None, error=f"{type(exc).__name__}: {exc}"))
     return entries
 

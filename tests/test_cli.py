@@ -145,16 +145,9 @@ def test_verify_uncertainty_small(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 0
 
 
-def test_workers_flag_matches_sequential(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("[phase]\nd = 8\nk = 1\nm_sweep = 2,8\ntrials_per_cell = 4\n")
-    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "a"),
-                 "--workers", "1"]) == 0
-    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "b"),
-                 "--workers", "4"]) == 0
-    ra = (tmp_path / "a" / "phase_records.csv").read_bytes()
-    rb = (tmp_path / "b" / "phase_records.csv").read_bytes()
-    assert ra == rb
+def test_workers_flag_rejected():
+    with pytest.raises(SystemExit):
+        main(["phase", "--workers", "1"])
 
 
 def test_format_flag_controls_svg(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etrlab import solvers
 from etrlab.config import ExperimentConfig, load_config
 from etrlab.errors import ConfigError, IoFailure
 from etrlab.harness import (
@@ -170,14 +171,21 @@ def test_config_rejects_unknown_solvers_and_formats(tmp_path):
     assert cfg.solvers == ("l0-exhaustive", "omp", "basis-pursuit")
 
 
-def test_effective_workers_env(monkeypatch):
-    cfg = ExperimentConfig(workers=3)
-    assert cfg.effective_workers == 3
-    cfg = ExperimentConfig(workers=0)
-    monkeypatch.delenv("ETRLAB_WORKERS", raising=False)
-    assert cfg.effective_workers == 1
-    monkeypatch.setenv("ETRLAB_WORKERS", "4")
-    assert cfg.effective_workers == 4
+def test_config_rejects_workers_other_than_one(tmp_path):
+    assert ExperimentConfig().workers == 1
+    with pytest.raises(ConfigError, match="workers"):
+        ExperimentConfig(workers=4)
+    with pytest.raises(ConfigError, match="workers"):
+        load_config(_write(tmp_path, "[phase]\nworkers = 2\n"))
+
+
+@pytest.mark.parametrize("experiment", ["phase", "regime-map"])
+def test_config_rejects_n_other_than_d(tmp_path, experiment):
+    with pytest.raises(ConfigError, match="n must equal d"):
+        ExperimentConfig(experiment=experiment, d=8, n=12)
+    with pytest.raises(ConfigError, match="n must equal d"):
+        load_config(_write(tmp_path, f"[{experiment}]\nd = 16\nn = 8\n"))
+    assert ExperimentConfig(experiment="perturbation", d=6, n=8).n == 8
 
 
 # ------------------------------------------------------ experiments (small)
@@ -193,10 +201,30 @@ def test_toy_records_digest_is_pinned(tmp_path):
     assert digest == "095d785a52b5422b50fb2413b45a8ed307a025e41cc41a64bb7ace2624865d3c"
 
 
-def _tiny_phase(tmp_path, seed=7, workers=1):
+# shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP
+# and OMP, the three-solver battery with exact gamma, and the perturbation suite
+@pytest.mark.parametrize("config, overrides, digest", [
+    ("regime.cfg",
+     dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
+     "54c8daaca3f8f02983fbfb26f36cf07c439484880f92108d2b6d1643822e3da3"),
+    ("perturbation.cfg", dict(trials_per_cell=200),
+     "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
+    ("phase.cfg",
+     dict(epsilon=0.01, m_sweep=(8, 16), trials_per_cell=2, max_iterations=250,
+          solvers=("basis-pursuit", "omp")),
+     "492cb14c51a9a2040f6c17a52202f1dc368c16e90eef2d4bfe8d10500f0b9760"),
+])
+def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", config))
+    bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path)))
+    with open(bundle.records_csv, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def _tiny_phase(tmp_path, seed=7):
     return ExperimentConfig(
         experiment="phase", d=8, k=1, m_sweep=(2, 4, 8), trials_per_cell=4,
-        master_seed=seed, output_dir=str(tmp_path), workers=workers,
+        master_seed=seed, output_dir=str(tmp_path),
     )
 
 
@@ -226,10 +254,13 @@ def test_phase_transition_deterministic_bytes(tmp_path):
     assert open(a.records_csv, "rb").read() == open(b.records_csv, "rb").read()
 
 
-def test_phase_transition_workers_match_sequential(tmp_path):
-    a = run_experiment(_tiny_phase(tmp_path / "seq", workers=1))
-    b = run_experiment(_tiny_phase(tmp_path / "par", workers=4))
-    assert open(a.records_csv, "rb").read() == open(b.records_csv, "rb").read()
+def test_phase_transition_lets_programming_errors_crash(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a solver")
+
+    monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", broken)
+    with pytest.raises(TypeError, match="bug in a solver"):
+        run_experiment(_tiny_phase(tmp_path))
 
 
 def test_phase_transition_seed_changes_records(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import sparsity
+from etrlab import solvers, sparsity
 from etrlab.dictionaries import (
     EffectiveSensing,
     build_dictionary,
@@ -436,6 +436,16 @@ def test_battery_records_failures_without_aborting():
     l0 = next(e for e in entries if e.solver == "l0-exhaustive")
     assert l0.result is None and "EnumerationTooLarge" in l0.error
     assert any(e.result is not None for e in entries)
+
+
+def test_battery_lets_programming_errors_crash(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a solver")
+
+    monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", broken)
+    a, inst, obs = _planted(8, 16, 1, seed=5)
+    with pytest.raises(TypeError, match="bug in a solver"):
+        run_battery(a, obs.y, truth=inst)
 
 
 def test_l0_stability_bound_with_exact_support():
