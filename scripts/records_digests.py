@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the records of every shipped config.
+"""Run every shipped config and print the sha256 of its records.
 
     PYTHONPATH=src python scripts/records_digests.py
+    PYTHONPATH=src python scripts/records_digests.py --check scripts/records_digests.txt
 
 Each config in configs/ runs into its own temporary directory; one line
 per config, `<config>  <sha256 of its records CSV>`. Run it on two commits
 and diff the output to see whether a change altered any record byte.
 A verification suite that reports violations still writes its records,
-so its digest is printed with a note.
+so its digest is printed with a note. With --check, the digests are
+compared with a pinned table in the same format; the script exits 1 if
+any config's digest differs from its pinned line or has none.
 """
+import argparse
 import glob
 import hashlib
 import os
@@ -21,9 +25,18 @@ from etrlab.errors import SuiteFailure
 from etrlab.harness import run_experiment
 
 
-def main() -> int:
-    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    for path in sorted(root.glob("*.cfg")):
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="TABLE",
+                        help="pinned `<config>  <sha256>` lines to compare against")
+    args = parser.parse_args(argv)
+    pinned = {}
+    if args.check:
+        with open(args.check) as fh:
+            pinned = dict(line.split() for line in fh if line.strip())
+    configs = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    mismatches = 0
+    for path in configs:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = load_config(path)
             cfg.output_dir = tmp
@@ -35,8 +48,13 @@ def main() -> int:
             (records,) = glob.glob(os.path.join(tmp, "*_records.csv"))
             with open(records, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
+        if args.check and pinned.get(path.name) != digest:
+            mismatches += 1
+            note += f"  MISMATCH, pinned {pinned.get(path.name)}"
         print(f"{path.name}  {digest}{note}", flush=True)
-    return 0
+    if args.check:
+        print(f"{mismatches} of {len(configs)} configs differ from {args.check}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

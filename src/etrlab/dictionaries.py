@@ -149,7 +149,7 @@ def self_coherence(a: EffectiveSensing) -> float:
     """max_{i != j} |<a_i, a_j>| over unit-normalized columns."""
     mat = a.a
     norms = np.linalg.norm(mat, axis=0)
-    if not np.allclose(norms, 1.0, atol=1e-8):
+    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
         raise NotNormalized("self_coherence requires unit-norm columns")
     if mat.shape[1] == 1:
         return 0.0

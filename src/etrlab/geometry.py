@@ -10,6 +10,7 @@ Gershgorin coherence inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterator, Optional
 
@@ -20,6 +21,7 @@ from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NotNo
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
+CHUNK_BYTES = 2 ** 18  # gathered columns per stack in support_chunks
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,21 @@ def colex_supports(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
+def support_chunks(mat: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(block, stack) over the colex supports of `size` columns of mat.
+
+    block is a (B, size) array of column indices, CHUNK_BYTES of gathered
+    columns per chunk; stack[b] equals mat[:, list(block[b])] in values and
+    layout. Rows of mat.T give each slice that column-major layout, so
+    numpy takes the same BLAS and LAPACK paths as on the single submatrix.
+    """
+    m, n = mat.shape
+    supports = colex_supports(n, size)
+    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * size))
+    while (block := np.array(list(islice(supports, rows)), dtype=np.intp)).size:
+        yield block, mat.T[block].transpose(0, 2, 1)
+
+
 def _zero_cutoff(a: np.ndarray) -> float:
     return TOL.gamma_zero * float(np.max(np.linalg.norm(a, axis=0)))
 
@@ -64,11 +81,12 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
         raise EnumerationTooLarge(f"binomial({n},{r}) = {total} > {EXACT_GUARD}")
     best = np.inf
     best_support: tuple[int, ...] = ()
-    for support in colex_supports(n, r):
-        sigma = smallest_singular_value(mat[:, list(support)])
-        if sigma < best:
-            best = sigma
-            best_support = support
+    for block, stack in support_chunks(mat, r):
+        for i, sub in enumerate(stack):
+            sigma = smallest_singular_value(sub)
+            if sigma < best:  # strict: the first minimum in colex order wins
+                best = sigma
+                best_support = tuple(block[i].tolist())
     witness = None
     if best < _zero_cutoff(a.a):
         _, direction = smallest_singular_pair(mat[:, list(best_support)])
@@ -117,7 +135,7 @@ def perturbation_check(
     lhs = float(np.linalg.norm(h))
     rhs = float(np.linalg.norm(a.a @ h)) / gamma_2k
     slack = rhs - lhs
-    return slack >= -1e-9 * max(lhs, 1.0), slack
+    return slack >= -TOL.bound_slack * max(lhs, 1.0), slack
 
 
 def geometry_report(

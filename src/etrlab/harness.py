@@ -272,7 +272,7 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
             k1 = representation_complexity(x, ident).k_psi
             k2 = representation_complexity(x, hada).k_psi
             product = k1 * k2
-            violated = product < floor - 1e-9
+            violated = product < floor - TOL.bound_slack
             records.append({
                 "experiment": "uncertainty-principle", "d": d, "trial": t,
                 "case": "random", "k1": k1, "k2": k2, "product": product,
@@ -311,6 +311,7 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
     if comb(n, min(2 * k, n)) > 10 ** 5:
         raise EnumerationTooLarge("perturbation suite needs exhaustive gamma_2k")
     base = RandomStream(cfg.master_seed)
+    psi = build_dictionary("identity", n)
     violations, slacks = [], []
 
     def one(t):
@@ -323,7 +324,6 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
         if g <= TOL.gamma_zero:
             row["degenerate"] = True
             return row
-        psi = build_dictionary("identity", n)
         z1 = plant(psi, k, stream.split(1)).alpha_star
         z2 = plant(psi, k, stream.split(2)).alpha_star
         holds, slack = perturbation_check(a, z1, z2, g)

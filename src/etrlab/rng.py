@@ -6,6 +6,11 @@ word of a stream is ``mix64(base + (i+1) * GAMMA)`` where ``base`` is a
 function of (master_seed, stream_index, position), so streams are
 immutable values, trivially splittable, and bit-identical across
 platforms. No platform RNG is used anywhere in the package.
+
+Draws of at most SMALL_DRAW words compute splitmix64 on Python ints,
+which is cheaper than the numpy uint64 path at that size; both paths
+do the same integer arithmetic mod 2^64 and the same exact float
+scaling, so a draw gives the same bits whichever path makes it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+SMALL_DRAW = 16  # uniforms draws of at most this many words run on Python ints
 
 
 def mix64(z: int) -> int:
@@ -56,16 +62,20 @@ class RandomStream:
         child = mix64(mix64(self.stream_index) + (n + 1) * GAMMA)
         return RandomStream(self.master_seed, child)
 
-    def _words(self, count: int, offset: int) -> np.ndarray:
+    def _words(self, count: int) -> np.ndarray:
         base = np.uint64(self._base)
-        idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+        idx = np.arange(1, count + 1, dtype=np.uint64)
         return _mix64_array(base + idx * np.uint64(GAMMA))
 
-    def uniforms(self, count: int, offset: int = 0) -> np.ndarray:
+    def uniforms(self, count: int) -> np.ndarray:
         """count i.i.d. uniforms in [0, 1), 53-bit resolution."""
         if count == 0:
             return np.zeros(0)
-        return (self._words(count, offset) >> np.uint64(11)) * 2.0 ** -53
+        if count <= SMALL_DRAW:
+            base = self._base
+            return np.array([(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53
+                             for i in range(1, count + 1)])
+        return (self._words(count) >> np.uint64(11)) * 2.0 ** -53
 
     def gaussians(self, count: int) -> np.ndarray:
         """count i.i.d. standard normals via the Box-Muller transform.
@@ -93,13 +103,15 @@ class RandomStream:
         return np.minimum((u * bounds).astype(np.int64), bounds - 1)
 
     def choose_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), uniform, via partial Fisher-Yates."""
-        pool = np.arange(n)
-        draws = self.integers_below(np.arange(n, n - k, -1))
-        for i, r in enumerate(draws):
-            j = i + int(r)
+        """k distinct indices from range(n), uniform, via partial Fisher-Yates.
+
+        Swap i draws from the n - i positions left, as integers_below does.
+        """
+        pool = list(range(n))
+        for i, u in enumerate(self.uniforms(k).tolist()):
+            j = i + min(int(u * (n - i)), n - i - 1)
             pool[i], pool[j] = pool[j], pool[i]
-        return np.sort(pool[:k])
+        return np.array(sorted(pool[:k]), dtype=np.int64)
 
 
 def gaussian(stream: RandomStream, count: int) -> np.ndarray:

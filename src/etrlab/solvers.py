@@ -154,7 +154,7 @@ def solve_omp(
     mat = a.a
     m, n = mat.shape
     norms = np.linalg.norm(mat, axis=0)
-    if not np.allclose(norms, 1.0, atol=1e-8):
+    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
         raise NotNormalized("OMP requires unit-norm columns")
     kmax = cfg.max_sparsity or min(m, n)
     feas = cfg.epsilon + TOL.feasibility_slack
@@ -168,8 +168,8 @@ def solve_omp(
         cost.charge(mult=n * m + m, add=n * (m - 1), cmp=n)
         corr[support] = -1.0
         pick = int(np.argmax(corr))
-        if corr[pick] < 1e-12:
-            raise Stalled("correlation max below 1e-12 with residual above epsilon")
+        if corr[pick] < TOL.omp_stall:
+            raise Stalled(f"correlation max below {TOL.omp_stall:g} with residual above epsilon")
         support.append(pick)
         cols = mat[:, support]
         cost.charge_least_squares(m, len(support), 1)
@@ -258,7 +258,7 @@ def solve_bp(
     cost.charge(mult=4 * m * m * n, add=4 * m * m * n)  # SVD setup, nominal
     b = ur.T @ y
     y_perp = float(np.linalg.norm(y - ur @ b))
-    if y_perp > cfg.epsilon + 1e-8:
+    if y_perp > cfg.epsilon + TOL.reachability:
         raise NoFeasibleSolution("y outside the reachable residual ball")
     eps_r = float(np.sqrt(max(0.0, cfg.epsilon ** 2 - y_perp ** 2)))
     b_over_s = b / s

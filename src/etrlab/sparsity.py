@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -15,13 +14,12 @@ from .errors import (
     InvalidSparsity,
     ZeroSignal,
 )
-from .geometry import colex_supports
+from .geometry import support_chunks
 from .numerics import TOL, least_squares
 from .rng import RandomStream
 
 DEFAULT_TAU = TOL.zero_tau
 ENUMERATION_GUARD = 2 ** 24
-CHUNK_BYTES = 2 ** 18  # gathered columns per least-squares stack in minimal_support
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 
 
@@ -91,23 +89,19 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
     """Smallest support S whose least-squares fit has ||mat[:, S] c - y|| <= tol.
 
     Sizes 1..max_size in increasing order, colex order within a size,
-    CHUNK_BYTES of gathered columns per least-squares stack; the first fit
+    one least-squares stack per geometry.support_chunks chunk; the first fit
     in that order is returned. Raises EnumerationTooLarge before a size
     that takes the cumulative support count past guard. Returns (support,
     coef, tallies), support and coef None when nothing fits; tallies holds
     (size, supports examined, non-singular ones) for each size walked.
     """
-    m, n = mat.shape
+    n = mat.shape[1]
     tallies = []
     for size in range(1, max_size + 1):
         if sum(comb(n, s) for s in range(1, size + 1)) > guard:
             raise EnumerationTooLarge(f"cumulative supports exceed {guard}")
         examined = nonsingular = 0
-        supports = colex_supports(n, size)
-        rows = max(1, CHUNK_BYTES // (8 * m * size))
-        while (block := np.array(list(islice(supports, rows)), dtype=np.intp)).size:
-            # rows of mat.T give each slice the layout of mat[:, list(S)]: same BLAS path, same bits
-            stack = mat.T[block].transpose(0, 2, 1)
+        for block, stack in support_chunks(mat, size):
             coef = least_squares(stack, y)
             resid = (stack @ coef[:, :, None])[:, :, 0] - y
             # sqrt of the BLAS dot r . r, as np.linalg.norm computes it; NaN never fits

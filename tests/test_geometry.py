@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from etrlab.geometry import (
     geometry_report,
     perturbation_check,
 )
+from etrlab.numerics import smallest_singular_pair, smallest_singular_value
 from etrlab.rng import RandomStream
 
 E1 = np.array([1.0, 0.0])
@@ -189,3 +192,103 @@ def test_geometry_report_bound_unavailable_only_without_normalization(monkeypatc
     monkeypatch.setattr(geometry, "gamma_lower_coherence", broken)
     with pytest.raises(ValueError):
         geometry_report(_random_a(8, 12, seed=3, normalized=True), 2, mode="exact")
+
+
+# ------------------------------------------ chunked enumeration in gamma_exact
+
+
+def _old_gamma_exact(a, r):
+    # verbatim copy of the one-support-at-a-time loop that predates support_chunks
+    mat = a.a
+    n = mat.shape[1]
+    total = comb(n, r)
+    best = np.inf
+    best_support: tuple[int, ...] = ()
+    for support in colex_supports(n, r):
+        sigma = smallest_singular_value(mat[:, list(support)])
+        if sigma < best:
+            best = sigma
+            best_support = support
+    witness = None
+    if best < geometry._zero_cutoff(a.a):
+        _, direction = smallest_singular_pair(mat[:, list(best_support)])
+        witness = np.zeros(n)
+        witness[list(best_support)] = direction
+        best = max(best, 0.0)
+    return best, witness, total
+
+
+def _assert_gamma_matches_old_loop(mat, r):
+    a = EffectiveSensing(mat, False)
+    new = gamma_exact(a, r, with_witness=True)
+    old = _old_gamma_exact(a, r)
+    assert type(new[0]) is type(old[0])
+    assert np.float64(new[0]).tobytes() == np.float64(old[0]).tobytes()
+    assert (new[1] is None) == (old[1] is None)
+    if old[1] is not None:
+        assert new[1].tobytes() == old[1].tobytes()
+    assert new[2] == old[2]
+    return new
+
+
+def _special_matrices():
+    gen = np.random.default_rng(17)
+    for trial in range(60):
+        m, n = int(gen.integers(1, 7)), int(gen.integers(1, 9))
+        mat = gen.normal(size=(m, n))
+        if n >= 4 and trial % 3 == 0:  # a copy: gamma = 0 with a witness
+            mat[:, 3] = mat[:, 1]
+        if n >= 6 and trial % 4 == 0:  # a parallel column, second zero-gamma support
+            mat[:, 5] = -2.0 * mat[:, 2]
+        if n >= 3 and trial % 5 == 0:
+            mat[:, 2] = 0.0
+        yield mat
+    # exact ties: every support has the same sigma
+    yield np.eye(4)
+    yield np.column_stack([np.eye(3), np.eye(3)])
+    yield np.kron(np.eye(2), np.ones((2, 2)))
+    yield np.zeros((0, 3))  # no rows: every support is wide
+
+
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 1, 100, 200])
+def test_gamma_exact_matches_one_support_at_a_time(monkeypatch, chunk_bytes):
+    # 1 byte: one support per chunk; 100 and 200 bytes: chunks of 1 to 12 supports
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    witnesses = wide = 0
+    for mat in _special_matrices():
+        for r in range(1, mat.shape[1] + 1):
+            _, witness, _ = _assert_gamma_matches_old_loop(mat, r)
+            witnesses += witness is not None
+            wide += r > mat.shape[0]
+    assert witnesses > 50 and wide > 50
+
+
+@pytest.mark.parametrize("position", [-1, 0, 1])
+def test_gamma_exact_minimum_at_a_chunk_boundary(monkeypatch, position):
+    m, n, r = 4, 12, 2
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", 8 * m * r * 5)  # five supports per chunk
+    supports = list(colex_supports(n, r))
+    for first in (5 + position, 10 + position):
+        mat = np.random.default_rng(first).normal(size=(m, n))
+        lo, hi = supports[first]
+        mat[:, hi] = 3.0 * mat[:, lo]
+        later = supports[first + 7]  # a near-copy: the runner-up sits in a later chunk
+        mat[:, later[1]] = mat[:, later[0]] + 1e-6 * mat[:, 0]
+        g, witness, _ = _assert_gamma_matches_old_loop(mat, r)
+        assert g < 1e-12
+        assert set(np.flatnonzero(witness)) == {lo, hi}
+
+
+def test_gamma_exact_calls_smallest_singular_value_once_per_support(monkeypatch):
+    calls = []
+
+    def counted(sub):
+        calls.append(sub.shape)
+        return smallest_singular_value(sub)
+
+    monkeypatch.setattr(geometry, "smallest_singular_value", counted)
+    for m, n, r in ((6, 8, 2), (3, 7, 4), (16, 16, 3), (5, 5, 5)):
+        calls.clear()
+        gamma_exact(_random_a(m, n, seed=m * n + r), r)
+        assert len(calls) == comb(n, r)
+        assert set(calls) == {(m, r)}

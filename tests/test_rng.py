@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab.rng import MASK64, RandomStream, gaussian, mix64
+from etrlab.rng import GAMMA, MASK64, SMALL_DRAW, RandomStream, _mix64_array, gaussian, mix64
 
 SEEDS = st.integers(min_value=0, max_value=MASK64)
 
@@ -88,3 +88,90 @@ def test_known_reference_values():
     assert g.tolist() == pytest.approx(
         [-0.02621479095083326, 0.1073151404407629], abs=0.0
     )
+
+
+# ------------------------------------------------ small draws on Python ints
+# Verbatim copies of the numpy-only draws that predate the Python-int path
+# for small counts; the current draws must match them byte for byte.
+
+
+def _old_words(stream, count, offset):
+    base = np.uint64(stream._base)
+    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    return _mix64_array(base + idx * np.uint64(GAMMA))
+
+
+def _old_uniforms(stream, count, offset=0):
+    if count == 0:
+        return np.zeros(0)
+    return (_old_words(stream, count, offset) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _old_gaussians(stream, count):
+    if count == 0:
+        return np.zeros(0)
+    pairs = (count + 1) // 2
+    u = _old_uniforms(stream, 2 * pairs)
+    u1 = 1.0 - u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:count]
+
+
+def _old_integers_below(stream, bounds):
+    bounds = np.asarray(bounds, dtype=np.int64)
+    u = _old_uniforms(stream, len(bounds))
+    return np.minimum((u * bounds).astype(np.int64), bounds - 1)
+
+
+def _old_choose_without_replacement(stream, n, k):
+    pool = np.arange(n)
+    draws = _old_integers_below(stream, np.arange(n, n - k, -1))
+    for i, r in enumerate(draws):
+        j = i + int(r)
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.sort(pool[:k])
+
+
+def _same_bytes(new, old):
+    assert new.dtype == old.dtype
+    assert new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+# stream indices from 0 to 2^63, including values whose bases sit near 2^64
+STREAMS = [RandomStream(seed, idx) for seed in (0, 42, MASK64)
+           for idx in (0, 1, 2 ** 32, 2 ** 63 - 1, 2 ** 63)]
+
+
+@pytest.mark.parametrize("stream", STREAMS, ids=lambda s: f"{s.master_seed}-{s.stream_index}")
+def test_draws_match_numpy_only_path(stream):
+    for count in range(41):  # across SMALL_DRAW
+        _same_bytes(stream.uniforms(count), _old_uniforms(stream, count))
+        _same_bytes(stream.gaussians(count), _old_gaussians(stream, count))
+        bounds = np.arange(count, 0, -1) * 3 + 1
+        _same_bytes(stream.integers_below(bounds), _old_integers_below(stream, bounds))
+    assert SMALL_DRAW < 40
+
+
+@given(SEEDS, st.integers(min_value=0, max_value=2 ** 63), st.data())
+@settings(max_examples=200, deadline=None)
+def test_choose_matches_numpy_only_path(seed, idx, data):
+    n = data.draw(st.integers(min_value=0, max_value=80))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    stream = RandomStream(seed, idx)
+    _same_bytes(stream.choose_without_replacement(n, k),
+                _old_choose_without_replacement(stream, n, k))
+
+
+def test_choose_matches_numpy_only_path_at_every_size():
+    stream = RandomStream(42, 7)
+    for n in range(81):
+        for k in range(n + 1):
+            s = stream.split(n * 81 + k)
+            _same_bytes(s.choose_without_replacement(n, k),
+                        _old_choose_without_replacement(s, n, k))

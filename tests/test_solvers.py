@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import solvers, sparsity
+from etrlab import geometry, solvers
 from etrlab.dictionaries import (
     EffectiveSensing,
     build_dictionary,
@@ -168,10 +168,10 @@ def _assert_l0_matches_one_at_a_time(a, y, cfg):
     return new
 
 
-@pytest.mark.parametrize("chunk_bytes", [sparsity.CHUNK_BYTES, 2000])
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 2000])
 def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
     # 2000 bytes cuts sizes 2 and 3 into chunks of 5 to 62 supports
-    monkeypatch.setattr(sparsity, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
     gen = np.random.default_rng(11)
     sizes = []
     for trial in range(300):
@@ -195,7 +195,7 @@ def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_l0_search_hit_at_a_chunk_boundary(offset):
     m, n = 3, 110
-    rows = sparsity.CHUNK_BYTES // (8 * m * 2)  # size-2 supports per chunk
+    rows = geometry.CHUNK_BYTES // (8 * m * 2)  # size-2 supports per chunk
     assert comb(n, 2) > rows + 1
     mat = np.random.default_rng(5).normal(size=(m, n))
     support = list(colex_supports(n, 2))[rows + offset]
