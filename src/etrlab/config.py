@@ -145,3 +145,24 @@ def load_config(path) -> ExperimentConfig:
         kwargs["thresholds"] = RegimeThresholds(**tkw)
 
     return ExperimentConfig(**kwargs)
+
+
+def dump_config(cfg: ExperimentConfig) -> str:
+    """The config file text that `load_config` reads back as `cfg`.
+
+    Every field is written, and every threshold; floats by repr, which
+    parses back to the same bits, and `%` doubled for the loader's
+    interpolation.
+    """
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        return (repr(value) if isinstance(value, float) else str(value)).replace("%", "%%")
+
+    lines = [f"[{cfg.experiment}]"]
+    lines += [f"{f.name} = {text(getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
+              if f.name not in ("experiment", "thresholds")]
+    lines += ["", "[thresholds]"]
+    lines += [f"{f.name} = {text(getattr(cfg.thresholds, f.name))}"
+              for f in dataclasses.fields(cfg.thresholds)]
+    return "\n".join(lines) + "\n"

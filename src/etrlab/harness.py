@@ -2,20 +2,23 @@
 
 Every trial owns a stream derived from (master_seed, cell index, trial
 index), and trials run one after another in a fixed order, so reruns of
-a config are bit-identical. Each run writes `<name>_records.csv` and
-`<name>_summary.md`; `formats` only decides whether SVG figures are drawn.
+a config are bit-identical. Each run writes `<name>_records.csv`,
+`<name>_summary.md` and `<name>_config.cfg`, the config it ran, which the
+summary's reproduce line passes back to `etr-lab`; `formats` only decides
+whether SVG figures are drawn.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from . import svgplot
-from .config import EXPERIMENT_COMMANDS, ExperimentConfig
+from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import EnumerationTooLarge, EtrLabError, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
@@ -83,10 +86,11 @@ def write_records_csv(path, records: list[dict]) -> None:
 
 def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
                   summary_lines: list[str], figures: tuple = ()) -> ReportBundle:
-    """Write records.csv + summary.md (+ figures already on disk)."""
+    """Write records.csv, config.cfg and summary.md (+ figures already on disk)."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, f"{name}_records.csv")
+    cfg_path = os.path.join(out, f"{name}_config.cfg")
     md_path = os.path.join(out, f"{name}_summary.md")
     write_records_csv(csv_path, records)
     lines = [
@@ -96,11 +100,13 @@ def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
         f"- master_seed: {cfg.master_seed}",
         f"- logarithms: natural (base e) throughout",
         f"- reproduce: `etr-lab {EXPERIMENT_COMMANDS[cfg.experiment]} "
-        f"--seed {cfg.master_seed} --out {cfg.output_dir}`",
+        f"--config {shlex.quote(cfg_path)}`",
         "",
     ]
     lines.extend(summary_lines)
     try:
+        with open(cfg_path, "w") as fh:
+            fh.write(dump_config(cfg))
         with open(md_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:

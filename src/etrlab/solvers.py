@@ -247,6 +247,15 @@ def solve_bp(
     The iterations reuse preallocated vectors, and their cost is charged
     once per solve: the iteration count times the per-iteration counts,
     plus 200 nominal steps for every iteration that ran the bisection.
+
+    Each iterate is bit-identical to the textbook loop (matmul gemvs,
+    `u += x; u -= z`, the dual residual every iteration) for three reasons:
+    `ndarray.dot(..., out=)` and `np.matmul(..., out=)` both call the same
+    `cblas_dgemv` on these contiguous operands; `u = w - z` reuses
+    w = x + u, and IEEE addition commutes, so x + u == u + x; and the dual
+    residual rho * ||z - z_old|| is read at only two points, the convergence
+    test once the primal test has passed and the rho update on every 10th
+    iteration, so it is computed only there.
     """
     y = np.asarray(y, dtype=float)
     mat = a.a
@@ -264,39 +273,45 @@ def solve_bp(
     b_over_s = b / s
 
     rho = ADMM_RHO
+    tol = cfg.convergence_tol
     z, z_old, u = np.zeros(n), np.zeros(n), np.zeros(n)
-    v, x, w, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    v, x, w, mag, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     c, dc, miss, work = np.empty(rank), np.empty(rank), np.empty(rank), np.empty(rank)
+    vr_t = vr.T
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    absolute, sign, maximum = np.abs, np.sign, np.maximum
     converged = False
     bisections = 0
     it = 0
     for it in range(1, cfg.max_iterations + 1):
-        np.subtract(z, u, out=v)
-        np.matmul(vr.T, v, out=c)
+        subtract(z, u, v)
+        vr_t.dot(v, out=c)
         c_new, bisected = _project_ball(s, b, b_over_s, eps_r, c, miss, work)
         bisections += bisected
-        np.subtract(c_new, c, out=dc)
-        np.matmul(vr, dc, out=x)
-        np.add(v, x, out=x)
+        subtract(c_new, c, dc)
+        vr.dot(dc, out=x)
+        add(v, x, x)
         # z = sign(x + u) * max(|x + u| - 1/rho, 0), written over the older iterate
         z_old, z = z, z_old
-        np.add(x, u, out=w)
-        np.sign(w, out=z)
-        np.abs(w, out=w)
-        np.subtract(w, 1.0 / rho, out=w)
-        np.maximum(w, 0.0, out=w)
-        np.multiply(z, w, out=z)
-        np.add(u, x, out=u)
-        np.subtract(u, z, out=u)
-        np.subtract(x, z, out=diff)
+        add(x, u, w)
+        sign(w, z)
+        absolute(w, mag)
+        subtract(mag, 1.0 / rho, mag)
+        maximum(mag, 0.0, out=mag)  # positional out is deprecated for maximum
+        multiply(z, mag, z)
+        subtract(w, z, u)
+        subtract(x, z, diff)
         r_primal = sqrt(diff.dot(diff))
-        np.subtract(z, z_old, out=diff)
+        limit = tol * max(1.0, sqrt(z.dot(z)))
+        adapt = it % 10 == 0
+        if r_primal > limit and not adapt:
+            continue
+        subtract(z, z_old, diff)
         r_dual = rho * sqrt(diff.dot(diff))
-        scale = max(1.0, sqrt(z.dot(z)))
-        if r_primal <= cfg.convergence_tol * scale and r_dual <= cfg.convergence_tol * scale:
+        if r_primal <= limit and r_dual <= limit:
             converged = True
             break
-        if it % 10 == 0:
+        if adapt:
             if r_primal > 10.0 * r_dual and rho < 1e4:
                 rho *= 2.0
                 u /= 2.0

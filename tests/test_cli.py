@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -11,7 +12,7 @@ from etrlab.cli import main
 from etrlab.config import EXPERIMENTS, ExperimentConfig
 from etrlab.errors import SuiteFailure
 from etrlab.etr import UncertaintyReport
-from etrlab.harness import render_report
+from etrlab.harness import render_report, run_experiment
 from etrlab.numerics import save_matrix, save_vector
 
 
@@ -175,6 +176,23 @@ def test_reproduce_line_selects_the_same_experiment(tmp_path):
         rerun = cli._experiment_config(args, args.command)
         assert (rerun.experiment, rerun.master_seed, rerun.output_dir) == (
             experiment, 123, out)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(experiment="phase", d=8, k=1, m_sweep=(2, 6), trials_per_cell=3,
+                     epsilon=0.01, max_iterations=300, solvers=("basis-pursuit", "omp")),
+    ExperimentConfig(experiment="perturbation", d=4, n=6, k=1, trials_per_cell=30),
+], ids=["phase", "perturbation"])
+def test_reproduce_line_reruns_the_same_records(tmp_path, cfg):
+    # neither config is the subcommand's default, so a rerun from the
+    # defaults would write other records
+    first = run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")))
+    with open(first.summary_md) as fh:
+        (command,) = re.findall(r"- reproduce: `etr-lab (.*)`", fh.read())
+    assert main(shlex.split(command) + ["--out", str(tmp_path / "b")]) == 0
+    name = os.path.basename(first.records_csv)
+    with open(first.records_csv, "rb") as fa, open(tmp_path / "b" / name, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_format_flag_rejects_unknown_format(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrlab import solvers
-from etrlab.config import ExperimentConfig, load_config
+from etrlab.config import ExperimentConfig, dump_config, load_config
 from etrlab.errors import ConfigError, IoFailure
 from etrlab.harness import (
     isotonic_fit,
@@ -116,6 +116,34 @@ def test_load_config_range_sweep(tmp_path):
     assert cfg.m_sweep == (2, 4, 6, 8, 10)
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_dump_config_reads_back_as_the_same_config(tmp_path, name):
+    cfg = load_config(os.path.join(CONFIGS, name))
+    assert load_config(_write(tmp_path, dump_config(cfg))) == cfg
+
+
+def test_dump_config_round_trips_every_field(tmp_path):
+    from etrlab.etr import RegimeThresholds
+
+    cfg = ExperimentConfig(
+        experiment="regime-map", d=12, k=4, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
+        epsilon=0.1 + 0.2, trials_per_cell=3, recovery_trials=4, master_seed=2 ** 64 - 1,
+        basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
+        convergence_tol=1e-9 / 3, output_dir="out/100%/x", formats=("svg",),
+        thresholds=RegimeThresholds(0.1 / 3, 2.5, 0.95, 0.25, 7),
+    )
+    defaults = ExperimentConfig()
+    same = [f.name for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) == getattr(defaults, f.name)]
+    assert same == ["workers"]  # the one value workers may take
+    back = load_config(_write(tmp_path, dump_config(cfg)))
+    assert back == cfg
+    assert (back.epsilon, back.convergence_tol) == (0.1 + 0.2, 1e-9 / 3)
+
+
 def test_load_config_thresholds_section(tmp_path):
     cfg = load_config(_write(tmp_path, "[regime-map]\nd = 8\n"
                                        "[thresholds]\nstable_c = 0.25\ntrials = 10\n"))
@@ -213,12 +241,19 @@ def test_toy_records_digest_is_pinned(tmp_path):
      dict(epsilon=0.01, m_sweep=(8, 16), trials_per_cell=2, max_iterations=250,
           solvers=("basis-pursuit", "omp")),
      "492cb14c51a9a2040f6c17a52202f1dc368c16e90eef2d4bfe8d10500f0b9760"),
+    # the phase workload's own path: epsilon = 0 BP at d = 64 and the 4000 cap
+    ("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
+     "8e023b4690e6bee9a69454880b68a845fc8c1a829d830cf3d05b45e29f8ae715"),
 ])
 def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", config))
+    cfg = load_config(os.path.join(CONFIGS, config))
     bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path)))
     with open(bundle.records_csv, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+    with open(bundle.records_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    if "converged" in rows[0]:  # the BP pins cover solves stopped by the cap
+        assert any(r["converged"] == "0" for r in rows)
 
 
 def _tiny_phase(tmp_path, seed=7):

@@ -1,5 +1,5 @@
 import hashlib
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -13,11 +13,14 @@ from etrlab.dictionaries import (
     compose,
     normalize_columns,
 )
-from etrlab.errors import EnumerationTooLarge, NoFeasibleSolution, NotNormalized
+from etrlab.errors import (
+    EnumerationTooLarge, EtrLabError, NoFeasibleSolution, NotNormalized, RankDeficient,
+)
 from etrlab.geometry import colex_supports, gamma_exact
-from etrlab.numerics import TOL
+from etrlab.numerics import TOL, least_squares
 from etrlab.rng import RandomStream
 from etrlab.solvers import (
+    ADMM_RHO,
     L0_SUPPORT_GUARD,
     CostCounter,
     SolverConfig,
@@ -376,6 +379,145 @@ def test_project_ball_early_exit_matches_200_steps():
             assert bisected == (0.0 < eps_r < gap)
             bisected_count += bisected
     assert bisected_count >= 240
+
+
+def _solve_bp_matmul_loop(a, y, cfg, psi=None, truth=None):
+    """solve_bp as it was before the lean loop: matmul gemvs, u += x; u -= z,
+    and the dual residual on every iteration."""
+    y = np.asarray(y, dtype=float)
+    mat = a.a
+    m, n = mat.shape
+    cost = CostCounter()
+    u_svd, s_all, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(s_all > TOL.rank_rel * max(s_all[0], 1e-300)))
+    ur, s, vr = u_svd[:, :rank], s_all[:rank], vt[:rank].T  # vr: N x r
+    cost.charge(mult=4 * m * m * n, add=4 * m * m * n)  # SVD setup, nominal
+    b = ur.T @ y
+    y_perp = float(np.linalg.norm(y - ur @ b))
+    if y_perp > cfg.epsilon + TOL.reachability:
+        raise NoFeasibleSolution("y outside the reachable residual ball")
+    eps_r = float(np.sqrt(max(0.0, cfg.epsilon ** 2 - y_perp ** 2)))
+    b_over_s = b / s
+
+    rho = ADMM_RHO
+    z, z_old, u = np.zeros(n), np.zeros(n), np.zeros(n)
+    v, x, w, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    c, dc, miss, work = np.empty(rank), np.empty(rank), np.empty(rank), np.empty(rank)
+    converged = False
+    bisections = 0
+    it = 0
+    for it in range(1, cfg.max_iterations + 1):
+        np.subtract(z, u, out=v)
+        np.matmul(vr.T, v, out=c)
+        c_new, bisected = _project_ball(s, b, b_over_s, eps_r, c, miss, work)
+        bisections += bisected
+        np.subtract(c_new, c, out=dc)
+        np.matmul(vr, dc, out=x)
+        np.add(v, x, out=x)
+        # z = sign(x + u) * max(|x + u| - 1/rho, 0), written over the older iterate
+        z_old, z = z, z_old
+        np.add(x, u, out=w)
+        np.sign(w, out=z)
+        np.abs(w, out=w)
+        np.subtract(w, 1.0 / rho, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.multiply(z, w, out=z)
+        np.add(u, x, out=u)
+        np.subtract(u, z, out=u)
+        np.subtract(x, z, out=diff)
+        r_primal = sqrt(diff.dot(diff))
+        np.subtract(z, z_old, out=diff)
+        r_dual = rho * sqrt(diff.dot(diff))
+        scale = max(1.0, sqrt(z.dot(z)))
+        if r_primal <= cfg.convergence_tol * scale and r_dual <= cfg.convergence_tol * scale:
+            converged = True
+            break
+        if it % 10 == 0:
+            if r_primal > 10.0 * r_dual and rho < 1e4:
+                rho *= 2.0
+                u /= 2.0
+            elif r_dual > 10.0 * r_primal and rho > 1e-4:
+                rho /= 2.0
+                u *= 2.0
+    # per iteration: ball residual; x update; shrink and dual step; three norms
+    cost.charge(
+        mult=it * (2 * rank + 2 * n * rank + n + 2 * n + 2) + bisections * 200 * 3 * rank,
+        add=it * (3 * rank - 1 + 2 * n * rank + n + 4 * n + 4 * n - 2)
+        + bisections * 200 * 2 * rank,
+        cmp=it * (n + 2) + bisections * 201,
+    )
+
+    alpha = z.copy()
+    # guarded debias: least squares on the detected support
+    supp = np.flatnonzero(np.abs(z) > TOL.zero_tau * max(float(np.linalg.norm(z)), 1.0))
+    if 0 < len(supp) <= m:
+        cost.charge_least_squares(m, len(supp), 1)
+        try:
+            coef = least_squares(mat[:, supp], y)
+        except RankDeficient:
+            pass
+        else:
+            cand = np.zeros(n)
+            cand[supp] = coef
+            feas_ok = np.linalg.norm(mat @ cand - y) <= max(cfg.epsilon, 0.0) + cfg.convergence_tol
+            l1_ok = np.sum(np.abs(cand)) <= np.sum(np.abs(z)) + cfg.convergence_tol
+            if feas_ok and l1_ok:
+                alpha = cand
+    return _finish(a, alpha, y, cost, converged, psi, truth, cfg.epsilon, iterations=it)
+
+
+
+
+def _assert_bp_matches_matmul_loop(a, y, cfg):
+    """Same iterations, verdict, costs, support and alpha_hat bytes; or the same error."""
+    try:
+        old = _solve_bp_matmul_loop(a, y, cfg)
+    except EtrLabError as exc:
+        with pytest.raises(type(exc)):
+            solve_bp(a, y, cfg)
+        return None
+    new = solve_bp(a, y, cfg)
+    assert new.iterations == old.iterations
+    assert new.converged is old.converged
+    assert (new.cost.multiplies, new.cost.additions, new.cost.comparisons) == (
+        old.cost.multiplies, old.cost.additions, old.cost.comparisons)
+    assert new.support == old.support
+    assert new.alpha_hat.tobytes() == old.alpha_hat.tobytes()
+    return new
+
+
+def test_bp_matches_matmul_loop_bit_for_bit():
+    # caps straddle the first rho update at iteration 10; every 84 trials hold
+    # each (cap, n, epsilon) once. An epsilon > 0 iteration runs the bisection
+    # at about 30x the cost, so past cap 11 epsilon > 0 is kept only in the
+    # first round at n <= 16.
+    caps, epsilons, sizes = (1, 9, 10, 11, 50, 400, 2000), (0.0, 0.01, 0.1), (8, 16, 32, 64)
+    gen = np.random.default_rng(17)
+    seen = set()
+    for trial in range(504):
+        cap, n, eps = caps[trial % 7], sizes[(trial // 7) % 4], epsilons[(trial // 28) % 3]
+        if eps and cap >= 50 and (trial >= 84 or n > 16):
+            eps = 0.0
+        m = int(gen.integers(1, n + 1))
+        mat = gen.normal(size=(m, n))
+        if trial % 5 == 0 and m > 1:  # a repeated row: rank-deficient A
+            mat[-1] = mat[0]
+        if trial % 11 == 0:
+            mat[:, int(gen.integers(n))] = 0.0
+        k = int(gen.integers(1, max(m // 3, 1) + 1))
+        alpha = np.zeros(n)
+        alpha[gen.choice(n, k, replace=False)] = gen.normal(size=k)
+        noise = gen.normal(size=m)
+        if trial % 13 == 0:
+            y = np.zeros(m)
+        elif trial % 17 == 0:  # off the range of a rank-deficient A
+            y = noise
+        else:
+            y = mat @ alpha + 0.5 * eps * noise / np.linalg.norm(noise)
+        res = _assert_bp_matches_matmul_loop(
+            EffectiveSensing(mat, False), y, SolverConfig(epsilon=eps, max_iterations=cap))
+        seen.add("error" if res is None else (eps > 0, res.converged))
+    assert seen == {"error", (False, True), (False, False), (True, True), (True, False)}
 
 
 def test_solve_rescales_omp_on_unnormalized_matrix():
