@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 verification-suite violation, 1 any other error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -35,7 +34,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--seed", type=int, help="override master seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", dest="formats", help="comma list: csv,md,svg (svg adds figures)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,16 +105,13 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
         cfg = ExperimentConfig(experiment="mismatch", d=32, k=4,
                                trials_per_cell=1000, recovery_trials=50)
     elif command == "regime":
-        cfg = ExperimentConfig(experiment="regime-map", d=16, n=16,
-                               trials_per_cell=20, formats=("csv", "md", "svg"))
+        cfg = ExperimentConfig(experiment="regime-map", d=16, n=16, trials_per_cell=20)
     else:
         cfg = ExperimentConfig(experiment="phase")
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.out:
         cfg.output_dir = args.out
-    if args.formats:  # through replace, so the formats are validated
-        cfg = dataclasses.replace(cfg, formats=tuple(t.strip() for t in args.formats.split(",")))
     return cfg
 
 
@@ -167,8 +162,7 @@ def _load_recover_inputs(args):
 def _cmd_recover(args) -> int:
     solver = _SOLVER_ALIAS.get(args.solver, args.solver)
     a, y, psi, inst = _load_recover_inputs(args)
-    cfg = SolverConfig(solver=solver, epsilon=args.epsilon,
-                       max_sparsity=args.max_sparsity)
+    cfg = SolverConfig(epsilon=args.epsilon, max_sparsity=args.max_sparsity)
     res = solve(solver, a, y, cfg, psi=psi, truth=inst)
     row = {
         "solver": solver,

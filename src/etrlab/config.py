@@ -25,7 +25,6 @@ EXPERIMENT_COMMANDS = {
     "regime-map": "regime",
 }
 EXPERIMENTS = tuple(EXPERIMENT_COMMANDS)
-FORMATS = ("csv", "md", "svg")
 
 
 @dataclass
@@ -49,7 +48,6 @@ class ExperimentConfig:
     convergence_tol: float = 1e-8
     output_dir: str = "out"
     workers: int = 1                # trials run sequentially; only 1 is accepted
-    formats: tuple = ("csv", "md")
     thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
 
     def __post_init__(self):
@@ -68,11 +66,9 @@ class ExperimentConfig:
                             ("d_sweep", self.d_sweep)):
             if sweep and not all(isinstance(v, int) and v >= 1 for v in sweep):
                 raise ConfigError(f"{name} must hold positive integers")
-        for name, given, known in (("solvers", self.solvers, SOLVER_NAMES),
-                                   ("formats", self.formats, FORMATS)):
-            unknown = [v for v in given if v not in known]
-            if unknown:
-                raise ConfigError(f"unknown {name} {unknown}; known: {', '.join(known)}")
+        unknown = [v for v in self.solvers if v not in SOLVER_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
 
 
 def _parse_sweep(text: str) -> tuple:
@@ -101,7 +97,6 @@ _PARSERS = {
     "m_sweep": _parse_sweep,
     "d_sweep": _parse_sweep,
     "solvers": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
-    "formats": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
 }
 
 _THRESHOLD_FIELDS = {f.name: f.type for f in dataclasses.fields(RegimeThresholds)}

@@ -40,14 +40,6 @@ class EffectiveSensing:
     a: np.ndarray  # m x N
     column_normalized: bool
 
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
 
 def _hadamard(d: int) -> np.ndarray:
     # Sylvester construction: H[i, j] = (-1)^popcount(i & j) / sqrt(d)

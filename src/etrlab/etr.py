@@ -16,8 +16,6 @@ from .errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
 from .geometry import GeometryReport
 from .numerics import TOL
 
-REGIMES = ("non-unique", "opaque", "stable", "indeterminate")
-
 
 @dataclass(frozen=True)
 class RegimeThresholds:

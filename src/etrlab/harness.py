@@ -4,8 +4,8 @@ Every trial owns a stream derived from (master_seed, cell index, trial
 index), and trials run one after another in a fixed order, so reruns of
 a config are bit-identical. Each run writes `<name>_records.csv`,
 `<name>_summary.md` and `<name>_config.cfg`, the config it ran, which the
-summary's reproduce line passes back to `etr-lab`; `formats` only decides
-whether SVG figures are drawn.
+summary's reproduce line passes back to `etr-lab`; phase and regime-map
+runs also draw one SVG figure.
 """
 
 from __future__ import annotations
@@ -116,12 +116,10 @@ def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
 
 def _solver_configs(cfg: ExperimentConfig, k: int) -> dict:
     return {
-        "l0-exhaustive": SolverConfig("l0-exhaustive", epsilon=cfg.epsilon, max_sparsity=k),
-        "omp": SolverConfig("omp", epsilon=cfg.epsilon, max_sparsity=max(k, 1)),
-        "basis-pursuit": SolverConfig(
-            "basis-pursuit", epsilon=cfg.epsilon,
-            max_iterations=cfg.max_iterations, convergence_tol=cfg.convergence_tol,
-        ),
+        "l0-exhaustive": SolverConfig(epsilon=cfg.epsilon, max_sparsity=k),
+        "omp": SolverConfig(epsilon=cfg.epsilon, max_sparsity=max(k, 1)),
+        "basis-pursuit": SolverConfig(epsilon=cfg.epsilon, max_iterations=cfg.max_iterations,
+                                      convergence_tol=cfg.convergence_tol),
     }
 
 
@@ -177,13 +175,10 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         lines.append("")
         lines.append(f"isotonic 50% crossing for {solver}: m = {crossing}")
         lines.append("")
-    figures = ()
-    if "svg" in cfg.formats:
-        fig = os.path.join(cfg.output_dir, "phase_success.svg")
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        svgplot.line_plot(fig, series, "m", "success rate", "recovery success vs measurements")
-        figures = (fig,)
-    return render_report(records, cfg, "phase", lines, figures)
+    fig = os.path.join(cfg.output_dir, "phase_success.svg")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    svgplot.line_plot(fig, series, "m", "success rate", "recovery success vs measurements")
+    return render_report(records, cfg, "phase", lines, (fig,))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +190,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
     m = cfg.m or d // 2
     identity = build_dictionary("identity", d)
     base = RandomStream(cfg.master_seed)
+    scfg = _solver_configs(cfg, k)["basis-pursuit"]
 
     def census_trial(t):
         stream = base.split(t)
@@ -213,7 +209,6 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         inst = plant(psi_star, k, stream.split(1))
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
         obs = observe(inst.x, phi, cfg.epsilon, stream.split(3))
-        scfg = _solver_configs(cfg, k)["basis-pursuit"]
         keff = effective_sparsity(inst.x, identity)
         matched = solve("basis-pursuit", compose(phi, psi_star), obs.y, scfg,
                         psi=psi_star.psi, truth=inst)
@@ -419,15 +414,12 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         lines.append(f"| {m} | " + " | ".join(row) + " |")
     lines.append("")
     lines.append("classifier thresholds: " + repr(cfg.thresholds))
-    figures = ()
-    if "svg" in cfg.formats:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        fig = os.path.join(cfg.output_dir, "regime_map.svg")
-        grid = {(r["k"], r["m"]): r["regime"] for r in records}
-        svgplot.heat_map(fig, grid, list(k_sweep), list(m_sweep), "k", "m",
-                         "discovery regimes", colors=REGIME_COLORS)
-        figures = (fig,)
-    return render_report(records, cfg, "regime_map", lines, figures)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    fig = os.path.join(cfg.output_dir, "regime_map.svg")
+    grid = {(r["k"], r["m"]): r["regime"] for r in records}
+    svgplot.heat_map(fig, grid, list(k_sweep), list(m_sweep), "k", "m",
+                     "discovery regimes", colors=REGIME_COLORS)
+    return render_report(records, cfg, "regime_map", lines, (fig,))
 
 
 RUNNERS = {

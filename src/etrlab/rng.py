@@ -113,7 +113,3 @@ class RandomStream:
             pool[i], pool[j] = pool[j], pool[i]
         return np.array(sorted(pool[:k]), dtype=np.int64)
 
-
-def gaussian(stream: RandomStream, count: int) -> np.ndarray:
-    """Standard normal variates; pure function of (stream, count)."""
-    return stream.gaussians(count)

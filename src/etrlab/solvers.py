@@ -31,9 +31,8 @@ ADMM_RHO = 1.0  # initial ADMM penalty; adapted x2 / /2 within [1e-4, 1e4]
 SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverConfig:
-    solver: str = "basis-pursuit"
     epsilon: float = 0.0
     max_sparsity: int = 0  # 0: defaults to min(m, N) at solve time
     max_iterations: int = 4000
@@ -371,7 +370,7 @@ def run_battery(
     configs = configs or {}
     entries = []
     for name in SOLVER_NAMES:
-        cfg = configs.get(name, SolverConfig(solver=name))
+        cfg = configs.get(name, SolverConfig())
         try:
             entries.append(BatteryEntry(name, solve(name, a, y, cfg, psi=psi, truth=truth)))
         except (EtrLabError, np.linalg.LinAlgError) as exc:  # recorded, battery continues

@@ -18,7 +18,6 @@ from .geometry import support_chunks
 from .numerics import TOL, least_squares
 from .rng import RandomStream
 
-DEFAULT_TAU = TOL.zero_tau
 ENUMERATION_GUARD = 2 ** 24
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 
@@ -27,7 +26,6 @@ MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 class SparsityReport:
     k_psi: int
     support: tuple[int, ...]
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,8 @@ def _is_orthonormal(mat: np.ndarray) -> bool:
     return bool(np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=TOL.ortho))
 
 
-def representation_complexity(x: np.ndarray, psi, tau: float = DEFAULT_TAU) -> SparsityReport:
-    """Minimal support size expressing x in psi, up to relative threshold tau.
+def representation_complexity(x: np.ndarray, psi) -> SparsityReport:
+    """Minimal support size expressing x in psi to within TOL.zero_tau * ||x||.
 
     Orthonormal bases use the analysis transform directly; a general
     matrix argument falls back to support enumeration in increasing size
@@ -70,19 +68,18 @@ def representation_complexity(x: np.ndarray, psi, tau: float = DEFAULT_TAU) -> S
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise ZeroSignal("representation complexity of the zero signal is undefined")
-    if not 0.0 < tau <= 1e-3:
-        raise InvalidSparsity(f"tau must lie in (0, 1e-3], got {tau}")
     mat = _as_matrix(psi)
     if mat.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"psi has {mat.shape[0]} rows, x has {x.shape[0]} entries")
+    tol = TOL.zero_tau * xnorm
     if _is_orthonormal(mat):
         coeffs = mat.T @ x
-        support = np.flatnonzero(np.abs(coeffs) > tau * xnorm)
-        return SparsityReport(k_psi=len(support), support=tuple(support), tau=tau)
-    support, _, _ = minimal_support(mat, x, tau * xnorm, mat.shape[1], ENUMERATION_GUARD)
+        support = np.flatnonzero(np.abs(coeffs) > tol)
+        return SparsityReport(k_psi=len(support), support=tuple(support))
+    support, _, _ = minimal_support(mat, x, tol, mat.shape[1], ENUMERATION_GUARD)
     if support is None:
         raise ZeroSignal("x is not in the column span of psi")  # unreachable for spanning psi
-    return SparsityReport(k_psi=len(support), support=support, tau=tau)
+    return SparsityReport(k_psi=len(support), support=support)
 
 
 def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, guard: int):
@@ -117,7 +114,7 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
     return None, None, tallies
 
 
-def effective_sparsity(x: np.ndarray, psi: Dictionary, tau: float = DEFAULT_TAU) -> int:
+def effective_sparsity(x: np.ndarray, psi: Dictionary) -> int:
     """Nonzero count of the analysis coefficients of x in an orthonormal basis."""
     x = np.asarray(x, dtype=float)
     xnorm = float(np.linalg.norm(x))
@@ -126,7 +123,7 @@ def effective_sparsity(x: np.ndarray, psi: Dictionary, tau: float = DEFAULT_TAU)
     mat = _as_matrix(psi)
     if not _is_orthonormal(mat):
         raise InvalidSparsity("effective_sparsity requires an orthonormal basis")
-    return int(np.sum(np.abs(mat.T @ x) > tau * xnorm))
+    return int(np.sum(np.abs(mat.T @ x) > TOL.zero_tau * xnorm))
 
 
 def plant(truth_basis: Dictionary, k: int, stream: RandomStream) -> PlantedInstance:

@@ -137,7 +137,6 @@ def test_criterion_4_phase_transition(tmp_path):
     t0 = time.monotonic()
     cfg = load_config(os.path.join(CONFIG_DIR, "phase.cfg"))
     cfg.output_dir = str(tmp_path)
-    cfg.formats = ("csv", "md")
     bundle = run_experiment(cfg)
     rows = [r for r in _records(bundle) if r["solver"] == "basis-pursuit"]
     rates = {}
@@ -226,9 +225,9 @@ def test_criterion_7_functional_and_cost_ordering():
         obs = observe(inst.x, phi, 0.0, stream.split(2))
         a = compose(phi, psi)
         cfgs = {
-            "l0-exhaustive": SolverConfig("l0-exhaustive", max_sparsity=3),
-            "omp": SolverConfig("omp", max_sparsity=3),
-            "basis-pursuit": SolverConfig("basis-pursuit"),
+            "l0-exhaustive": SolverConfig(max_sparsity=3),
+            "omp": SolverConfig(max_sparsity=3),
+            "basis-pursuit": SolverConfig(),
         }
         for e in run_battery(a, obs.y, truth=inst, configs=cfgs):
             totals[e.solver] += e.result.cost.total
@@ -259,8 +258,8 @@ def test_criterion_8_regime_classifier(tmp_path):
         stream = RandomStream(808, t)
         inst = plant(psi, 1, stream)
         for entry in run_battery(a, inst.x, truth=inst, configs={
-            "l0-exhaustive": SolverConfig("l0-exhaustive", max_sparsity=1),
-            "omp": SolverConfig("omp", max_sparsity=1),
+            "l0-exhaustive": SolverConfig(max_sparsity=1),
+            "omp": SolverConfig(max_sparsity=1),
         }):
             ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)
             succ[entry.solver] += ok
@@ -271,7 +270,6 @@ def test_criterion_8_regime_classifier(tmp_path):
     # the shipped regime map never calls a degenerate cell stable
     cfg = load_config(os.path.join(CONFIG_DIR, "regime.cfg"))
     cfg.output_dir = str(tmp_path)
-    cfg.formats = ("csv", "md")
     rows = _records(run_experiment(cfg))
     for r in rows:
         if float(r["gamma_2k"]) <= 1e-10:
@@ -289,7 +287,6 @@ def test_criterion_9_determinism(tmp_path):
         for run in ("a", "b"):
             cfg = load_config(os.path.join(CONFIG_DIR, config))
             cfg.output_dir = str(tmp_path / config / run)
-            cfg.formats = ("csv", "md")
             bundle = run_experiment(cfg)
             outputs.append(open(bundle.records_csv, "rb").read())
         assert outputs[0] == outputs[1] and outputs[0]

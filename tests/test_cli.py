@@ -9,7 +9,7 @@ import pytest
 
 import etrlab.cli as cli
 from etrlab.cli import main
-from etrlab.config import EXPERIMENTS, ExperimentConfig
+from etrlab.config import EXPERIMENTS, ExperimentConfig, load_config
 from etrlab.errors import SuiteFailure
 from etrlab.etr import UncertaintyReport
 from etrlab.harness import render_report, run_experiment
@@ -151,13 +151,22 @@ def test_workers_flag_rejected():
         main(["phase", "--workers", "1"])
 
 
-def test_format_flag_controls_svg(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("[phase]\nd = 8\nk = 1\nm_sweep = 2,8\ntrials_per_cell = 3\n")
-    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--format", "csv,md,svg"]) == 0
-    svgs = [f for f in os.listdir(tmp_path / "o") if f.endswith(".svg")]
-    assert svgs
+def test_format_flag_rejected():
+    with pytest.raises(SystemExit):
+        main(["phase", "--format", "csv"])
+
+
+@pytest.mark.parametrize("experiment, figure", [
+    ("phase", "phase_success.svg"), ("regime-map", "regime_map.svg")])
+def test_experiment_always_draws_its_svg(tmp_path, experiment, figure):
+    # the config names no formats
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{experiment}]\nd = 8\nk = 1\nk_sweep = 1\nm_sweep = 2,8\n"
+                    f"trials_per_cell = 3\noutput_dir = {tmp_path / 'o'}\n"
+                    "[thresholds]\ntrials = 3\n")
+    bundle = run_experiment(load_config(path))
+    assert bundle.figures == (str(tmp_path / "o" / figure),)
+    assert os.path.getsize(bundle.figures[0]) > 0
 
 
 def test_unknown_solver_rejected():
@@ -193,11 +202,6 @@ def test_reproduce_line_reruns_the_same_records(tmp_path, cfg):
     name = os.path.basename(first.records_csv)
     with open(first.records_csv, "rb") as fa, open(tmp_path / "b" / name, "rb") as fb:
         assert fa.read() == fb.read()
-
-
-def test_format_flag_rejects_unknown_format(capsys):
-    assert main(["phase", "--format", "csv,pdf"]) == 1
-    assert "ConfigError" in capsys.readouterr().err
 
 
 def test_functional_floor_violation_is_an_error(monkeypatch, capsys):

@@ -132,7 +132,7 @@ def test_dump_config_round_trips_every_field(tmp_path):
         experiment="regime-map", d=12, k=4, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
         epsilon=0.1 + 0.2, trials_per_cell=3, recovery_trials=4, master_seed=2 ** 64 - 1,
         basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
-        convergence_tol=1e-9 / 3, output_dir="out/100%/x", formats=("svg",),
+        convergence_tol=1e-9 / 3, output_dir="out/100%/x",
         thresholds=RegimeThresholds(0.1 / 3, 2.5, 0.95, 0.25, 7),
     )
     defaults = ExperimentConfig()
@@ -183,20 +183,21 @@ def test_config_validation():
         ExperimentConfig(trials_per_cell=0)
 
 
-def test_config_rejects_unknown_solvers_and_formats(tmp_path):
+def test_config_rejects_unknown_solvers(tmp_path):
     with pytest.raises(ConfigError, match="solvers"):
         ExperimentConfig(solvers=("basis-pursuit", "lasso"))
-    with pytest.raises(ConfigError, match="formats"):
-        ExperimentConfig(formats=("csv", "pdf"))
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "[phase]\nsolvers = omp,lasso\n"))
     with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, "[phase]\nformats = csv,svg,html\n"))
-    with pytest.raises(ConfigError):
         dataclasses.replace(ExperimentConfig(), solvers=("l0",))
-    cfg = ExperimentConfig(solvers=("l0-exhaustive", "omp", "basis-pursuit"),
-                           formats=("csv", "md", "svg"))
+    cfg = ExperimentConfig(solvers=("l0-exhaustive", "omp", "basis-pursuit"))
     assert cfg.solvers == ("l0-exhaustive", "omp", "basis-pursuit")
+
+
+def test_config_file_with_formats_key_is_rejected(tmp_path):
+    # formats is no setting: a config file that names it fails to load
+    with pytest.raises(ConfigError, match="unknown key 'formats'"):
+        load_config(_write(tmp_path, "[phase]\nformats = csv,md\n"))
 
 
 def test_config_rejects_workers_other_than_one(tmp_path):
@@ -319,7 +320,7 @@ def test_regime_map_small(tmp_path):
 
     cfg = ExperimentConfig(
         experiment="regime-map", d=8, k_sweep=(1, 2), m_sweep=(2, 8),
-        trials_per_cell=5, output_dir=str(tmp_path), formats=("csv", "md", "svg"),
+        trials_per_cell=5, output_dir=str(tmp_path),
         thresholds=RegimeThresholds(trials=5),
     )
     bundle = run_experiment(cfg)

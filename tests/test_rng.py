@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab.rng import GAMMA, MASK64, SMALL_DRAW, RandomStream, _mix64_array, gaussian, mix64
+from etrlab.rng import GAMMA, MASK64, SMALL_DRAW, RandomStream, _mix64_array, mix64
 
 SEEDS = st.integers(min_value=0, max_value=MASK64)
 
 
 def test_same_stream_same_values():
-    a = gaussian(RandomStream(42, 3), 8)
-    b = gaussian(RandomStream(42, 3), 8)
+    a = RandomStream(42, 3).gaussians(8)
+    b = RandomStream(42, 3).gaussians(8)
     np.testing.assert_array_equal(a, b)
 
 
 def test_empty_draw():
-    assert gaussian(RandomStream(1), 0).shape == (0,)
+    assert RandomStream(1).gaussians(0).shape == (0,)
     assert RandomStream(1).uniforms(0).shape == (0,)
 
 
 def test_gaussian_moments():
-    g = gaussian(RandomStream(2024, 0), 10 ** 5)
+    g = RandomStream(2024, 0).gaussians(10 ** 5)
     assert abs(g.mean()) < 0.02
     assert abs(g.var() - 1.0) < 0.05
 

@@ -528,9 +528,16 @@ def test_solve_rescales_omp_on_unnormalized_matrix():
     res = solve("omp", a, obs.y, SolverConfig(max_sparsity=2))
     assert res.support == inst.support
     np.testing.assert_allclose(a.a @ res.alpha_hat, obs.y, atol=1e-9)
-    battery = run_battery(a, obs.y, configs={"omp": SolverConfig("omp", max_sparsity=2)})
+    battery = run_battery(a, obs.y, configs={"omp": SolverConfig(max_sparsity=2)})
     omp = next(e for e in battery if e.solver == "omp")
     assert omp.result.alpha_hat.tobytes() == res.alpha_hat.tobytes()
+
+
+def test_solver_config_is_keyword_only():
+    # the solver is named by solve(name, ...); a positional name must not
+    # land in epsilon
+    with pytest.raises(TypeError):
+        SolverConfig("omp")
 
 
 # ------------------------------------------------------------- battery
@@ -561,9 +568,9 @@ def test_battery_identity_all_agree():
 def test_battery_cost_ordering_16x32():
     a, inst, obs = _planted(16, 32, 3, seed=21)
     cfgs = {
-        "l0-exhaustive": SolverConfig("l0-exhaustive", max_sparsity=3),
-        "omp": SolverConfig("omp", max_sparsity=3),
-        "basis-pursuit": SolverConfig("basis-pursuit"),
+        "l0-exhaustive": SolverConfig(max_sparsity=3),
+        "omp": SolverConfig(max_sparsity=3),
+        "basis-pursuit": SolverConfig(),
     }
     entries = {e.solver: e for e in run_battery(a, obs.y, truth=inst, configs=cfgs, psi=None)}
     total_l0 = entries["l0-exhaustive"].result.cost.total
@@ -574,7 +581,7 @@ def test_battery_cost_ordering_16x32():
 def test_battery_records_failures_without_aborting():
     a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi, False)
     entries = run_battery(a, np.ones(8), configs={
-        "l0-exhaustive": SolverConfig("l0-exhaustive", max_sparsity=8)})
+        "l0-exhaustive": SolverConfig(max_sparsity=8)})
     l0 = next(e for e in entries if e.solver == "l0-exhaustive")
     assert l0.result is None and "EnumerationTooLarge" in l0.error
     assert any(e.result is not None for e in entries)
