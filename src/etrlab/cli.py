@@ -141,6 +141,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _load_recover_inputs(args):
+    """(A, y, whether an instance bundle was loaded)."""
     if args.instance:
         basis = load_matrix(os.path.join(args.instance, "basis.csv"))
         alpha = load_vector(os.path.join(args.instance, "alpha.csv"))
@@ -151,19 +152,19 @@ def _load_recover_inputs(args):
         inst = PlantedInstance(truth_basis=psi, alpha_star=alpha,
                                x=basis @ alpha, k=int(np.sum(alpha != 0)))
         validate_instance(inst)
-        a = EffectiveSensing(basis, False)
-        return a, basis @ alpha, basis, inst
+        return EffectiveSensing(basis), inst.x, True
     if not (args.matrix and args.y):
         raise EtrLabError("recover needs --matrix and --y, or --instance")
-    a = EffectiveSensing(load_matrix(args.matrix), False)
-    return a, load_vector(args.y), None, None
+    return EffectiveSensing(load_matrix(args.matrix)), load_vector(args.y), False
 
 
 def _cmd_recover(args) -> int:
     solver = _SOLVER_ALIAS.get(args.solver, args.solver)
-    a, y, psi, inst = _load_recover_inputs(args)
+    a, y, instance = _load_recover_inputs(args)
     cfg = SolverConfig(epsilon=args.epsilon, max_sparsity=args.max_sparsity)
-    res = solve(solver, a, y, cfg, psi=psi, truth=inst)
+    res = solve(solver, a, y, cfg)
+    # an instance is solved with A = Psi and y = x, so ||Psi alpha_hat - x|| is the residual
+    ratio = res.residual_norm / args.epsilon if instance and args.epsilon > 0 else ""
     row = {
         "solver": solver,
         "support": " ".join(str(i) for i in res.support),
@@ -174,7 +175,7 @@ def _cmd_recover(args) -> int:
         "add": res.cost.additions,
         "cmp": res.cost.comparisons,
         "total_ops": res.cost.total,
-        "stability_ratio": res.stability_ratio if res.stability_ratio is not None else "",
+        "stability_ratio": ratio,
     }
     for key, value in row.items():
         print(f"{key}: {value}")

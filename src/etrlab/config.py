@@ -62,6 +62,12 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
+        if self.experiment == "mismatch" and self.recovery_trials < 1:
+            raise ConfigError("mismatch needs recovery_trials >= 1")
+        if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:
+            raise ConfigError(f"regime-map classifies a cell from at least thresholds.trials = "
+                              f"{self.thresholds.trials} trials, got trials_per_cell = "
+                              f"{self.trials_per_cell}")
         for name, sweep in (("k_sweep", self.k_sweep), ("m_sweep", self.m_sweep),
                             ("d_sweep", self.d_sweep)):
             if sweep and not all(isinstance(v, int) and v >= 1 for v in sweep):

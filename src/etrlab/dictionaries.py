@@ -38,7 +38,6 @@ class SensingOperator:
 @dataclass(frozen=True)
 class EffectiveSensing:
     a: np.ndarray  # m x N
-    column_normalized: bool
 
 
 def _hadamard(d: int) -> np.ndarray:
@@ -112,7 +111,7 @@ def compose(phi: SensingOperator, psi: Dictionary, normalize: bool = False) -> E
     a = phi.phi @ psi.psi
     if normalize:
         a = normalize_columns(a)
-    return EffectiveSensing(a=a, column_normalized=normalize)
+    return EffectiveSensing(a)
 
 
 def normalize_columns(a: np.ndarray) -> np.ndarray:

@@ -20,12 +20,12 @@ import numpy as np
 from . import svgplot
 from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
-from .errors import EnumerationTooLarge, EtrLabError, IoFailure, SuiteFailure
+from .errors import EnumerationTooLarge, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
 from .numerics import TOL
 from .rng import RandomStream
-from .solvers import SolverConfig, run_battery, solve
+from .solvers import SOLVER_NAMES, SolverConfig, run_battery, solve
 from .sparsity import effective_sparsity, plant, observe, representation_complexity
 
 SUCCESS_REL_ERROR = 1e-4
@@ -72,14 +72,21 @@ def _fmt_value(v) -> str:
 
 
 def write_records_csv(path, records: list[dict]) -> None:
+    """One header line and one line per record; values are not quoted, so a
+    value holding a comma or a newline is rejected before anything is written."""
     if not records:
         raise IoFailure("no records to write")
     columns = list(records[0].keys())
+    lines = [",".join(columns)]
+    for rec in records:
+        values = [_fmt_value(rec[c]) for c in columns]
+        for column, value in zip(columns, values):
+            if "," in value or "\n" in value:
+                raise IoFailure(f"column {column!r}: value {value!r} holds a comma or a newline")
+        lines.append(",".join(values))
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for rec in records:
-                fh.write(",".join(_fmt_value(rec[c]) for c in columns) + "\n")
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -114,13 +121,11 @@ def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
     return ReportBundle(records_csv=csv_path, summary_md=md_path, figures=figures)
 
 
-def _solver_configs(cfg: ExperimentConfig, k: int) -> dict:
-    return {
-        "l0-exhaustive": SolverConfig(epsilon=cfg.epsilon, max_sparsity=k),
-        "omp": SolverConfig(epsilon=cfg.epsilon, max_sparsity=max(k, 1)),
-        "basis-pursuit": SolverConfig(epsilon=cfg.epsilon, max_iterations=cfg.max_iterations,
-                                      convergence_tol=cfg.convergence_tol),
-    }
+def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
+    """One config for every solver: l0 and OMP read epsilon and max_sparsity
+    (k >= 1), and basis pursuit reads epsilon and its iteration settings."""
+    return SolverConfig(epsilon=cfg.epsilon, max_sparsity=k, max_iterations=cfg.max_iterations,
+                        convergence_tol=cfg.convergence_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
     m_sweep = cfg.m_sweep or tuple(range(4, 49, 4))
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
-    scfgs = _solver_configs(cfg, cfg.k)
+    scfg = _solver_config(cfg, cfg.k)
 
     def one_trial(ci, m, t):
         stream = base.split(ci).split(t)
@@ -140,17 +145,17 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         obs = observe(inst.x, phi, cfg.epsilon, stream.split(2))
         a = compose(phi, psi)
         rows = []
-        for solver in cfg.solvers:
+        for entry in run_battery(a, obs.y, scfg, cfg.solvers):
             row = {"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
-                   "solver": solver, "trial": t}
-            try:
-                res = solve(solver, a, obs.y, scfgs[solver], psi=psi.psi, truth=inst)
+                   "solver": entry.solver, "trial": t}
+            res = entry.result
+            if res is None:
+                row.update(success=False, support_match=False, rel_error=float("inf"),
+                           cost_total=0, converged=False, error=entry.error.replace(",", ";"))
+            else:
                 ok, match, rel = recovery_success(res.alpha_hat, inst.alpha_star)
                 row.update(success=ok, support_match=match, rel_error=rel,
                            cost_total=res.cost.total, converged=res.converged, error="")
-            except (EtrLabError, np.linalg.LinAlgError) as exc:
-                row.update(success=False, support_match=False, rel_error=float("inf"),
-                           cost_total=0, converged=False, error=type(exc).__name__)
             rows.append(row)
         return rows
 
@@ -190,7 +195,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
     m = cfg.m or d // 2
     identity = build_dictionary("identity", d)
     base = RandomStream(cfg.master_seed)
-    scfg = _solver_configs(cfg, k)["basis-pursuit"]
+    scfg = _solver_config(cfg, k)
 
     def census_trial(t):
         stream = base.split(t)
@@ -210,10 +215,8 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
         obs = observe(inst.x, phi, cfg.epsilon, stream.split(3))
         keff = effective_sparsity(inst.x, identity)
-        matched = solve("basis-pursuit", compose(phi, psi_star), obs.y, scfg,
-                        psi=psi_star.psi, truth=inst)
-        mism = solve("basis-pursuit", EffectiveSensing(phi.phi, False), obs.y, scfg,
-                     psi=identity.psi, truth=inst)
+        matched = solve("basis-pursuit", compose(phi, psi_star), obs.y, scfg)
+        mism = solve("basis-pursuit", EffectiveSensing(phi.phi), obs.y, scfg)
         rows = []
         for arm, res, target in (("matched", matched, inst.alpha_star), ("mismatched", mism, inst.x)):
             ok, _, rel = recovery_success(res.alpha_hat, target)
@@ -318,7 +321,7 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
     def one(t):
         stream = base.split(t)
         phi = build_sensing(cfg.sensing, d, n, seed=stream.split(0).as_seed())
-        a = EffectiveSensing(phi.phi, False)
+        a = EffectiveSensing(phi.phi)
         g = gamma_exact(a, min(2 * k, n))
         row = {"experiment": "perturbation", "trial": t, "m": d, "n": n, "k": k,
                "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": False}
@@ -377,13 +380,13 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
             geom = geometry_report(a, r, mode="exact")
         except EnumerationTooLarge:
             geom = geometry_report(a, r, mode="sampled", trials=200, stream=cell.split(1))
-        successes = {name: 0 for name in ("l0-exhaustive", "omp", "basis-pursuit")}
+        scfg = _solver_config(cfg, k)
+        successes = {name: 0 for name in SOLVER_NAMES}
         for t in range(cfg.trials_per_cell):
             ts = cell.split(10 + t)
             inst = plant(psi, k, ts.split(0))
             obs = observe(inst.x, phi, cfg.epsilon, ts.split(1))
-            for entry in run_battery(a, obs.y, truth=inst,
-                                     configs=_solver_configs(cfg, k), psi=psi.psi):
+            for entry in run_battery(a, obs.y, scfg):
                 if entry.result is None:
                     continue
                 ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)

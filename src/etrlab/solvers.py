@@ -24,7 +24,7 @@ from .errors import (
     EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
 )
 from .numerics import TOL, least_squares
-from .sparsity import PlantedInstance, minimal_support
+from .sparsity import minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
 ADMM_RHO = 1.0  # initial ADMM penalty; adapted x2 / /2 within [1e-4, 1e4]
@@ -73,12 +73,10 @@ class CostCounter:
 @dataclass
 class RecoveryResult:
     alpha_hat: np.ndarray
-    x_hat: np.ndarray
     support: tuple[int, ...]
     residual_norm: float
     cost: CostCounter
     converged: bool
-    stability_ratio: Optional[float] = None
     iterations: int = 0
 
 
@@ -89,29 +87,18 @@ class BatteryEntry:
     error: Optional[str] = None
 
 
-def _finish(a, alpha, y, cost, converged, psi, truth, epsilon, iterations=0) -> RecoveryResult:
-    x_hat = psi @ alpha if psi is not None else alpha.copy()
-    result = RecoveryResult(
+def _finish(a, alpha, y, cost, converged, iterations=0) -> RecoveryResult:
+    return RecoveryResult(
         alpha_hat=alpha,
-        x_hat=x_hat,
         support=tuple(np.flatnonzero(np.abs(alpha) > TOL.zero_tau * max(np.linalg.norm(alpha), 1.0))),
         residual_norm=float(np.linalg.norm(a.a @ alpha - y)),
         cost=cost,
         converged=converged,
         iterations=iterations,
     )
-    if truth is not None and epsilon > 0:
-        result.stability_ratio = float(np.linalg.norm(result.x_hat - truth.x)) / epsilon
-    return result
 
 
-def solve_l0(
-    a: EffectiveSensing,
-    y: np.ndarray,
-    cfg: SolverConfig,
-    psi: Optional[np.ndarray] = None,
-    truth: Optional[PlantedInstance] = None,
-) -> RecoveryResult:
+def solve_l0(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryResult:
     """Exact minimum-support solution by enumeration in increasing size.
 
     Supports of a given size are visited in colex order; the first
@@ -128,7 +115,7 @@ def solve_l0(
     cost = CostCounter()
     cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
     if np.linalg.norm(y) <= feas:
-        return _finish(a, np.zeros(n), y, cost, True, psi, truth, cfg.epsilon)
+        return _finish(a, np.zeros(n), y, cost, True)
     support, coef, tallies = minimal_support(mat, y, feas, kmax, L0_SUPPORT_GUARD)
     for size, examined, nonsingular in tallies:  # a residual and a comparison per non-singular fit
         cost.charge_least_squares(m, size, examined)
@@ -138,23 +125,21 @@ def solve_l0(
         raise NoFeasibleSolution(f"no support up to size {kmax} fits within epsilon")
     alpha = np.zeros(n)
     alpha[list(support)] = coef
-    return _finish(a, alpha, y, cost, True, psi, truth, cfg.epsilon)
+    return _finish(a, alpha, y, cost, True)
 
 
-def solve_omp(
-    a: EffectiveSensing,
-    y: np.ndarray,
-    cfg: SolverConfig,
-    psi: Optional[np.ndarray] = None,
-    truth: Optional[PlantedInstance] = None,
-) -> RecoveryResult:
-    """Orthogonal matching pursuit; one column per iteration, ties to lowest index."""
+def solve_omp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryResult:
+    """Orthogonal matching pursuit; one column per iteration, ties to lowest index.
+
+    Runs on the column-normalized matrix and maps the coefficients back, so
+    alpha_hat holds coefficients of `a` itself.
+    """
     y = np.asarray(y, dtype=float)
-    mat = a.a
+    norms = np.linalg.norm(a.a, axis=0)
+    if np.any(norms == 0.0):
+        raise NotNormalized("zero column")
+    mat = a.a / norms
     m, n = mat.shape
-    norms = np.linalg.norm(mat, axis=0)
-    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
-        raise NotNormalized("OMP requires unit-norm columns")
     kmax = cfg.max_sparsity or min(m, n)
     feas = cfg.epsilon + TOL.feasibility_slack
     cost = CostCounter()
@@ -183,7 +168,7 @@ def solve_omp(
     if support:
         alpha[support] = coef
     converged = bool(np.linalg.norm(residual) <= feas)
-    return _finish(a, alpha, y, cost, converged, psi, truth, cfg.epsilon, iterations=iters)
+    return _finish(a, alpha / norms, y, cost, converged, iterations=iters)
 
 
 def _project_ball(s, b, b_over_s, eps_r, c, miss, work):
@@ -225,13 +210,7 @@ def _project_ball(s, b, b_over_s, eps_r, c, miss, work):
     return (c + lam * s * b) / (1.0 + lam * s * s), True
 
 
-def solve_bp(
-    a: EffectiveSensing,
-    y: np.ndarray,
-    cfg: SolverConfig,
-    psi: Optional[np.ndarray] = None,
-    truth: Optional[PlantedInstance] = None,
-) -> RecoveryResult:
+def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryResult:
     """min ||z||_1 s.t. ||Az - y|| <= epsilon by alternating directions.
 
     Splitting x = proj_C(z - u), z = shrink(x + u, 1/rho), u += x - z,
@@ -341,50 +320,33 @@ def solve_bp(
             l1_ok = np.sum(np.abs(cand)) <= np.sum(np.abs(z)) + cfg.convergence_tol
             if feas_ok and l1_ok:
                 alpha = cand
-    return _finish(a, alpha, y, cost, converged, psi, truth, cfg.epsilon, iterations=it)
+    return _finish(a, alpha, y, cost, converged, iterations=it)
 
 
 _SOLVE = {"l0-exhaustive": solve_l0, "omp": solve_omp, "basis-pursuit": solve_bp}
 
 
-def solve(name: str, a, y, cfg, psi=None, truth=None) -> RecoveryResult:
-    """Dispatch to one solver; OMP on a matrix not flagged column-normalized
-    runs on the rescaled matrix with its coefficients mapped back."""
+def solve(name: str, a, y, cfg) -> RecoveryResult:
+    """Dispatch to one solver by name."""
     if name not in _SOLVE:
         raise InvalidSparsity(f"unknown solver {name!r}")
-    if name == "omp" and not a.column_normalized:
-        return _omp_rescaled(a, y, cfg, psi, truth)
-    return _SOLVE[name](a, y, cfg, psi=psi, truth=truth)
+    return _SOLVE[name](a, y, cfg)
 
 
 def run_battery(
     a: EffectiveSensing,
     y: np.ndarray,
-    truth: Optional[PlantedInstance] = None,
-    configs: Optional[dict[str, SolverConfig]] = None,
-    psi: Optional[np.ndarray] = None,
+    cfg: Optional[SolverConfig] = None,
+    names: tuple[str, ...] = SOLVER_NAMES,
 ) -> list[BatteryEntry]:
-    """Run all three solvers; a lab error or LinAlgError in one solver becomes
-    its entry's error instead of aborting the battery. Any other exception is a
-    bug and propagates."""
-    configs = configs or {}
+    """Run the named solvers in order with one config; a lab error or
+    LinAlgError in one solver becomes its entry's error instead of aborting the
+    battery. Any other exception is a bug and propagates."""
+    cfg = cfg or SolverConfig()
     entries = []
-    for name in SOLVER_NAMES:
-        cfg = configs.get(name, SolverConfig())
+    for name in names:
         try:
-            entries.append(BatteryEntry(name, solve(name, a, y, cfg, psi=psi, truth=truth)))
+            entries.append(BatteryEntry(name, solve(name, a, y, cfg)))
         except (EtrLabError, np.linalg.LinAlgError) as exc:  # recorded, battery continues
             entries.append(BatteryEntry(name, None, error=f"{type(exc).__name__}: {exc}"))
     return entries
-
-
-def _omp_rescaled(a, y, cfg, psi, truth) -> RecoveryResult:
-    """OMP on the column-normalized matrix, coefficients mapped back."""
-    norms = np.linalg.norm(a.a, axis=0)
-    if np.any(norms == 0.0):
-        raise NotNormalized("zero column")
-    res = solve_omp(EffectiveSensing(a.a / norms, True), y, cfg, psi=None, truth=None)
-    alpha = res.alpha_hat / norms
-    out = _finish(a, alpha, y, res.cost, res.converged, psi, truth, cfg.epsilon,
-                  iterations=res.iterations)
-    return out

@@ -87,18 +87,18 @@ def test_criterion_1_uncertainty_principle():
 def test_criterion_2_gamma_oracle_consistency():
     t0 = time.monotonic()
     for seed in range(100):
-        a = EffectiveSensing(build_sensing("gaussian", 8, 12, seed=seed).phi, False)
+        a = EffectiveSensing(build_sensing("gaussian", 8, 12, seed=seed).phi)
         exact = gamma_exact(a, 2)
         sampled = gamma_sampled(a, 2, trials=66, stream=RandomStream(seed, 7))
         assert abs(exact - sampled) <= 1e-12
-        an = EffectiveSensing(a.a / np.linalg.norm(a.a, axis=0), True)
+        an = EffectiveSensing(a.a / np.linalg.norm(a.a, axis=0))
         assert gamma_exact(an, 2) >= gamma_lower_coherence(an, 2) - 1e-12
         assert exact <= gamma_exact(a, 1) + 1e-12
     # duplicate-column matrices are flagged with a verifiable witness
     for seed in range(10):
         mat = build_sensing("gaussian", 8, 11, seed=1000 + seed).phi
         dup = np.hstack([mat, mat[:, [3]]])
-        a = EffectiveSensing(dup, False)
+        a = EffectiveSensing(dup)
         gamma, witness, _ = gamma_exact(a, 2, with_witness=True)
         assert gamma <= 1e-10
         assert witness is not None
@@ -118,7 +118,7 @@ def test_criterion_3_perturbation_amplification():
     for t in range(10_000):
         stream = RandomStream(303, t)
         a = EffectiveSensing(
-            build_sensing("gaussian", m, n, seed=stream.split(0).as_seed()).phi, False
+            build_sensing("gaussian", m, n, seed=stream.split(0).as_seed()).phi
         )
         g = gamma_exact(a, 2 * k)
         if g <= 1e-10:
@@ -182,7 +182,7 @@ def test_criterion_5_mismatch_inflation(tmp_path):
 def test_criterion_6_oracle_equivalence():
     t0 = time.monotonic()
     h = build_dictionary("hadamard", 16).psi
-    a = EffectiveSensing(np.hstack([np.eye(16), h]), True)
+    a = EffectiveSensing(np.hstack([np.eye(16), h]))
     mu = 0.25  # max inner product between distinct unit columns of [I | H]
     k = 2
     assert k < (1.0 + 1.0 / mu) / 2.0
@@ -224,12 +224,7 @@ def test_criterion_7_functional_and_cost_ordering():
         inst = plant(psi, 3, stream.split(1))
         obs = observe(inst.x, phi, 0.0, stream.split(2))
         a = compose(phi, psi)
-        cfgs = {
-            "l0-exhaustive": SolverConfig(max_sparsity=3),
-            "omp": SolverConfig(max_sparsity=3),
-            "basis-pursuit": SolverConfig(),
-        }
-        for e in run_battery(a, obs.y, truth=inst, configs=cfgs):
+        for e in run_battery(a, obs.y, SolverConfig(max_sparsity=3)):
             totals[e.solver] += e.result.cost.total
     assert totals["l0-exhaustive"] > totals["basis-pursuit"]
     assert totals["l0-exhaustive"] > totals["omp"]
@@ -241,7 +236,7 @@ def test_criterion_7_functional_and_cost_ordering():
 def test_criterion_8_regime_classifier(tmp_path):
     # duplicate columns force non-unique regardless of solver statistics
     mat = build_sensing("gaussian", 8, 11, seed=80).phi
-    a = EffectiveSensing(np.hstack([mat, mat[:, [3]]]), False)
+    a = EffectiveSensing(np.hstack([mat, mat[:, [3]]]))
     geom = geometry_report(a, 2, mode="exact")
     stats = BatteryStats(20, {"l0-exhaustive": 1.0, "omp": 1.0, "basis-pursuit": 1.0})
     label = classify_regime(geom, m=8, n=12, k=1, battery_stats=stats)
@@ -257,10 +252,7 @@ def test_criterion_8_regime_classifier(tmp_path):
     for t in range(20):
         stream = RandomStream(808, t)
         inst = plant(psi, 1, stream)
-        for entry in run_battery(a, inst.x, truth=inst, configs={
-            "l0-exhaustive": SolverConfig(max_sparsity=1),
-            "omp": SolverConfig(max_sparsity=1),
-        }):
+        for entry in run_battery(a, inst.x, SolverConfig(max_sparsity=1)):
             ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)
             succ[entry.solver] += ok
     stats = BatteryStats(20, {s: c / 20 for s, c in succ.items()})

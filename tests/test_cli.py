@@ -13,7 +13,9 @@ from etrlab.config import EXPERIMENTS, ExperimentConfig, load_config
 from etrlab.errors import SuiteFailure
 from etrlab.etr import UncertaintyReport
 from etrlab.harness import render_report, run_experiment
-from etrlab.numerics import save_matrix, save_vector
+from etrlab.dictionaries import EffectiveSensing, build_dictionary
+from etrlab.numerics import load_matrix, load_vector, save_matrix, save_vector
+from etrlab.solvers import SolverConfig, solve
 
 
 def test_geometry_markdown_and_csv(tmp_path, capsys):
@@ -57,6 +59,20 @@ def test_recover_instance_bundle(tmp_path, capsys):
     rc = main(["recover", "--solver", "omp", "--instance", str(tmp_path)])
     assert rc == 0
     assert "support: 2" in capsys.readouterr().out
+
+
+def test_recover_instance_prints_the_stability_ratio(tmp_path, capsys):
+    save_matrix(tmp_path / "basis.csv", build_dictionary("random-orthonormal", 8, seed=3).psi)
+    save_vector(tmp_path / "alpha.csv", np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0, 0.0, 0.0]))
+    rc = main(["recover", "--instance", str(tmp_path), "--solver", "bp", "--epsilon", "0.01"])
+    assert rc == 0
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    basis = load_matrix(tmp_path / "basis.csv")
+    x = basis @ load_vector(tmp_path / "alpha.csv")
+    res = solve("basis-pursuit", EffectiveSensing(basis), x, SolverConfig(epsilon=0.01))
+    ratio = float(np.linalg.norm(basis @ res.alpha_hat - x)) / 0.01
+    assert ratio > 0.0
+    assert float(printed["stability_ratio"]) == ratio
 
 
 def test_recover_omp_reports_coefficients_of_the_given_matrix(tmp_path, capsys):

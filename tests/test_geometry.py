@@ -20,14 +20,14 @@ from etrlab.rng import RandomStream
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
-TRI = EffectiveSensing(np.column_stack([E1, E2, (E1 + E2) / np.sqrt(2)]), True)
+TRI = EffectiveSensing(np.column_stack([E1, E2, (E1 + E2) / np.sqrt(2)]))
 
 
 def _random_a(m, n, seed, normalized=False):
     phi = build_sensing("gaussian", m, n, seed=seed).phi
     if normalized:
-        return EffectiveSensing(normalize_columns(phi), True)
-    return EffectiveSensing(phi, False)
+        return EffectiveSensing(normalize_columns(phi))
+    return EffectiveSensing(phi)
 
 
 def test_colex_order_is_documented():
@@ -38,11 +38,11 @@ def test_colex_order_is_documented():
 
 
 def test_gamma_exact_identity():
-    assert gamma_exact(EffectiveSensing(np.eye(4), True), 2) == pytest.approx(1.0, abs=1e-12)
+    assert gamma_exact(EffectiveSensing(np.eye(4)), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_exact_duplicate_columns_with_witness():
-    a = EffectiveSensing(np.column_stack([E1, E1, E2]), True)
+    a = EffectiveSensing(np.column_stack([E1, E1, E2]))
     g, witness, examined = gamma_exact(a, 2, with_witness=True)
     assert g <= 1e-12
     assert examined == 3
@@ -75,7 +75,7 @@ def test_gamma_exact_bad_r():
 
 
 def test_gamma_sampled_identity():
-    a = EffectiveSensing(np.eye(4), True)
+    a = EffectiveSensing(np.eye(4))
     assert gamma_sampled(a, 2, 5, RandomStream(3)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_gamma_one_is_smallest_column_norm():
 
 
 def test_coherence_bound_examples():
-    assert gamma_lower_coherence(EffectiveSensing(np.eye(4), True), 3) == 1.0
+    assert gamma_lower_coherence(EffectiveSensing(np.eye(4)), 3) == 1.0
     assert gamma_lower_coherence(TRI, 2) == pytest.approx(np.sqrt(1 - 1 / np.sqrt(2)), rel=1e-12)
     # clamped regime: mu = 1/sqrt(2), r = 4 => 1 - 3 mu < 0
     assert gamma_lower_coherence(TRI, 4) == 0.0
@@ -146,7 +146,7 @@ def test_perturbation_check_zero_difference():
 
 
 def test_perturbation_check_isometry_equality():
-    a = EffectiveSensing(np.eye(3), True)
+    a = EffectiveSensing(np.eye(3))
     z1 = np.array([1.0, 0.0, 0.0])
     z2 = np.array([0.0, 2.0, 0.0])
     holds, slack = perturbation_check(a, z1, z2, 1.0)
@@ -176,7 +176,7 @@ def test_geometry_report_sampled_mode():
 
 
 def test_geometry_report_duplicate_columns():
-    a = EffectiveSensing(np.column_stack([E1, E1, E2]), True)
+    a = EffectiveSensing(np.column_stack([E1, E1, E2]))
     rep = geometry_report(a, 2, mode="exact")
     assert rep.injective_on_r_sparse == "no"
     assert rep.witness is not None
@@ -219,7 +219,7 @@ def _old_gamma_exact(a, r):
 
 
 def _assert_gamma_matches_old_loop(mat, r):
-    a = EffectiveSensing(mat, False)
+    a = EffectiveSensing(mat)
     new = gamma_exact(a, r, with_witness=True)
     old = _old_gamma_exact(a, r)
     assert type(new[0]) is type(old[0])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from etrlab import solvers
 from etrlab.config import ExperimentConfig, dump_config, load_config
-from etrlab.errors import ConfigError, IoFailure
+from etrlab.errors import ConfigError, IoFailure, NoFeasibleSolution
 from etrlab.harness import (
     isotonic_fit,
     recovery_success,
@@ -92,6 +92,15 @@ def test_write_records_csv_empty_is_error(tmp_path):
         write_records_csv(tmp_path / "r.csv", [])
 
 
+@pytest.mark.parametrize("value", ["Stalled: a, b", "two\nlines"])
+def test_write_records_csv_rejects_a_value_that_would_shift_columns(tmp_path, value):
+    # the format has no quoting: such a value would split into extra columns
+    path = tmp_path / "r.csv"
+    with pytest.raises(IoFailure, match="column 'error'"):
+        write_records_csv(path, [{"a": 1, "error": ""}, {"a": 2, "error": value}])
+    assert not path.exists()
+
+
 # ------------------------------------------------------ config files
 
 
@@ -130,7 +139,7 @@ def test_dump_config_round_trips_every_field(tmp_path):
 
     cfg = ExperimentConfig(
         experiment="regime-map", d=12, k=4, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
-        epsilon=0.1 + 0.2, trials_per_cell=3, recovery_trials=4, master_seed=2 ** 64 - 1,
+        epsilon=0.1 + 0.2, trials_per_cell=7, recovery_trials=4, master_seed=2 ** 64 - 1,
         basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
         convergence_tol=1e-9 / 3, output_dir="out/100%/x",
         thresholds=RegimeThresholds(0.1 / 3, 2.5, 0.95, 0.25, 7),
@@ -206,6 +215,27 @@ def test_config_rejects_workers_other_than_one(tmp_path):
         ExperimentConfig(workers=4)
     with pytest.raises(ConfigError, match="workers"):
         load_config(_write(tmp_path, "[phase]\nworkers = 2\n"))
+
+
+def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
+    with pytest.raises(ConfigError, match="recovery_trials"):
+        ExperimentConfig(experiment="mismatch", recovery_trials=0)
+    with pytest.raises(ConfigError, match="recovery_trials"):
+        load_config(_write(tmp_path, "[mismatch]\nrecovery_trials = 0\n"))
+    assert ExperimentConfig(experiment="phase", recovery_trials=0).recovery_trials == 0
+
+
+def test_config_rejects_regime_map_below_the_classifier_minimum(tmp_path):
+    from etrlab.etr import RegimeThresholds
+
+    with pytest.raises(ConfigError, match="trials_per_cell = 19"):
+        ExperimentConfig(experiment="regime-map", trials_per_cell=19)
+    with pytest.raises(ConfigError, match="trials_per_cell = 4"):
+        load_config(_write(tmp_path, "[regime-map]\ntrials_per_cell = 4\n"
+                                     "[thresholds]\ntrials = 5\n"))
+    cfg = ExperimentConfig(experiment="regime-map", trials_per_cell=5,
+                           thresholds=RegimeThresholds(trials=5))
+    assert cfg.trials_per_cell == cfg.thresholds.trials
 
 
 @pytest.mark.parametrize("experiment", ["phase", "regime-map"])
@@ -297,6 +327,20 @@ def test_phase_transition_lets_programming_errors_crash(tmp_path, monkeypatch):
     monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", broken)
     with pytest.raises(TypeError, match="bug in a solver"):
         run_experiment(_tiny_phase(tmp_path))
+
+
+def test_phase_error_rows_carry_the_full_message(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise NoFeasibleSolution("y outside the reachable residual ball")
+
+    monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", unreachable)
+    bundle = run_experiment(_tiny_phase(tmp_path))
+    with open(bundle.records_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 4
+    for r in rows:
+        assert r["error"] == "NoFeasibleSolution: y outside the reachable residual ball"
+        assert (r["success"], r["cost_total"]) == ("0", "0")
 
 
 def test_phase_transition_seed_changes_records(tmp_path):

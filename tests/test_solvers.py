@@ -14,7 +14,7 @@ from etrlab.dictionaries import (
     normalize_columns,
 )
 from etrlab.errors import (
-    EnumerationTooLarge, EtrLabError, NoFeasibleSolution, NotNormalized, RankDeficient,
+    EnumerationTooLarge, EtrLabError, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
 )
 from etrlab.geometry import colex_supports, gamma_exact
 from etrlab.numerics import TOL, least_squares
@@ -36,8 +36,8 @@ from etrlab.sparsity import observe, plant
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
-TRI = EffectiveSensing(np.column_stack([E1, E2, (E1 + E2) / np.sqrt(2)]), True)
-I4 = EffectiveSensing(np.eye(4), True)
+TRI = EffectiveSensing(np.column_stack([E1, E2, (E1 + E2) / np.sqrt(2)]))
+I4 = EffectiveSensing(np.eye(4))
 
 
 def _planted(m, n, k, seed, epsilon=0.0, basis="identity"):
@@ -90,23 +90,22 @@ def test_l0_minimality_against_brute_force():
 
 def test_l0_no_feasible_solution():
     y = np.array([1.0, 1.0])
-    a = EffectiveSensing(np.column_stack([E1]), True)
+    a = EffectiveSensing(np.column_stack([E1]))
     with pytest.raises(NoFeasibleSolution):
         solve_l0(a, y, SolverConfig(max_sparsity=1))
 
 
 def test_l0_enumeration_guard():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi, False)
+    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi)
     with pytest.raises(EnumerationTooLarge):
         solve_l0(a, np.ones(8), SolverConfig(max_sparsity=8))
 
 
 def test_l0_noise_tolerance():
     a, inst, obs = _planted(8, 10, 2, seed=5, epsilon=1e-2)
-    res = solve_l0(a, obs.y, SolverConfig(epsilon=1e-2, max_sparsity=3), truth=inst)
+    res = solve_l0(a, obs.y, SolverConfig(epsilon=1e-2, max_sparsity=3))
     assert res.residual_norm <= 1e-2 + 1e-10
     assert len(res.support) <= 2
-    assert res.stability_ratio is not None
 
 
 def _ls_on_support_one(mat, y):
@@ -132,7 +131,7 @@ def _solve_l0_one_at_a_time(a, y, cfg):
     cost = CostCounter()
     cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
     if np.linalg.norm(y) <= feas:
-        return _finish(a, np.zeros(n), y, cost, True, None, None, cfg.epsilon)
+        return _finish(a, np.zeros(n), y, cost, True)
     examined = 0
     for size in range(1, kmax + 1):
         examined += comb(n, size)
@@ -149,7 +148,7 @@ def _solve_l0_one_at_a_time(a, y, cfg):
             if np.linalg.norm(cols @ coef - y) <= feas:
                 alpha = np.zeros(n)
                 alpha[list(support)] = coef
-                return _finish(a, alpha, y, cost, True, None, None, cfg.epsilon)
+                return _finish(a, alpha, y, cost, True)
     raise NoFeasibleSolution(f"no support up to size {kmax} fits within epsilon")
 
 
@@ -190,7 +189,7 @@ def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
         noise = gen.normal(size=m)
         y = mat @ alpha + eps * noise / np.linalg.norm(noise)
         res = _assert_l0_matches_one_at_a_time(
-            EffectiveSensing(mat, False), y, SolverConfig(epsilon=eps, max_sparsity=k))
+            EffectiveSensing(mat), y, SolverConfig(epsilon=eps, max_sparsity=k))
         sizes.append(-1 if res is None else len(res.support))
     assert {1, 2, 3} <= set(sizes)
 
@@ -204,7 +203,7 @@ def test_l0_search_hit_at_a_chunk_boundary(offset):
     support = list(colex_supports(n, 2))[rows + offset]
     y = mat[:, list(support)] @ np.array([0.7, -1.3])
     res = _assert_l0_matches_one_at_a_time(
-        EffectiveSensing(mat, False), y, SolverConfig(max_sparsity=2))
+        EffectiveSensing(mat), y, SolverConfig(max_sparsity=2))
     assert res.support == support
 
 
@@ -224,16 +223,110 @@ def test_omp_zero_observation():
     assert res.iterations == 0
 
 
-def test_omp_requires_normalized_columns():
-    a = EffectiveSensing(2.0 * np.eye(3), False)
+def test_omp_rejects_a_zero_column():
+    a = EffectiveSensing(np.column_stack([E1, np.zeros(2), E2]))
+    with pytest.raises(NotNormalized, match="zero column"):
+        solve_omp(a, E1, SolverConfig())
     with pytest.raises(NotNormalized):
-        solve_omp(a, np.ones(3), SolverConfig())
+        solve("omp", a, E1, SolverConfig())
+
+
+def _solve_omp_unit_columns(a, y, cfg):
+    """solve_omp as it was when it required unit-norm columns."""
+    y = np.asarray(y, dtype=float)
+    mat = a.a
+    m, n = mat.shape
+    norms = np.linalg.norm(mat, axis=0)
+    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
+        raise NotNormalized("OMP requires unit-norm columns")
+    kmax = cfg.max_sparsity or min(m, n)
+    feas = cfg.epsilon + TOL.feasibility_slack
+    cost = CostCounter()
+    support: list[int] = []
+    residual = y.copy()
+    coef = np.zeros(0)
+    iters = 0
+    while np.linalg.norm(residual) > feas and len(support) < kmax:
+        corr = np.abs(mat.T @ residual)
+        cost.charge(mult=n * m + m, add=n * (m - 1), cmp=n)
+        corr[support] = -1.0
+        pick = int(np.argmax(corr))
+        if corr[pick] < TOL.omp_stall:
+            raise Stalled(f"correlation max below {TOL.omp_stall:g} with residual above epsilon")
+        support.append(pick)
+        cols = mat[:, support]
+        cost.charge_least_squares(m, len(support), 1)
+        try:
+            coef = least_squares(cols, y)
+        except RankDeficient:
+            raise Stalled("selected columns became rank deficient") from None
+        residual = y - cols @ coef
+        cost.charge_residual(m, len(support), 1)
+        iters += 1
+    alpha = np.zeros(n)
+    if support:
+        alpha[support] = coef
+    converged = bool(np.linalg.norm(residual) <= feas)
+    return _finish(a, alpha, y, cost, converged, iterations=iters)
+
+
+def _omp_rescaled(a, y, cfg):
+    """OMP on the column-normalized matrix, coefficients mapped back: the path
+    `solve` took for OMP before solve_omp normalized by itself."""
+    norms = np.linalg.norm(a.a, axis=0)
+    if np.any(norms == 0.0):
+        raise NotNormalized("zero column")
+    res = _solve_omp_unit_columns(EffectiveSensing(a.a / norms), y, cfg)
+    alpha = res.alpha_hat / norms
+    out = _finish(a, alpha, y, res.cost, res.converged, iterations=res.iterations)
+    return out
+
+
+def test_omp_matches_the_rescaled_path_bit_for_bit():
+    gen = np.random.default_rng(23)
+    seen = set()
+    for trial in range(240):
+        m, n = int(gen.integers(2, 17)), int((8, 16, 24, 32)[trial % 4])
+        k = int(gen.integers(1, 5))
+        eps = (0.0, 1e-3, 0.05)[(trial // 4) % 3]
+        # columns scaled over four decades: no column has unit norm
+        mat = gen.normal(size=(m, n)) * 10.0 ** gen.uniform(-2, 2, n)
+        if trial % 9 == 0:
+            mat[:, int(gen.integers(n))] = 0.0
+        if trial % 7 == 0:  # a column and a multiple of it: rank-deficient picks
+            mat[:, 1] = -3.0 * mat[:, 0]
+        alpha = np.zeros(n)
+        alpha[gen.choice(n, k, replace=False)] = gen.normal(size=k)
+        noise = gen.normal(size=m)
+        y = mat @ alpha + 0.5 * eps * noise / np.linalg.norm(noise)
+        if trial % 11 == 0:
+            y = noise  # generic y: a budget of k columns rarely fits it
+        if trial % 10 == 0:  # a repeated row and y off the range of A: OMP can stall
+            mat[-1] = mat[0]
+            y = noise
+        cfg = SolverConfig(epsilon=eps, max_sparsity=(0, k, 2 * k)[trial % 3])
+        a = EffectiveSensing(mat)
+        try:
+            old = _omp_rescaled(a, y, cfg)
+        except EtrLabError as exc:
+            with pytest.raises(type(exc)):
+                solve_omp(a, y, cfg)
+            seen.add(type(exc).__name__)
+            continue
+        new = solve_omp(a, y, cfg)
+        assert new.alpha_hat.tobytes() == old.alpha_hat.tobytes(), trial
+        assert new.support == old.support
+        assert new.cost.total == old.cost.total
+        assert new.iterations == old.iterations
+        assert new.converged is old.converged
+        seen.add((eps > 0, new.converged))
+    assert seen >= {"NotNormalized", "Stalled", (False, True), (False, False), (True, True), (True, False)}
 
 
 def test_omp_residual_orthogonal_and_decreasing():
     for seed in range(10):
         a, inst, obs = _planted(8, 12, 3, seed=seed)
-        an = EffectiveSensing(normalize_columns(a.a), True)
+        an = EffectiveSensing(normalize_columns(a.a))
         res = solve_omp(an, obs.y, SolverConfig(max_sparsity=6))
         residual = obs.y - an.a @ res.alpha_hat
         sel = an.a[:, list(res.support)]
@@ -243,7 +336,7 @@ def test_omp_residual_orthogonal_and_decreasing():
 def test_omp_coherence_regime_matches_l0():
     # A = [I | H], mu = 1/4, so k = 2 < (1 + 1/mu)/2 guarantees equivalence
     h = build_dictionary("hadamard", 16).psi
-    a = EffectiveSensing(np.hstack([np.eye(16), h]), True)
+    a = EffectiveSensing(np.hstack([np.eye(16), h]))
     coeff_basis = build_dictionary("identity", 32)
     for t in range(25):
         inst = plant(coeff_basis, 2, RandomStream(31, t))
@@ -289,7 +382,7 @@ def test_bp_feasibility_and_l1_certificate():
 
 
 def test_bp_unreachable_observation():
-    a = EffectiveSensing(np.array([[1.0, 0.5], [0.0, 0.0]]), False)
+    a = EffectiveSensing(np.array([[1.0, 0.5], [0.0, 0.0]]))
     with pytest.raises(NoFeasibleSolution):
         solve_bp(a, np.array([0.0, 1.0]), SolverConfig(epsilon=0.1))
 
@@ -381,7 +474,7 @@ def test_project_ball_early_exit_matches_200_steps():
     assert bisected_count >= 240
 
 
-def _solve_bp_matmul_loop(a, y, cfg, psi=None, truth=None):
+def _solve_bp_matmul_loop(a, y, cfg):
     """solve_bp as it was before the lean loop: matmul gemvs, u += x; u -= z,
     and the dual residual on every iteration."""
     y = np.asarray(y, dtype=float)
@@ -463,7 +556,7 @@ def _solve_bp_matmul_loop(a, y, cfg, psi=None, truth=None):
             l1_ok = np.sum(np.abs(cand)) <= np.sum(np.abs(z)) + cfg.convergence_tol
             if feas_ok and l1_ok:
                 alpha = cand
-    return _finish(a, alpha, y, cost, converged, psi, truth, cfg.epsilon, iterations=it)
+    return _finish(a, alpha, y, cost, converged, iterations=it)
 
 
 
@@ -515,20 +608,17 @@ def test_bp_matches_matmul_loop_bit_for_bit():
         else:
             y = mat @ alpha + 0.5 * eps * noise / np.linalg.norm(noise)
         res = _assert_bp_matches_matmul_loop(
-            EffectiveSensing(mat, False), y, SolverConfig(epsilon=eps, max_iterations=cap))
+            EffectiveSensing(mat), y, SolverConfig(epsilon=eps, max_iterations=cap))
         seen.add("error" if res is None else (eps > 0, res.converged))
     assert seen == {"error", (False, True), (False, False), (True, True), (True, False)}
 
 
 def test_solve_rescales_omp_on_unnormalized_matrix():
     a, inst, obs = _planted(12, 24, 2, seed=6)
-    assert not a.column_normalized
-    with pytest.raises(NotNormalized):
-        solve_omp(a, obs.y, SolverConfig(max_sparsity=2))
     res = solve("omp", a, obs.y, SolverConfig(max_sparsity=2))
     assert res.support == inst.support
     np.testing.assert_allclose(a.a @ res.alpha_hat, obs.y, atol=1e-9)
-    battery = run_battery(a, obs.y, configs={"omp": SolverConfig(max_sparsity=2)})
+    battery = run_battery(a, obs.y, SolverConfig(max_sparsity=2))
     omp = next(e for e in battery if e.solver == "omp")
     assert omp.result.alpha_hat.tobytes() == res.alpha_hat.tobytes()
 
@@ -557,8 +647,8 @@ def test_cost_counters_deterministic():
 def test_battery_identity_all_agree():
     psi = build_dictionary("identity", 4)
     inst = plant(psi, 1, RandomStream(44))
-    a = EffectiveSensing(np.eye(4), True)
-    entries = run_battery(a, inst.x, truth=inst, psi=psi.psi)
+    a = EffectiveSensing(np.eye(4))
+    entries = run_battery(a, inst.x)
     assert [e.solver for e in entries] == ["l0-exhaustive", "omp", "basis-pursuit"]
     for e in entries:
         assert e.error is None
@@ -567,21 +657,15 @@ def test_battery_identity_all_agree():
 
 def test_battery_cost_ordering_16x32():
     a, inst, obs = _planted(16, 32, 3, seed=21)
-    cfgs = {
-        "l0-exhaustive": SolverConfig(max_sparsity=3),
-        "omp": SolverConfig(max_sparsity=3),
-        "basis-pursuit": SolverConfig(),
-    }
-    entries = {e.solver: e for e in run_battery(a, obs.y, truth=inst, configs=cfgs, psi=None)}
+    entries = {e.solver: e for e in run_battery(a, obs.y, SolverConfig(max_sparsity=3))}
     total_l0 = entries["l0-exhaustive"].result.cost.total
     assert total_l0 > entries["basis-pursuit"].result.cost.total
     assert total_l0 > entries["omp"].result.cost.total
 
 
 def test_battery_records_failures_without_aborting():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi, False)
-    entries = run_battery(a, np.ones(8), configs={
-        "l0-exhaustive": SolverConfig(max_sparsity=8)})
+    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi)
+    entries = run_battery(a, np.ones(8), SolverConfig(max_sparsity=8))
     l0 = next(e for e in entries if e.solver == "l0-exhaustive")
     assert l0.result is None and "EnumerationTooLarge" in l0.error
     assert any(e.result is not None for e in entries)
@@ -594,7 +678,7 @@ def test_battery_lets_programming_errors_crash(monkeypatch):
     monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", broken)
     a, inst, obs = _planted(8, 16, 1, seed=5)
     with pytest.raises(TypeError, match="bug in a solver"):
-        run_battery(a, obs.y, truth=inst)
+        run_battery(a, obs.y)
 
 
 def test_l0_stability_bound_with_exact_support():
@@ -605,10 +689,10 @@ def test_l0_stability_bound_with_exact_support():
         g = gamma_exact(a, 4)
         if g <= 1e-10:
             continue
-        res = solve_l0(a, obs.y, SolverConfig(epsilon=eps, max_sparsity=2), truth=inst,
-                       psi=inst.truth_basis.psi)
+        res = solve_l0(a, obs.y, SolverConfig(epsilon=eps, max_sparsity=2))
         assert len(res.support) <= 2
-        assert res.stability_ratio <= 2.0 / g + 1e-9
+        x_hat = inst.truth_basis.psi @ res.alpha_hat
+        assert float(np.linalg.norm(x_hat - inst.x)) / eps <= 2.0 / g + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=300))
