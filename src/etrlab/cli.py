@@ -19,6 +19,7 @@ from .dictionaries import (
     build_dictionary,
     build_sensing,
     compose,
+    normalize_columns,
 )
 from .errors import EtrLabError, SuiteFailure
 from .etr import build_uncertainty_report
@@ -120,7 +121,9 @@ def _cmd_geometry(args) -> int:
     m = args.m or d
     psi = build_dictionary(args.dict_kind, d, seed=args.seed)
     phi = build_sensing(args.sensing, m, d, seed=args.seed)
-    a = compose(phi, psi, normalize=args.normalize)
+    a = compose(phi, psi)
+    if args.normalize:
+        a = EffectiveSensing(normalize_columns(a.a))
     stream = RandomStream(args.seed, 1)
     report = geometry_report(a, args.r, mode=args.mode, trials=args.trials, stream=stream)
     row = {
@@ -145,13 +148,8 @@ def _load_recover_inputs(args):
     if args.instance:
         basis = load_matrix(os.path.join(args.instance, "basis.csv"))
         alpha = load_vector(os.path.join(args.instance, "alpha.csv"))
-        d = basis.shape[0]
-        from .dictionaries import Dictionary
-
-        psi = Dictionary(psi=basis, kind="loaded", d=d, n=basis.shape[1])
-        inst = PlantedInstance(truth_basis=psi, alpha_star=alpha,
-                               x=basis @ alpha, k=int(np.sum(alpha != 0)))
-        validate_instance(inst)
+        inst = PlantedInstance(alpha_star=alpha, x=basis @ alpha, k=int(np.sum(alpha != 0)))
+        validate_instance(basis, inst)
         return EffectiveSensing(basis), inst.x, True
     if not (args.matrix and args.y):
         raise EtrLabError("recover needs --matrix and --y, or --instance")

@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
+        if not self.epsilon >= 0.0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.experiment == "mismatch" and self.recovery_trials < 1:
             raise ConfigError("mismatch needs recovery_trials >= 1")
         if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:
@@ -72,6 +74,9 @@ class ExperimentConfig:
                             ("d_sweep", self.d_sweep)):
             if sweep and not all(isinstance(v, int) and v >= 1 for v in sweep):
                 raise ConfigError(f"{name} must hold positive integers")
+            # the isotonic 50% crossing and the heat-map axes read sweeps in order
+            if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
+                raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
         unknown = [v for v in self.solvers if v not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
@@ -88,7 +93,10 @@ def _parse_sweep(text: str) -> tuple:
             lo, hi, step = parts
         else:
             raise ConfigError(f"bad sweep {text!r}")
-        return tuple(range(lo, hi + 1, step))
+        sweep = tuple(range(lo, hi + 1, step))
+        if not sweep:
+            raise ConfigError(f"empty sweep {text!r}")
+        return sweep
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
@@ -105,7 +113,8 @@ _PARSERS = {
     "solvers": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
 }
 
-_THRESHOLD_FIELDS = {f.name: f.type for f in dataclasses.fields(RegimeThresholds)}
+# each threshold is cast to the type of its default
+_THRESHOLD_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(RegimeThresholds)}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -138,9 +147,8 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in parser.items("thresholds"):
             if key not in _THRESHOLD_FIELDS:
                 raise ConfigError(f"unknown key {key!r} in section [thresholds]")
-            caster = int if key == "trials" else float
             try:
-                tkw[key] = caster(raw)
+                tkw[key] = _THRESHOLD_FIELDS[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         kwargs["thresholds"] = RegimeThresholds(**tkw)

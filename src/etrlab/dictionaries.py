@@ -1,8 +1,9 @@
 """Representation bases, sensing operators, and coherence quantities.
 
-Builders return orthonormal bases (identity, Hadamard, DCT-II,
-Haar-random orthonormal) and sensing ensembles (gaussian, bernoulli,
-row-subsample, identity), all deterministic functions of their seed.
+Builders return plain arrays: d x d orthonormal bases (identity,
+Hadamard, DCT-II, Haar-random orthonormal) and m x d sensing ensembles
+(gaussian, bernoulli, row-subsample, identity), all deterministic
+functions of their seed.
 """
 
 from __future__ import annotations
@@ -17,22 +18,6 @@ from .rng import RandomStream
 
 DICTIONARY_KINDS = ("identity", "hadamard", "dct", "random-orthonormal")
 SENSING_KINDS = ("gaussian", "bernoulli", "row-subsample", "identity")
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    psi: np.ndarray  # d x N, unit-norm columns
-    kind: str
-    d: int
-    n: int
-
-
-@dataclass(frozen=True)
-class SensingOperator:
-    phi: np.ndarray  # m x d
-    kind: str
-    m: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -57,30 +42,29 @@ def _dct2(d: int) -> np.ndarray:
     return psi
 
 
-def build_dictionary(kind: str, d: int, seed: int = 0) -> Dictionary:
+def build_dictionary(kind: str, d: int, seed: int = 0) -> np.ndarray:
     """Orthonormal basis of R^d; deterministic in (kind, d, seed)."""
     if kind not in DICTIONARY_KINDS:
         raise UnsupportedDimension(f"unknown dictionary kind {kind!r}")
     if d < 1:
         raise UnsupportedDimension("d must be positive")
     if kind == "identity":
-        psi = np.eye(d)
-    elif kind == "hadamard":
+        return np.eye(d)
+    if kind == "hadamard":
         if d & (d - 1) != 0:
             raise UnsupportedDimension(f"hadamard needs d a power of 2, got {d}")
-        psi = _hadamard(d)
-    elif kind == "dct":
+        return _hadamard(d)
+    if kind == "dct":
         if d < 2:
             raise UnsupportedDimension("dct needs d >= 2")
-        psi = _dct2(d)
-    else:  # random-orthonormal
-        g = RandomStream(seed).split(0).gaussians(d * d).reshape(d, d)
-        q, r = np.linalg.qr(g)
-        psi = q * np.sign(np.diag(r))  # fix QR sign ambiguity for determinism
-    return Dictionary(psi=psi, kind=kind, d=d, n=d)
+        return _dct2(d)
+    # random-orthonormal
+    g = RandomStream(seed).split(0).gaussians(d * d).reshape(d, d)
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))  # fix QR sign ambiguity for determinism
 
 
-def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> SensingOperator:
+def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> np.ndarray:
     """Sensing ensemble draw; deterministic in (kind, m, d, seed)."""
     if kind not in SENSING_KINDS:
         raise UnsupportedDimension(f"unknown sensing kind {kind!r}")
@@ -90,28 +74,23 @@ def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> SensingOperator:
         raise UnsupportedDimension(f"{kind} needs m <= d, got m={m} > d={d}")
     stream = RandomStream(seed).split(1)
     if kind == "gaussian":
-        phi = stream.gaussians(m * d).reshape(m, d) / np.sqrt(m)
-    elif kind == "bernoulli":
+        return stream.gaussians(m * d).reshape(m, d) / np.sqrt(m)
+    if kind == "bernoulli":
         u = stream.uniforms(m * d).reshape(m, d)
-        phi = np.where(u < 0.5, -1.0, 1.0) / np.sqrt(m)
-    elif kind == "row-subsample":
-        rows = stream.choose_without_replacement(d, m)
-        phi = np.eye(d)[rows]
-    else:  # identity
-        if m != d:
-            raise UnsupportedDimension("identity sensing needs m == d")
-        phi = np.eye(d)
-    return SensingOperator(phi=phi, kind=kind, m=m, d=d)
+        return np.where(u < 0.5, -1.0, 1.0) / np.sqrt(m)
+    if kind == "row-subsample":
+        return np.eye(d)[stream.choose_without_replacement(d, m)]
+    # identity
+    if m != d:
+        raise UnsupportedDimension("identity sensing needs m == d")
+    return np.eye(d)
 
 
-def compose(phi: SensingOperator, psi: Dictionary, normalize: bool = False) -> EffectiveSensing:
+def compose(phi: np.ndarray, psi: np.ndarray) -> EffectiveSensing:
     """Effective sensing matrix, the product of operator and basis."""
-    if phi.d != psi.d:
-        raise DimensionMismatch(f"phi.d={phi.d} != psi.d={psi.d}")
-    a = phi.phi @ psi.psi
-    if normalize:
-        a = normalize_columns(a)
-    return EffectiveSensing(a)
+    if phi.shape[1] != psi.shape[0]:
+        raise DimensionMismatch(f"phi has {phi.shape[1]} columns, psi has {psi.shape[0]} rows")
+    return EffectiveSensing(phi @ psi)
 
 
 def normalize_columns(a: np.ndarray) -> np.ndarray:
@@ -121,19 +100,19 @@ def normalize_columns(a: np.ndarray) -> np.ndarray:
     return a / norms
 
 
-def _check_orthonormal(psi: Dictionary) -> None:
-    gram = psi.psi.T @ psi.psi
-    if not np.allclose(gram, np.eye(psi.n), atol=TOL.ortho):
-        raise NotOrthonormal(f"{psi.kind} basis fails the orthonormality check")
+def _check_orthonormal(psi: np.ndarray) -> None:
+    gram = psi.T @ psi
+    if not np.allclose(gram, np.eye(psi.shape[1]), atol=TOL.ortho):
+        raise NotOrthonormal("basis fails the orthonormality check")
 
 
-def mutual_coherence(psi1: Dictionary, psi2: Dictionary) -> float:
+def mutual_coherence(psi1: np.ndarray, psi2: np.ndarray) -> float:
     """Largest |<column_i, column_j>| across the two orthonormal bases."""
-    if psi1.d != psi2.d:
-        raise DimensionMismatch(f"d={psi1.d} vs d={psi2.d}")
+    if psi1.shape[0] != psi2.shape[0]:
+        raise DimensionMismatch(f"d={psi1.shape[0]} vs d={psi2.shape[0]}")
     _check_orthonormal(psi1)
     _check_orthonormal(psi2)
-    return float(np.max(np.abs(psi1.psi.T @ psi2.psi)))
+    return float(np.max(np.abs(psi1.T @ psi2)))
 
 
 def self_coherence(a: EffectiveSensing) -> float:

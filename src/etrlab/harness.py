@@ -23,7 +23,7 @@ from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, com
 from .errors import EnumerationTooLarge, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
-from .numerics import TOL
+from .numerics import TOL, detected_support
 from .rng import RandomStream
 from .solvers import SOLVER_NAMES, SolverConfig, run_battery, solve
 from .sparsity import effective_sparsity, plant, observe, representation_complexity
@@ -43,8 +43,7 @@ def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[boo
     star_norm = float(np.linalg.norm(alpha_star))
     rel = float(np.linalg.norm(alpha_hat - alpha_star)) / max(star_norm, 1e-300)
     truth_supp = set(np.flatnonzero(np.abs(alpha_star) > TOL.zero_tau * star_norm))
-    hat_norm = float(np.linalg.norm(alpha_hat))
-    hat_supp = set(np.flatnonzero(np.abs(alpha_hat) > TOL.zero_tau * max(hat_norm, 1.0)))
+    hat_supp = set(detected_support(alpha_hat))
     match = hat_supp == truth_supp
     return match and rel <= SUCCESS_REL_ERROR, match, rel
 
@@ -142,10 +141,10 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         stream = base.split(ci).split(t)
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=stream.split(0).as_seed())
         inst = plant(psi, cfg.k, stream.split(1))
-        obs = observe(inst.x, phi, cfg.epsilon, stream.split(2))
+        y = observe(inst.x, phi, cfg.epsilon, stream.split(2))
         a = compose(phi, psi)
         rows = []
-        for entry in run_battery(a, obs.y, scfg, cfg.solvers):
+        for entry in run_battery(a, y, scfg, cfg.solvers):
             row = {"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
                    "solver": entry.solver, "trial": t}
             res = entry.result
@@ -213,10 +212,10 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         psi_star = build_dictionary("random-orthonormal", d, seed=stream.split(0).as_seed())
         inst = plant(psi_star, k, stream.split(1))
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
-        obs = observe(inst.x, phi, cfg.epsilon, stream.split(3))
+        y = observe(inst.x, phi, cfg.epsilon, stream.split(3))
         keff = effective_sparsity(inst.x, identity)
-        matched = solve("basis-pursuit", compose(phi, psi_star), obs.y, scfg)
-        mism = solve("basis-pursuit", EffectiveSensing(phi.phi), obs.y, scfg)
+        matched = solve("basis-pursuit", compose(phi, psi_star), y, scfg)
+        mism = solve("basis-pursuit", EffectiveSensing(phi), y, scfg)
         rows = []
         for arm, res, target in (("matched", matched, inst.alpha_star), ("mismatched", mism, inst.x)):
             ok, _, rel = recovery_success(res.alpha_hat, target)
@@ -320,8 +319,7 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
 
     def one(t):
         stream = base.split(t)
-        phi = build_sensing(cfg.sensing, d, n, seed=stream.split(0).as_seed())
-        a = EffectiveSensing(phi.phi)
+        a = EffectiveSensing(build_sensing(cfg.sensing, d, n, seed=stream.split(0).as_seed()))
         g = gamma_exact(a, min(2 * k, n))
         row = {"experiment": "perturbation", "trial": t, "m": d, "n": n, "k": k,
                "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": False}
@@ -385,8 +383,8 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         for t in range(cfg.trials_per_cell):
             ts = cell.split(10 + t)
             inst = plant(psi, k, ts.split(0))
-            obs = observe(inst.x, phi, cfg.epsilon, ts.split(1))
-            for entry in run_battery(a, obs.y, scfg):
+            y = observe(inst.x, phi, cfg.epsilon, ts.split(1))
+            for entry in run_battery(a, y, scfg):
                 if entry.result is None:
                     continue
                 ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)

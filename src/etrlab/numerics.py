@@ -32,6 +32,11 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def detected_support(v: np.ndarray) -> np.ndarray:
+    """Indices of the entries of v above TOL.zero_tau * max(||v||, 1)."""
+    return np.flatnonzero(np.abs(v) > TOL.zero_tau * max(float(np.linalg.norm(v)), 1.0))
+
+
 def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients for a_sub @ c ~ y from the normal equations.
 

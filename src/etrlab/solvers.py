@@ -23,7 +23,7 @@ from .dictionaries import EffectiveSensing
 from .errors import (
     EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
 )
-from .numerics import TOL, least_squares
+from .numerics import TOL, detected_support, least_squares
 from .sparsity import minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
@@ -39,6 +39,10 @@ class SolverConfig:
     convergence_tol: float = 1e-8
 
     def __post_init__(self):
+        if not self.epsilon >= 0.0:
+            raise InvalidSparsity(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.max_sparsity < 0:
+            raise InvalidSparsity(f"max_sparsity must be >= 0, got {self.max_sparsity}")
         if not 0.0 < self.convergence_tol <= 1e-2:
             raise InvalidSparsity("convergence_tol must lie in (0, 1e-2]")
         if self.max_iterations < 1:
@@ -90,7 +94,7 @@ class BatteryEntry:
 def _finish(a, alpha, y, cost, converged, iterations=0) -> RecoveryResult:
     return RecoveryResult(
         alpha_hat=alpha,
-        support=tuple(np.flatnonzero(np.abs(alpha) > TOL.zero_tau * max(np.linalg.norm(alpha), 1.0))),
+        support=tuple(detected_support(alpha)),
         residual_norm=float(np.linalg.norm(a.a @ alpha - y)),
         cost=cost,
         converged=converged,
@@ -306,7 +310,7 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
 
     alpha = z.copy()
     # guarded debias: least squares on the detected support
-    supp = np.flatnonzero(np.abs(z) > TOL.zero_tau * max(float(np.linalg.norm(z)), 1.0))
+    supp = detected_support(z)
     if 0 < len(supp) <= m:
         cost.charge_least_squares(m, len(supp), 1)
         try:
@@ -316,7 +320,7 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
         else:
             cand = np.zeros(n)
             cand[supp] = coef
-            feas_ok = np.linalg.norm(mat @ cand - y) <= max(cfg.epsilon, 0.0) + cfg.convergence_tol
+            feas_ok = np.linalg.norm(mat @ cand - y) <= cfg.epsilon + cfg.convergence_tol
             l1_ok = np.sum(np.abs(cand)) <= np.sum(np.abs(z)) + cfg.convergence_tol
             if feas_ok and l1_ok:
                 alpha = cand

@@ -7,7 +7,6 @@ from math import comb
 
 import numpy as np
 
-from .dictionaries import Dictionary, SensingOperator
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -30,7 +29,6 @@ class SparsityReport:
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    truth_basis: Dictionary
     alpha_star: np.ndarray
     x: np.ndarray
     k: int
@@ -40,24 +38,13 @@ class PlantedInstance:
         return tuple(np.flatnonzero(self.alpha_star))
 
 
-@dataclass(frozen=True)
-class Observation:
-    y: np.ndarray
-    epsilon: float
-    noise_realization: np.ndarray
-
-
-def _as_matrix(psi) -> np.ndarray:
-    return psi.psi if isinstance(psi, Dictionary) else np.atleast_2d(np.asarray(psi, dtype=float))
-
-
 def _is_orthonormal(mat: np.ndarray) -> bool:
     if mat.shape[0] != mat.shape[1]:
         return False
     return bool(np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=TOL.ortho))
 
 
-def representation_complexity(x: np.ndarray, psi) -> SparsityReport:
+def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
     """Minimal support size expressing x in psi to within TOL.zero_tau * ||x||.
 
     Orthonormal bases use the analysis transform directly; a general
@@ -68,7 +55,7 @@ def representation_complexity(x: np.ndarray, psi) -> SparsityReport:
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise ZeroSignal("representation complexity of the zero signal is undefined")
-    mat = _as_matrix(psi)
+    mat = np.atleast_2d(np.asarray(psi, dtype=float))
     if mat.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"psi has {mat.shape[0]} rows, x has {x.shape[0]} entries")
     tol = TOL.zero_tau * xnorm
@@ -114,21 +101,21 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
     return None, None, tallies
 
 
-def effective_sparsity(x: np.ndarray, psi: Dictionary) -> int:
+def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
     """Nonzero count of the analysis coefficients of x in an orthonormal basis."""
     x = np.asarray(x, dtype=float)
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise ZeroSignal("effective sparsity of the zero signal is undefined")
-    mat = _as_matrix(psi)
-    if not _is_orthonormal(mat):
+    if not _is_orthonormal(psi):
         raise InvalidSparsity("effective_sparsity requires an orthonormal basis")
-    return int(np.sum(np.abs(mat.T @ x) > TOL.zero_tau * xnorm))
+    return int(np.sum(np.abs(psi.T @ x) > TOL.zero_tau * xnorm))
 
 
-def plant(truth_basis: Dictionary, k: int, stream: RandomStream) -> PlantedInstance:
-    """k-sparse coefficients with magnitudes >= 0.1, deterministic per stream."""
-    n = truth_basis.n
+def plant(psi: np.ndarray, k: int, stream: RandomStream) -> PlantedInstance:
+    """k-sparse coefficients in the columns of psi with magnitudes >= 0.1,
+    deterministic per stream."""
+    n = psi.shape[1]
     if not 1 <= k <= n:
         raise InvalidSparsity(f"k={k} outside 1..{n}")
     support = stream.split(0).choose_without_replacement(n, k)
@@ -136,28 +123,30 @@ def plant(truth_basis: Dictionary, k: int, stream: RandomStream) -> PlantedInsta
     magnitudes = MIN_COEFF + np.abs(stream.split(2).gaussians(k))
     alpha = np.zeros(n)
     alpha[support] = signs * magnitudes
-    return PlantedInstance(truth_basis=truth_basis, alpha_star=alpha, x=truth_basis.psi @ alpha, k=k)
+    return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
 
 
-def observe(x: np.ndarray, phi: SensingOperator, epsilon: float, stream: RandomStream) -> Observation:
-    """Noisy measurement; noise drawn uniformly on the epsilon-sphere."""
+def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream) -> np.ndarray:
+    """Noisy measurement y = phi x + noise; noise drawn uniformly on the epsilon-sphere."""
     x = np.asarray(x, dtype=float)
-    if phi.d != x.shape[0]:
-        raise DimensionMismatch(f"phi.d={phi.d}, len(x)={x.shape[0]}")
+    m, d = phi.shape
+    if d != x.shape[0]:
+        raise DimensionMismatch(f"phi has {d} columns, len(x)={x.shape[0]}")
     if epsilon < 0:
         raise InvalidSparsity("epsilon must be nonnegative")
-    clean = phi.phi @ x
+    clean = phi @ x
     if epsilon == 0.0:
-        noise = np.zeros(phi.m)
+        noise = np.zeros(m)
     else:
-        g = stream.split(3).gaussians(phi.m)
+        g = stream.split(3).gaussians(m)
         noise = epsilon * g / np.linalg.norm(g)
-    return Observation(y=clean + noise, epsilon=epsilon, noise_realization=noise)
+    return clean + noise
 
 
-def validate_instance(inst: PlantedInstance) -> None:
-    """Re-check PlantedInstance invariants, e.g. after loading from disk."""
-    if not np.allclose(inst.x, inst.truth_basis.psi @ inst.alpha_star, atol=1e-12):
+def validate_instance(psi: np.ndarray, inst: PlantedInstance) -> None:
+    """Re-check PlantedInstance invariants against its basis psi, e.g. after
+    loading from disk."""
+    if not np.allclose(inst.x, psi @ inst.alpha_star, atol=1e-12):
         raise InvalidSparsity("x != psi @ alpha within 1e-12")
     nz = np.abs(inst.alpha_star[np.flatnonzero(inst.alpha_star)])
     if len(nz) != inst.k:

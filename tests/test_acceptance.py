@@ -87,7 +87,7 @@ def test_criterion_1_uncertainty_principle():
 def test_criterion_2_gamma_oracle_consistency():
     t0 = time.monotonic()
     for seed in range(100):
-        a = EffectiveSensing(build_sensing("gaussian", 8, 12, seed=seed).phi)
+        a = EffectiveSensing(build_sensing("gaussian", 8, 12, seed=seed))
         exact = gamma_exact(a, 2)
         sampled = gamma_sampled(a, 2, trials=66, stream=RandomStream(seed, 7))
         assert abs(exact - sampled) <= 1e-12
@@ -96,7 +96,7 @@ def test_criterion_2_gamma_oracle_consistency():
         assert exact <= gamma_exact(a, 1) + 1e-12
     # duplicate-column matrices are flagged with a verifiable witness
     for seed in range(10):
-        mat = build_sensing("gaussian", 8, 11, seed=1000 + seed).phi
+        mat = build_sensing("gaussian", 8, 11, seed=1000 + seed)
         dup = np.hstack([mat, mat[:, [3]]])
         a = EffectiveSensing(dup)
         gamma, witness, _ = gamma_exact(a, 2, with_witness=True)
@@ -118,7 +118,7 @@ def test_criterion_3_perturbation_amplification():
     for t in range(10_000):
         stream = RandomStream(303, t)
         a = EffectiveSensing(
-            build_sensing("gaussian", m, n, seed=stream.split(0).as_seed()).phi
+            build_sensing("gaussian", m, n, seed=stream.split(0).as_seed())
         )
         g = gamma_exact(a, 2 * k)
         if g <= 1e-10:
@@ -181,7 +181,7 @@ def test_criterion_5_mismatch_inflation(tmp_path):
 
 def test_criterion_6_oracle_equivalence():
     t0 = time.monotonic()
-    h = build_dictionary("hadamard", 16).psi
+    h = build_dictionary("hadamard", 16)
     a = EffectiveSensing(np.hstack([np.eye(16), h]))
     mu = 0.25  # max inner product between distinct unit columns of [I | H]
     k = 2
@@ -222,9 +222,9 @@ def test_criterion_7_functional_and_cost_ordering():
         stream = RandomStream(707, t)
         phi = build_sensing("gaussian", 16, 32, seed=stream.split(0).as_seed())
         inst = plant(psi, 3, stream.split(1))
-        obs = observe(inst.x, phi, 0.0, stream.split(2))
+        y = observe(inst.x, phi, 0.0, stream.split(2))
         a = compose(phi, psi)
-        for e in run_battery(a, obs.y, SolverConfig(max_sparsity=3)):
+        for e in run_battery(a, y, SolverConfig(max_sparsity=3)):
             totals[e.solver] += e.result.cost.total
     assert totals["l0-exhaustive"] > totals["basis-pursuit"]
     assert totals["l0-exhaustive"] > totals["omp"]
@@ -235,7 +235,7 @@ def test_criterion_7_functional_and_cost_ordering():
 
 def test_criterion_8_regime_classifier(tmp_path):
     # duplicate columns force non-unique regardless of solver statistics
-    mat = build_sensing("gaussian", 8, 11, seed=80).phi
+    mat = build_sensing("gaussian", 8, 11, seed=80)
     a = EffectiveSensing(np.hstack([mat, mat[:, [3]]]))
     geom = geometry_report(a, 2, mode="exact")
     stats = BatteryStats(20, {"l0-exhaustive": 1.0, "omp": 1.0, "basis-pursuit": 1.0})

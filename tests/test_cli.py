@@ -62,7 +62,7 @@ def test_recover_instance_bundle(tmp_path, capsys):
 
 
 def test_recover_instance_prints_the_stability_ratio(tmp_path, capsys):
-    save_matrix(tmp_path / "basis.csv", build_dictionary("random-orthonormal", 8, seed=3).psi)
+    save_matrix(tmp_path / "basis.csv", build_dictionary("random-orthonormal", 8, seed=3))
     save_vector(tmp_path / "alpha.csv", np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0, 0.0, 0.0]))
     rc = main(["recover", "--instance", str(tmp_path), "--solver", "bp", "--epsilon", "0.01"])
     assert rc == 0
@@ -92,6 +92,16 @@ def test_recover_instance_rejects_invalid(tmp_path, capsys):
     rc = main(["recover", "--instance", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [["--epsilon", "-0.01"], ["--max-sparsity", "-1"]])
+def test_recover_rejects_negative_solver_settings(tmp_path, capsys, setting):
+    save_matrix(tmp_path / "a.csv", np.eye(4))
+    save_vector(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]))
+    rc = main(["recover", "--solver", "omp", "--matrix", str(tmp_path / "a.csv"),
+               "--y", str(tmp_path / "y.csv"), *setting])
+    assert rc == 1
+    assert "InvalidSparsity" in capsys.readouterr().err
 
 
 def test_recover_missing_inputs(capsys):

@@ -15,11 +15,11 @@ from etrlab.errors import DimensionMismatch, NotNormalized, NotOrthonormal, Unsu
 
 
 def test_identity_dictionary():
-    np.testing.assert_array_equal(build_dictionary("identity", 4).psi, np.eye(4))
+    np.testing.assert_array_equal(build_dictionary("identity", 4), np.eye(4))
 
 
 def test_hadamard_entries_and_orthonormality():
-    psi = build_dictionary("hadamard", 4).psi
+    psi = build_dictionary("hadamard", 4)
     assert np.all(np.abs(psi) == 0.5)
     np.testing.assert_allclose(psi.T @ psi, np.eye(4), atol=1e-12)
 
@@ -30,27 +30,27 @@ def test_hadamard_requires_power_of_two():
 
 
 def test_dct_orthonormal():
-    psi = build_dictionary("dct", 8).psi
+    psi = build_dictionary("dct", 8)
     np.testing.assert_allclose(psi.T @ psi, np.eye(8), atol=1e-12)
 
 
 def test_random_orthonormal_deterministic():
     a = build_dictionary("random-orthonormal", 8, seed=7)
     b = build_dictionary("random-orthonormal", 8, seed=7)
-    np.testing.assert_array_equal(a.psi, b.psi)
-    np.testing.assert_allclose(a.psi.T @ a.psi, np.eye(8), atol=1e-10)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(a.T @ a, np.eye(8), atol=1e-10)
     c = build_dictionary("random-orthonormal", 8, seed=8)
-    assert not np.array_equal(a.psi, c.psi)
+    assert not np.array_equal(a, c)
 
 
 def test_identity_sensing():
-    np.testing.assert_array_equal(build_sensing("identity", 4, 4).phi, np.eye(4))
+    np.testing.assert_array_equal(build_sensing("identity", 4, 4), np.eye(4))
     with pytest.raises(UnsupportedDimension):
         build_sensing("identity", 3, 4)
 
 
 def test_row_subsample():
-    phi = build_sensing("row-subsample", 2, 4, seed=5).phi
+    phi = build_sensing("row-subsample", 2, 4, seed=5)
     assert phi.shape == (2, 4)
     # two distinct rows of the identity
     assert np.all(phi.sum(axis=1) == 1.0)
@@ -59,13 +59,13 @@ def test_row_subsample():
 
 
 def test_gaussian_column_norm_concentration():
-    phi = build_sensing("gaussian", 32, 64, seed=11).phi
+    phi = build_sensing("gaussian", 32, 64, seed=11)
     norms = np.linalg.norm(phi, axis=0)
     assert np.all((norms > 0.5) & (norms < 1.5))
 
 
 def test_bernoulli_entries():
-    phi = build_sensing("bernoulli", 4, 6, seed=2).phi
+    phi = build_sensing("bernoulli", 4, 6, seed=2)
     assert np.all(np.abs(phi) == 0.5)
 
 
@@ -78,7 +78,7 @@ def test_compose_identity_pair():
 def test_compose_row_selection():
     phi = build_sensing("row-subsample", 2, 4, seed=5)
     psi = build_dictionary("identity", 4)
-    np.testing.assert_array_equal(compose(phi, psi).a, phi.phi)
+    np.testing.assert_array_equal(compose(phi, psi).a, phi)
 
 
 def test_compose_hadamard_entries():
@@ -114,10 +114,8 @@ def test_mutual_coherence_identity_dct():
 
 
 def test_mutual_coherence_rejects_nonorthonormal():
-    from etrlab.dictionaries import Dictionary
-
     i4 = build_dictionary("identity", 4)
-    skew = Dictionary(psi=np.ones((4, 4)) / 2.0, kind="identity", d=4, n=4)
+    skew = np.ones((4, 4)) / 2.0
     with pytest.raises(NotOrthonormal):
         mutual_coherence(i4, skew)
 
@@ -161,7 +159,7 @@ def test_compose_with_identity_preserves_coherence():
     a = compose(build_sensing("identity", 8, 8), psi)
     ident = build_dictionary("identity", 8)
     assert self_coherence(EffectiveSensing(a.a)) == pytest.approx(
-        self_coherence(EffectiveSensing(psi.psi)), abs=1e-12
+        self_coherence(EffectiveSensing(psi)), abs=1e-12
     )
     assert mutual_coherence(ident, psi) == pytest.approx(np.max(np.abs(a.a)), abs=1e-12)
 

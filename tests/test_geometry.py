@@ -24,7 +24,7 @@ TRI = EffectiveSensing(np.column_stack([E1, E2, (E1 + E2) / np.sqrt(2)]))
 
 
 def _random_a(m, n, seed, normalized=False):
-    phi = build_sensing("gaussian", m, n, seed=seed).phi
+    phi = build_sensing("gaussian", m, n, seed=seed)
     if normalized:
         return EffectiveSensing(normalize_columns(phi))
     return EffectiveSensing(phi)

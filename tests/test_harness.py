@@ -247,6 +247,27 @@ def test_config_rejects_n_other_than_d(tmp_path, experiment):
     assert ExperimentConfig(experiment="perturbation", d=6, n=8).n == 8
 
 
+def test_config_rejects_negative_epsilon(tmp_path):
+    # at load time, not at the first trial's observe
+    with pytest.raises(ConfigError, match="epsilon"):
+        ExperimentConfig(epsilon=-0.01)
+    with pytest.raises(ConfigError, match="epsilon"):
+        load_config(_write(tmp_path, "[phase]\nepsilon = -0.01\n"))
+
+
+@pytest.mark.parametrize("key", ["m_sweep", "k_sweep", "d_sweep"])
+def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
+    # an empty range would fall back to the default sweep, and the isotonic
+    # crossing and the heat-map axes read a sweep in increasing order
+    for text, reason in (("10:4", "empty"), ("4:8:-1", "empty"),
+                         ("8,4", "strictly increasing"), ("4,4", "strictly increasing")):
+        with pytest.raises(ConfigError, match=reason):
+            load_config(_write(tmp_path, f"[phase]\n{key} = {text}\n"))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        ExperimentConfig(**{key: (8, 4)})
+    assert getattr(load_config(_write(tmp_path, f"[phase]\n{key} = 4:8:4\n")), key) == (4, 8)
+
+
 # ------------------------------------------------------ experiments (small)
 
 

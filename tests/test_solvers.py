@@ -14,7 +14,8 @@ from etrlab.dictionaries import (
     normalize_columns,
 )
 from etrlab.errors import (
-    EnumerationTooLarge, EtrLabError, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
+    EnumerationTooLarge, EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized,
+    RankDeficient, Stalled,
 )
 from etrlab.geometry import colex_supports, gamma_exact
 from etrlab.numerics import TOL, least_squares
@@ -45,8 +46,8 @@ def _planted(m, n, k, seed, epsilon=0.0, basis="identity"):
     psi = build_dictionary(basis, n, seed=s.split(0).as_seed())
     phi = build_sensing("gaussian", m, n, seed=s.split(1).as_seed())
     inst = plant(psi, k, s.split(2))
-    obs = observe(inst.x, phi, epsilon, s.split(3))
-    return compose(phi, psi), inst, obs
+    y = observe(inst.x, phi, epsilon, s.split(3))
+    return compose(phi, psi), inst, y
 
 
 # ----------------------------------------------------------------- l0
@@ -74,17 +75,17 @@ def test_l0_prefers_smaller_support():
 
 def test_l0_minimality_against_brute_force():
     for seed in range(20):
-        a, inst, obs = _planted(5, 8, 2, seed=seed)
-        res = solve_l0(a, obs.y, SolverConfig(max_sparsity=3))
+        a, inst, y = _planted(5, 8, 2, seed=seed)
+        res = solve_l0(a, y, SolverConfig(max_sparsity=3))
         # no strictly smaller support is feasible (exhaustive referee)
         for size in range(len(res.support)):
             for support in colex_supports(8, size):
                 cols = a.a[:, list(support)] if support else np.zeros((5, 0))
                 if support:
-                    coef, *_ = np.linalg.lstsq(cols, obs.y, rcond=None)
-                    resid = np.linalg.norm(cols @ coef - obs.y)
+                    coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
+                    resid = np.linalg.norm(cols @ coef - y)
                 else:
-                    resid = np.linalg.norm(obs.y)
+                    resid = np.linalg.norm(y)
                 assert resid > 1e-10
 
 
@@ -96,14 +97,14 @@ def test_l0_no_feasible_solution():
 
 
 def test_l0_enumeration_guard():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi)
+    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1))
     with pytest.raises(EnumerationTooLarge):
         solve_l0(a, np.ones(8), SolverConfig(max_sparsity=8))
 
 
 def test_l0_noise_tolerance():
-    a, inst, obs = _planted(8, 10, 2, seed=5, epsilon=1e-2)
-    res = solve_l0(a, obs.y, SolverConfig(epsilon=1e-2, max_sparsity=3))
+    a, inst, y = _planted(8, 10, 2, seed=5, epsilon=1e-2)
+    res = solve_l0(a, y, SolverConfig(epsilon=1e-2, max_sparsity=3))
     assert res.residual_norm <= 1e-2 + 1e-10
     assert len(res.support) <= 2
 
@@ -325,17 +326,17 @@ def test_omp_matches_the_rescaled_path_bit_for_bit():
 
 def test_omp_residual_orthogonal_and_decreasing():
     for seed in range(10):
-        a, inst, obs = _planted(8, 12, 3, seed=seed)
+        a, inst, y = _planted(8, 12, 3, seed=seed)
         an = EffectiveSensing(normalize_columns(a.a))
-        res = solve_omp(an, obs.y, SolverConfig(max_sparsity=6))
-        residual = obs.y - an.a @ res.alpha_hat
+        res = solve_omp(an, y, SolverConfig(max_sparsity=6))
+        residual = y - an.a @ res.alpha_hat
         sel = an.a[:, list(res.support)]
-        assert np.all(np.abs(sel.T @ residual) <= 1e-9 * max(np.linalg.norm(obs.y), 1.0))
+        assert np.all(np.abs(sel.T @ residual) <= 1e-9 * max(np.linalg.norm(y), 1.0))
 
 
 def test_omp_coherence_regime_matches_l0():
     # A = [I | H], mu = 1/4, so k = 2 < (1 + 1/mu)/2 guarantees equivalence
-    h = build_dictionary("hadamard", 16).psi
+    h = build_dictionary("hadamard", 16)
     a = EffectiveSensing(np.hstack([np.eye(16), h]))
     coeff_basis = build_dictionary("identity", 32)
     for t in range(25):
@@ -364,8 +365,8 @@ def test_bp_zero_observation():
 def test_bp_gaussian_recovery_rate():
     ok = 0
     for t in range(40):
-        a, inst, obs = _planted(16, 32, 2, seed=1000 + t)
-        res = solve_bp(a, obs.y, SolverConfig())
+        a, inst, y = _planted(16, 32, 2, seed=1000 + t)
+        res = solve_bp(a, y, SolverConfig())
         ok += np.linalg.norm(res.alpha_hat - inst.alpha_star) <= 1e-4
     assert ok >= 38  # >= 95% empirical success region
 
@@ -373,10 +374,10 @@ def test_bp_gaussian_recovery_rate():
 def test_bp_feasibility_and_l1_certificate():
     for t in range(15):
         eps = 1e-2
-        a, inst, obs = _planted(12, 24, 2, seed=2000 + t, epsilon=eps)
+        a, inst, y = _planted(12, 24, 2, seed=2000 + t, epsilon=eps)
         cfg = SolverConfig(epsilon=eps)
-        res = solve_bp(a, obs.y, cfg)
-        assert np.linalg.norm(a.a @ res.alpha_hat - obs.y) <= eps + 1e-6
+        res = solve_bp(a, y, cfg)
+        assert np.linalg.norm(a.a @ res.alpha_hat - y) <= eps + 1e-6
         # planted alpha is feasible, so it certifies l1 optimality
         assert np.sum(np.abs(res.alpha_hat)) <= np.sum(np.abs(inst.alpha_star)) + 1e-6
 
@@ -388,8 +389,8 @@ def test_bp_unreachable_observation():
 
 
 def test_bp_not_converged_still_returns():
-    a, inst, obs = _planted(16, 32, 3, seed=4)
-    res = solve_bp(a, obs.y, SolverConfig(max_iterations=3))
+    a, inst, y = _planted(16, 32, 3, seed=4)
+    res = solve_bp(a, y, SolverConfig(max_iterations=3))
     assert res.converged is False
     assert res.alpha_hat.shape == (32,)
 
@@ -417,8 +418,8 @@ BP_GOLDEN = [
 @pytest.mark.parametrize("case, iterations, converged, cost, digest", BP_GOLDEN)
 def test_bp_golden(case, iterations, converged, cost, digest):
     m, n, k, seed, eps, cap = case
-    a, _, obs = _planted(m, n, k, seed=seed, epsilon=eps)
-    res = solve_bp(a, obs.y, SolverConfig(epsilon=eps, max_iterations=cap))
+    a, _, y = _planted(m, n, k, seed=seed, epsilon=eps)
+    res = solve_bp(a, y, SolverConfig(epsilon=eps, max_iterations=cap))
     assert res.iterations == iterations
     assert res.converged is converged
     assert (res.cost.multiplies, res.cost.additions, res.cost.comparisons) == cost
@@ -614,11 +615,11 @@ def test_bp_matches_matmul_loop_bit_for_bit():
 
 
 def test_solve_rescales_omp_on_unnormalized_matrix():
-    a, inst, obs = _planted(12, 24, 2, seed=6)
-    res = solve("omp", a, obs.y, SolverConfig(max_sparsity=2))
+    a, inst, y = _planted(12, 24, 2, seed=6)
+    res = solve("omp", a, y, SolverConfig(max_sparsity=2))
     assert res.support == inst.support
-    np.testing.assert_allclose(a.a @ res.alpha_hat, obs.y, atol=1e-9)
-    battery = run_battery(a, obs.y, SolverConfig(max_sparsity=2))
+    np.testing.assert_allclose(a.a @ res.alpha_hat, y, atol=1e-9)
+    battery = run_battery(a, y, SolverConfig(max_sparsity=2))
     omp = next(e for e in battery if e.solver == "omp")
     assert omp.result.alpha_hat.tobytes() == res.alpha_hat.tobytes()
 
@@ -630,13 +631,21 @@ def test_solver_config_is_keyword_only():
         SolverConfig("omp")
 
 
+@pytest.mark.parametrize("setting", [{"epsilon": -0.01}, {"max_sparsity": -1}])
+def test_solver_config_rejects_negative_settings(setting):
+    # once built, basis pursuit would raise NoFeasibleSolution, OMP return an
+    # unconverged dense or empty support
+    with pytest.raises(InvalidSparsity, match=next(iter(setting))):
+        SolverConfig(**setting)
+
+
 # ------------------------------------------------------------- battery
 
 
 def test_cost_counters_deterministic():
-    a, inst, obs = _planted(8, 12, 2, seed=9)
-    t1 = solve_l0(a, obs.y, SolverConfig(max_sparsity=2)).cost
-    t2 = solve_l0(a, obs.y, SolverConfig(max_sparsity=2)).cost
+    a, inst, y = _planted(8, 12, 2, seed=9)
+    t1 = solve_l0(a, y, SolverConfig(max_sparsity=2)).cost
+    t2 = solve_l0(a, y, SolverConfig(max_sparsity=2)).cost
     assert (t1.multiplies, t1.additions, t1.comparisons) == (
         t2.multiplies, t2.additions, t2.comparisons
     )
@@ -656,15 +665,15 @@ def test_battery_identity_all_agree():
 
 
 def test_battery_cost_ordering_16x32():
-    a, inst, obs = _planted(16, 32, 3, seed=21)
-    entries = {e.solver: e for e in run_battery(a, obs.y, SolverConfig(max_sparsity=3))}
+    a, inst, y = _planted(16, 32, 3, seed=21)
+    entries = {e.solver: e for e in run_battery(a, y, SolverConfig(max_sparsity=3))}
     total_l0 = entries["l0-exhaustive"].result.cost.total
     assert total_l0 > entries["basis-pursuit"].result.cost.total
     assert total_l0 > entries["omp"].result.cost.total
 
 
 def test_battery_records_failures_without_aborting():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1).phi)
+    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1))
     entries = run_battery(a, np.ones(8), SolverConfig(max_sparsity=8))
     l0 = next(e for e in entries if e.solver == "l0-exhaustive")
     assert l0.result is None and "EnumerationTooLarge" in l0.error
@@ -676,31 +685,31 @@ def test_battery_lets_programming_errors_crash(monkeypatch):
         raise TypeError("bug in a solver")
 
     monkeypatch.setitem(solvers._SOLVE, "basis-pursuit", broken)
-    a, inst, obs = _planted(8, 16, 1, seed=5)
+    a, inst, y = _planted(8, 16, 1, seed=5)
     with pytest.raises(TypeError, match="bug in a solver"):
-        run_battery(a, obs.y)
+        run_battery(a, y)
 
 
 def test_l0_stability_bound_with_exact_support():
     # ||x_hat - x|| <= 2 eps / gamma_2k for the oracle with support size <= k
     for t in range(10):
         eps = 1e-2
-        a, inst, obs = _planted(10, 12, 2, seed=3000 + t, epsilon=eps)
+        a, inst, y = _planted(10, 12, 2, seed=3000 + t, epsilon=eps)
         g = gamma_exact(a, 4)
         if g <= 1e-10:
             continue
-        res = solve_l0(a, obs.y, SolverConfig(epsilon=eps, max_sparsity=2))
+        res = solve_l0(a, y, SolverConfig(epsilon=eps, max_sparsity=2))
         assert len(res.support) <= 2
-        x_hat = inst.truth_basis.psi @ res.alpha_hat
+        x_hat = build_dictionary("identity", 12) @ res.alpha_hat
         assert float(np.linalg.norm(x_hat - inst.x)) / eps <= 2.0 / g + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=300))
 @settings(max_examples=25, deadline=None)
 def test_solvers_agree_on_wellposed_instances(seed):
-    a, inst, obs = _planted(10, 14, 2, seed=seed)
-    r0 = solve_l0(a, obs.y, SolverConfig(max_sparsity=2))
-    rb = solve_bp(a, obs.y, SolverConfig())
+    a, inst, y = _planted(10, 14, 2, seed=seed)
+    r0 = solve_l0(a, y, SolverConfig(max_sparsity=2))
+    rb = solve_bp(a, y, SolverConfig())
     assert r0.support == inst.support
     if np.linalg.norm(rb.alpha_hat - inst.alpha_star) <= 1e-4:
         assert rb.support == r0.support

@@ -123,7 +123,7 @@ def test_plant_basics():
     inst = plant(psi, 1, RandomStream(0, 1))
     assert np.sum(inst.alpha_star != 0) == 1
     assert np.sum(inst.x != 0) == 1
-    validate_instance(inst)
+    validate_instance(psi, inst)
 
 
 def test_plant_full_density_boundary():
@@ -151,17 +151,17 @@ def test_plant_invalid_k():
 def test_observe_noiseless():
     phi = build_sensing("identity", 4, 4)
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    obs = observe(x, phi, 0.0, RandomStream(1))
-    np.testing.assert_array_equal(obs.y, x)
-    np.testing.assert_array_equal(obs.noise_realization, np.zeros(4))
+    np.testing.assert_array_equal(observe(x, phi, 0.0, RandomStream(1)), x)
+    phi = build_sensing("gaussian", 6, 8, seed=2)
+    x = RandomStream(3).gaussians(8)
+    np.testing.assert_array_equal(observe(x, phi, 0.0, RandomStream(4)), phi @ x)
 
 
 def test_observe_noise_attains_bound():
     phi = build_sensing("gaussian", 6, 8, seed=2)
     x = RandomStream(3).gaussians(8)
-    obs = observe(x, phi, 0.5, RandomStream(4))
-    assert np.linalg.norm(obs.y - phi.phi @ x) == pytest.approx(0.5, abs=1e-12)
-    assert np.linalg.norm(obs.noise_realization) == pytest.approx(0.5, abs=1e-12)
+    y = observe(x, phi, 0.5, RandomStream(4))
+    assert np.linalg.norm(y - phi @ x) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_observe_dimension_mismatch():
@@ -177,6 +177,6 @@ def test_plant_observe_recover_via_l0():
         s = RandomStream(60, t)
         inst = plant(psi, 2, s.split(0))
         phi = build_sensing("gaussian", 6, 10, seed=s.split(1).as_seed())
-        obs = observe(inst.x, phi, 0.0, s.split(2))
-        res = solve_l0(compose(phi, psi), obs.y, SolverConfig(max_sparsity=3))
+        y = observe(inst.x, phi, 0.0, s.split(2))
+        res = solve_l0(compose(phi, psi), y, SolverConfig(max_sparsity=3))
         np.testing.assert_allclose(res.alpha_hat, inst.alpha_star, atol=1e-8)
