@@ -21,7 +21,7 @@ from .dictionaries import (
     compose,
     normalize_columns,
 )
-from .errors import EtrLabError, SuiteFailure
+from .errors import DimensionMismatch, EtrLabError, SuiteFailure
 from .etr import build_uncertainty_report
 from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
@@ -148,12 +148,18 @@ def _load_recover_inputs(args):
     if args.instance:
         basis = load_matrix(os.path.join(args.instance, "basis.csv"))
         alpha = load_vector(os.path.join(args.instance, "alpha.csv"))
+        if basis.shape[1] != len(alpha):
+            raise DimensionMismatch(f"basis.csv has {basis.shape[1]} columns, "
+                                    f"alpha.csv {len(alpha)} entries")
         inst = PlantedInstance(alpha_star=alpha, x=basis @ alpha, k=int(np.sum(alpha != 0)))
         validate_instance(basis, inst)
         return EffectiveSensing(basis), inst.x, True
     if not (args.matrix and args.y):
         raise EtrLabError("recover needs --matrix and --y, or --instance")
-    return EffectiveSensing(load_matrix(args.matrix)), load_vector(args.y), False
+    mat, y = load_matrix(args.matrix), load_vector(args.y)
+    if len(y) != mat.shape[0]:
+        raise DimensionMismatch(f"--matrix has {mat.shape[0]} rows, --y {len(y)} entries")
+    return EffectiveSensing(mat), y, False
 
 
 def _cmd_recover(args) -> int:

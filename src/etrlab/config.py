@@ -44,8 +44,7 @@ class ExperimentConfig:
     basis: str = "identity"
     sensing: str = "gaussian"
     solvers: tuple = ("basis-pursuit",)
-    max_iterations: int = 4000
-    convergence_tol: float = 1e-8
+    max_iterations: int = 4000      # basis pursuit's path-step cap
     output_dir: str = "out"
     workers: int = 1                # trials run sequentially; only 1 is accepted
     thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
@@ -106,7 +105,6 @@ _PARSERS = {
     "sensing": str,
     "output_dir": str,
     "epsilon": float,
-    "convergence_tol": float,
     "k_sweep": _parse_sweep,
     "m_sweep": _parse_sweep,
     "d_sweep": _parse_sweep,

@@ -122,9 +122,8 @@ def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
 
 def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
     """One config for every solver: l0 and OMP read epsilon and max_sparsity
-    (k >= 1), and basis pursuit reads epsilon and its iteration settings."""
-    return SolverConfig(epsilon=cfg.epsilon, max_sparsity=k, max_iterations=cfg.max_iterations,
-                        convergence_tol=cfg.convergence_tol)
+    (k >= 1), and basis pursuit reads epsilon and its path-step cap."""
+    return SolverConfig(epsilon=cfg.epsilon, max_sparsity=k, max_iterations=cfg.max_iterations)
 
 
 # ---------------------------------------------------------------------------

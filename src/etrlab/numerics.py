@@ -27,6 +27,7 @@ class Tolerances:
     unit_norm: float = 1e-8        # column norms this close to 1 count as normalized
     omp_stall: float = 1e-12       # OMP stops when no column correlates above this
     reachability: float = 1e-8     # BP: residual off range(A) allowed beyond epsilon
+    path_end: float = 1e-9         # BP: the path ends once lambda falls below this times its start
 
 
 TOL = Tolerances()
@@ -37,21 +38,13 @@ def detected_support(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(v) > TOL.zero_tau * max(float(np.linalg.norm(v)), 1.0))
 
 
-def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for a_sub @ c ~ y from the normal equations.
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions c of gram @ c = rhs for a stack (B, c, c) of Gram matrices.
 
-    a_sub is one (m, c) matrix or a stack (B, m, c) sharing y. A matrix is
-    rank deficient when its Gram matrix is singular to the LU solve, or its
-    smallest Gram eigenvalue is not positive or below rank_rel^2 times the
-    largest: a single matrix then raises RankDeficient, a stack member gets
-    a NaN row in the (B, c) result.
+    A Gram matrix is rank deficient when it is singular to the LU solve, or
+    its smallest eigenvalue is not positive or below rank_rel^2 times the
+    largest; its row of the (B, c) result is NaN.
     """
-    a_sub = np.asarray(a_sub, dtype=float)
-    y = np.asarray(y, dtype=float)
-    stack = a_sub if a_sub.ndim == 3 else np.atleast_2d(a_sub)[None]
-    a_t = stack.transpose(0, 2, 1)
-    gram = a_t @ stack
-    rhs = a_t @ y
     lam = np.linalg.eigvalsh(gram)
     ok = (lam[:, 0] > 0) & (lam[:, 0] >= TOL.rank_rel ** 2 * np.maximum(lam[:, -1], 1e-300))
     coef = np.full(rhs.shape, np.nan)
@@ -63,10 +56,25 @@ def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
                 coef[i] = np.linalg.solve(gram[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
+    return coef
+
+
+def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients for a_sub @ c ~ y from the normal equations.
+
+    a_sub is one (m, c) matrix or a stack (B, m, c) sharing y. When a Gram
+    matrix is rank deficient (`solve_gram`), a single matrix raises
+    RankDeficient and a stack member gets a NaN row in the (B, c) result.
+    """
+    a_sub = np.asarray(a_sub, dtype=float)
+    y = np.asarray(y, dtype=float)
+    stack = a_sub if a_sub.ndim == 3 else np.atleast_2d(a_sub)[None]
+    a_t = stack.transpose(0, 2, 1)
+    coef = solve_gram(a_t @ stack, a_t @ y)
     if a_sub.ndim == 3:
         return coef
     if np.isnan(coef[0, 0]):
-        raise RankDeficient(f"Gram eigenvalues {lam[0, 0]:.3e} to {lam[0, -1]:.3e}")
+        raise RankDeficient(f"the Gram matrix of {stack.shape[2]} columns is rank deficient")
     return coef[0]
 
 

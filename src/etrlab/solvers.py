@@ -1,14 +1,17 @@
 """Recovery procedures with arithmetic-operation accounting.
 
 Three solvers share one result type: exhaustive minimum-support search,
-orthogonal greedy pursuit, and an alternating-direction l1 solver.
+orthogonal greedy pursuit, and basis pursuit solved exactly by the lasso
+homotopy. Each result says whether it is what its solver promises: l0 and
+OMP fit within epsilon, and basis pursuit carries a dual certificate of
+l1 optimality.
 
 Cost convention: counters charge the scalar multiplies, additions, and
 comparisons of the textbook inner loops (least-squares subroutines
 included) through closed-form per-step formulas rather than per-scalar
 instrumentation. The formulas are deterministic in the problem sizes and
-iteration counts, so identical inputs always give identical totals.
-RNG and I/O are never charged.
+step counts, so identical inputs always give identical totals. RNG, I/O
+and certificate checks are never charged.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from .dictionaries import EffectiveSensing
 from .errors import (
     EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
 )
-from .numerics import TOL, detected_support, least_squares
+from .numerics import TOL, detected_support, least_squares, solve_gram
 from .sparsity import minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
-ADMM_RHO = 1.0  # initial ADMM penalty; adapted x2 / /2 within [1e-4, 1e4]
 SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
 
 
@@ -35,16 +37,13 @@ SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
 class SolverConfig:
     epsilon: float = 0.0
     max_sparsity: int = 0  # 0: defaults to min(m, N) at solve time
-    max_iterations: int = 4000
-    convergence_tol: float = 1e-8
+    max_iterations: int = 4000  # basis pursuit's path-step cap
 
     def __post_init__(self):
         if not self.epsilon >= 0.0:
             raise InvalidSparsity(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_sparsity < 0:
             raise InvalidSparsity(f"max_sparsity must be >= 0, got {self.max_sparsity}")
-        if not 0.0 < self.convergence_tol <= 1e-2:
-            raise InvalidSparsity("convergence_tol must lie in (0, 1e-2]")
         if self.max_iterations < 1:
             raise InvalidSparsity("max_iterations must be >= 1")
 
@@ -175,156 +174,109 @@ def solve_omp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> Recovery
     return _finish(a, alpha / norms, y, cost, converged, iterations=iters)
 
 
-def _project_ball(s, b, b_over_s, eps_r, c, miss, work):
-    """Project coords c onto {c' : ||s*c' - b|| <= eps_r}: (new coords, bisected).
-
-    Returns c itself when it is already inside, and `b_over_s` (b / s) when
-    eps_r = 0. Otherwise a bisection finds the multiplier lam. It keeps
-    norm_at(lo) > eps_r >= norm_at(hi), so once the midpoint rounds to lo or
-    hi no later step moves either end: the loop stops there, with the hi
-    that all 200 steps would reach. The caller charges 200 steps for every
-    bisection. `miss` and `work` are scratch vectors of c's length.
-    """
-    np.multiply(s, c, out=miss)
-    np.subtract(miss, b, out=miss)
-    if sqrt(miss.dot(miss)) <= eps_r:
-        return c, False
-    if eps_r == 0.0:
-        return b_over_s, False
-    # c'(lam) = (c + lam*s*b) / (1 + lam*s^2); ||s*c' - b|| decreasing in lam
-    def norm_at(lam):
-        np.multiply(s, lam, out=work)
-        np.multiply(work, s, out=work)
-        np.add(work, 1.0, out=work)
-        np.divide(miss, work, out=work)
-        return sqrt(work.dot(work))
-
-    lo, hi = 0.0, 1.0
-    while norm_at(hi) > eps_r:
-        hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if norm_at(mid) > eps_r:
-            lo = mid
-        else:
-            hi = mid
-    lam = hi
-    return (c + lam * s * b) / (1.0 + lam * s * s), True
-
-
 def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryResult:
-    """min ||z||_1 s.t. ||Az - y|| <= epsilon by alternating directions.
+    """min ||z||_1 s.t. ||Az - y|| <= epsilon, exactly, by the lasso homotopy.
 
-    Splitting x = proj_C(z - u), z = shrink(x + u, 1/rho), u += x - z,
-    where C is the residual ball (the epsilon = 0 case degenerates to the
-    affine set and is projected exactly, no tolerance schedule needed).
-    The projection runs in the coordinates of a cached SVD of A. Residual
-    balancing doubles/halves rho, capped to [1e-4, 1e4]. The sparse
-    iterate z is the reported solution; a support-restricted debias step
-    replaces it only when that strictly improves both feasibility and the
-    l1 objective.
+    Follows the minimizer x(lam) of ||y - Ax||^2 / 2 + lam ||x||_1 from
+    lam = ||A^T y||_inf, where x = 0, down to 0 (Osborne, Presnell & Turlach
+    2000; Donoho & Tsaig 2008). On each step the active set S and its signs s
+    are fixed and x_S moves along d = (A_S^T A_S)^-1 s; the step ends at the
+    first join (an inactive correlation reaching lam; one per step, lowest
+    index first, zero-length steps allowed), the first drop (an active
+    coefficient reaching 0), or lam = 0. A step that ends within
+    TOL.path_end * lam_start of 0 ends the path there, since joins that
+    close to 0 are rounding. For epsilon > 0 the residual falls along each
+    step, so the path stops where ||y - Ax|| = epsilon, one scalar quadratic.
 
-    The iterations reuse preallocated vectors, and their cost is charged
-    once per solve: the iteration count times the per-iteration counts,
-    plus 200 nominal steps for every iteration that ran the bisection.
+    `converged` is a dual certificate that x is optimal: a nu with
+    ||A^T nu||_inf <= 1 whose dual value nu.y - epsilon ||nu|| is ||x||_1, both
+    up to TOL.bound_slack. At lam = 0, nu = A_S d (Fuchs); at the epsilon
+    stop, nu = (y - Ax) / lam. The value check rejects an x whose signs
+    disagree with s, which exact ties can produce. A rank-deficient active
+    set or the step cap (`max_iterations`) stops the path uncertified. A path
+    that reaches lam = 0 with residual above epsilon + TOL.reachability
+    raises NoFeasibleSolution.
 
-    Each iterate is bit-identical to the textbook loop (matmul gemvs,
-    `u += x; u -= z`, the dual residual every iteration) for three reasons:
-    `ndarray.dot(..., out=)` and `np.matmul(..., out=)` both call the same
-    `cblas_dgemv` on these contiguous operands; `u = w - z` reuses
-    w = x + u, and IEEE addition commutes, so x + u == u + x; and the dual
-    residual rho * ||z - z_old|| is read at only two points, the convergence
-    test once the primal test has passed and the rho update on every 10th
-    iteration, so it is computed only there.
+    Each step is charged the correlation update, one least-squares solve on
+    S and n + |S| comparisons for the join and drop tests.
     """
     y = np.asarray(y, dtype=float)
     mat = a.a
     m, n = mat.shape
+    eps = cfg.epsilon
     cost = CostCounter()
-    u_svd, s_all, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s_all > TOL.rank_rel * max(s_all[0], 1e-300)))
-    ur, s, vr = u_svd[:, :rank], s_all[:rank], vt[:rank].T  # vr: N x r
-    cost.charge(mult=4 * m * m * n, add=4 * m * m * n)  # SVD setup, nominal
-    b = ur.T @ y
-    y_perp = float(np.linalg.norm(y - ur @ b))
-    if y_perp > cfg.epsilon + TOL.reachability:
-        raise NoFeasibleSolution("y outside the reachable residual ball")
-    eps_r = float(np.sqrt(max(0.0, cfg.epsilon ** 2 - y_perp ** 2)))
-    b_over_s = b / s
-
-    rho = ADMM_RHO
-    tol = cfg.convergence_tol
-    z, z_old, u = np.zeros(n), np.zeros(n), np.zeros(n)
-    v, x, w, mag, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    c, dc, miss, work = np.empty(rank), np.empty(rank), np.empty(rank), np.empty(rank)
-    vr_t = vr.T
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    absolute, sign, maximum = np.abs, np.sign, np.maximum
-    converged = False
-    bisections = 0
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        subtract(z, u, v)
-        vr_t.dot(v, out=c)
-        c_new, bisected = _project_ball(s, b, b_over_s, eps_r, c, miss, work)
-        bisections += bisected
-        subtract(c_new, c, dc)
-        vr.dot(dc, out=x)
-        add(v, x, x)
-        # z = sign(x + u) * max(|x + u| - 1/rho, 0), written over the older iterate
-        z_old, z = z, z_old
-        add(x, u, w)
-        sign(w, z)
-        absolute(w, mag)
-        subtract(mag, 1.0 / rho, mag)
-        maximum(mag, 0.0, out=mag)  # positional out is deprecated for maximum
-        multiply(z, mag, z)
-        subtract(w, z, u)
-        subtract(x, z, diff)
-        r_primal = sqrt(diff.dot(diff))
-        limit = tol * max(1.0, sqrt(z.dot(z)))
-        adapt = it % 10 == 0
-        if r_primal > limit and not adapt:
-            continue
-        subtract(z, z_old, diff)
-        r_dual = rho * sqrt(diff.dot(diff))
-        if r_primal <= limit and r_dual <= limit:
-            converged = True
-            break
-        if adapt:
-            if r_primal > 10.0 * r_dual and rho < 1e4:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_primal and rho > 1e-4:
-                rho /= 2.0
-                u *= 2.0
-    # per iteration: ball residual; x update; shrink and dual step; three norms
-    cost.charge(
-        mult=it * (2 * rank + 2 * n * rank + n + 2 * n + 2) + bisections * 200 * 3 * rank,
-        add=it * (3 * rank - 1 + 2 * n * rank + n + 4 * n + 4 * n - 2)
-        + bisections * 200 * 2 * rank,
-        cmp=it * (n + 2) + bisections * 201,
-    )
-
-    alpha = z.copy()
-    # guarded debias: least squares on the detected support
-    supp = detected_support(z)
-    if 0 < len(supp) <= m:
-        cost.charge_least_squares(m, len(supp), 1)
-        try:
-            coef = least_squares(mat[:, supp], y)
-        except RankDeficient:
-            pass
+    x = np.zeros(n)
+    res = y.copy()
+    corr = mat.T @ y
+    cost.charge(mult=n * m, add=n * (m - 1), cmp=n)
+    lam = lam_start = float(np.max(np.abs(corr)))
+    active: list[int] = []
+    dropped = -1
+    # an event is a join, the column index j >= 0, or a drop, ~i < 0 for active[i]
+    event = int(np.argmax(np.abs(corr)))
+    steps = 0
+    converged = ended = np.linalg.norm(y) <= eps or lam == 0.0
+    while not ended and steps < cfg.max_iterations:
+        if event >= 0:
+            active.append(event)
         else:
-            cand = np.zeros(n)
-            cand[supp] = coef
-            feas_ok = np.linalg.norm(mat @ cand - y) <= cfg.epsilon + cfg.convergence_tol
-            l1_ok = np.sum(np.abs(cand)) <= np.sum(np.abs(z)) + cfg.convergence_tol
-            if feas_ok and l1_ok:
-                alpha = cand
-    return _finish(a, alpha, y, cost, converged, iterations=it)
+            dropped = active.pop(~event)
+            x[dropped] = 0.0
+        signs = np.sign(corr[active])
+        sub = mat[:, active]
+        steps += 1
+        cost.charge_least_squares(m, len(active), 1)
+        cost.charge(mult=n * m, add=n * m, cmp=n + len(active))
+        d = solve_gram((sub.T @ sub)[None], signs[None])[0]
+        if np.isnan(d[0]):
+            break
+        u = sub @ d
+        slope = mat.T @ u
+        # join: |corr_j - g * slope_j| = lam - g; a negative ratio is a tie, joined at g = 0.
+        # The column dropped last step sits on the boundary and may not rejoin at once.
+        joins = np.full(n, np.inf)
+        free = np.ones(n, dtype=bool)
+        free[active] = False
+        if event < 0:
+            free[dropped] = False
+        np.divide(lam - corr, 1.0 - slope, out=joins, where=free & (slope < 1.0))
+        other = np.full(n, np.inf)
+        np.divide(lam + corr, 1.0 + slope, out=other, where=free & (slope > -1.0))
+        joins = np.maximum(np.minimum(joins, other), 0.0)
+        j = int(np.argmin(joins))
+        # drop: x_i + g * d_i = 0 on the first g > 0
+        drops = np.full(len(active), np.inf)
+        np.divide(-x[active], d, out=drops, where=d != 0.0)
+        drops[drops <= 0.0] = np.inf
+        i = int(np.argmin(drops))
+        event, gamma = (j, joins[j]) if joins[j] < drops[i] else (~i, drops[i])
+        if lam - gamma <= TOL.path_end * lam_start:
+            gamma, ended = lam, True
+        stop = False
+        if eps > 0.0:
+            # smaller root of ||res - g u||^2 = eps^2, in the form that avoids cancellation;
+            # taken only below gamma, so lam stays positive
+            ru, uu, excess = res.dot(u), u.dot(u), res.dot(res) - eps * eps
+            disc = ru * ru - uu * excess
+            root = excess / (ru + sqrt(disc)) if disc >= 0.0 else np.inf
+            stop = root < gamma
+            gamma = min(gamma, root)
+        x[active] += gamma * d
+        res -= gamma * u
+        corr -= gamma * slope
+        lam -= gamma
+        if stop or ended:
+            # dual certificate: ||A^T nu||_inf <= 1 and no gap to the dual value
+            nu = (y - mat @ x) / lam if stop else u
+            l1 = float(np.sum(np.abs(x)))
+            gap = l1 - (nu.dot(y) - eps * sqrt(nu.dot(nu)))
+            converged = bool(np.max(np.abs(mat.T @ nu)) <= 1.0 + TOL.bound_slack
+                             and gap <= TOL.bound_slack * max(l1, 1.0))
+            break
+    result = _finish(a, x, y, cost, converged, iterations=steps)
+    if ended and result.residual_norm > eps + TOL.reachability:
+        raise NoFeasibleSolution("y outside the reachable residual ball")
+    return result
 
 
 _SOLVE = {"l0-exhaustive": solve_l0, "omp": solve_omp, "basis-pursuit": solve_bp}

@@ -104,6 +104,22 @@ def test_recover_rejects_negative_solver_settings(tmp_path, capsys, setting):
     assert "InvalidSparsity" in capsys.readouterr().err
 
 
+def test_recover_rejects_y_of_the_wrong_length(tmp_path, capsys):
+    save_matrix(tmp_path / "a.csv", np.eye(4))
+    save_vector(tmp_path / "y.csv", np.ones(3))
+    rc = main(["recover", "--matrix", str(tmp_path / "a.csv"), "--y", str(tmp_path / "y.csv")])
+    assert rc == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
+def test_recover_rejects_alpha_of_the_wrong_length(tmp_path, capsys):
+    save_matrix(tmp_path / "basis.csv", np.eye(4))
+    save_vector(tmp_path / "alpha.csv", np.array([0.0, 1.0, 0.0]))
+    rc = main(["recover", "--instance", str(tmp_path)])
+    assert rc == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
 def test_recover_missing_inputs(capsys):
     rc = main(["recover", "--solver", "bp"])
     assert rc == 1

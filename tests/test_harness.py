@@ -141,7 +141,7 @@ def test_dump_config_round_trips_every_field(tmp_path):
         experiment="regime-map", d=12, k=4, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
         epsilon=0.1 + 0.2, trials_per_cell=7, recovery_trials=4, master_seed=2 ** 64 - 1,
         basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
-        convergence_tol=1e-9 / 3, output_dir="out/100%/x",
+        output_dir="out/100%/x",
         thresholds=RegimeThresholds(0.1 / 3, 2.5, 0.95, 0.25, 7),
     )
     defaults = ExperimentConfig()
@@ -150,7 +150,7 @@ def test_dump_config_round_trips_every_field(tmp_path):
     assert same == ["workers"]  # the one value workers may take
     back = load_config(_write(tmp_path, dump_config(cfg)))
     assert back == cfg
-    assert (back.epsilon, back.convergence_tol) == (0.1 + 0.2, 1e-9 / 3)
+    assert back.epsilon == 0.1 + 0.2
 
 
 def test_load_config_thresholds_section(tmp_path):
@@ -207,6 +207,12 @@ def test_config_file_with_formats_key_is_rejected(tmp_path):
     # formats is no setting: a config file that names it fails to load
     with pytest.raises(ConfigError, match="unknown key 'formats'"):
         load_config(_write(tmp_path, "[phase]\nformats = csv,md\n"))
+
+
+def test_config_file_with_convergence_tol_key_is_rejected(tmp_path):
+    # basis pursuit is exact, so it has no tolerance to set
+    with pytest.raises(ConfigError, match="unknown key 'convergence_tol'"):
+        load_config(_write(tmp_path, "[phase]\nconvergence_tol = 1e-8\n"))
 
 
 def test_config_rejects_workers_other_than_one(tmp_path):
@@ -272,13 +278,17 @@ def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
 
 
 def test_toy_records_digest_is_pinned(tmp_path):
-    # a change to any record byte of the shipped toy config shows up here
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg"))
+    # a change to any record byte of the shipped toy config shows up here; the
+    # pin is the toy line of the table that scripts/records_digests.py checks
+    table = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")
+    with open(table) as fh:
+        pinned = dict(line.split() for line in fh if line.strip())
+    cfg = load_config(os.path.join(CONFIGS, "toy.cfg"))
     cfg.output_dir = str(tmp_path)
     bundle = run_experiment(cfg)
     with open(bundle.records_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == "095d785a52b5422b50fb2413b45a8ed307a025e41cc41a64bb7ace2624865d3c"
+    assert digest == pinned["toy.cfg"]
 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP
@@ -292,10 +302,10 @@ def test_toy_records_digest_is_pinned(tmp_path):
     ("phase.cfg",
      dict(epsilon=0.01, m_sweep=(8, 16), trials_per_cell=2, max_iterations=250,
           solvers=("basis-pursuit", "omp")),
-     "492cb14c51a9a2040f6c17a52202f1dc368c16e90eef2d4bfe8d10500f0b9760"),
+     "4a547465cb415f444a60af9fa54f76d1244c268ffc92c21c1266b1e7d1f3f12e"),
     # the phase workload's own path: epsilon = 0 BP at d = 64 and the 4000 cap
     ("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
-     "8e023b4690e6bee9a69454880b68a845fc8c1a829d830cf3d05b45e29f8ae715"),
+     "19293c6c93edf0d2145b6c9b1994d0e0d32d50146e12b8795af4a260fcaf4abd"),
 ])
 def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
     cfg = load_config(os.path.join(CONFIGS, config))
@@ -304,8 +314,8 @@ def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
         assert hashlib.sha256(fh.read()).hexdigest() == digest
     with open(bundle.records_csv) as fh:
         rows = list(csv.DictReader(fh))
-    if "converged" in rows[0]:  # the BP pins cover solves stopped by the cap
-        assert any(r["converged"] == "0" for r in rows)
+    # every basis-pursuit solve on these paths is certified
+    assert all(r["converged"] == "1" for r in rows if r.get("solver") == "basis-pursuit")
 
 
 def _tiny_phase(tmp_path, seed=7):
