@@ -11,9 +11,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import ConfigError
 from .etr import RegimeThresholds
+from .geometry import EXACT_GUARD
 from .solvers import SOLVER_NAMES
 
 # each experiment and the `etr-lab` arguments that run it
@@ -63,6 +65,12 @@ class ExperimentConfig:
             raise ConfigError("trials_per_cell must be >= 1")
         if not self.epsilon >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.experiment == "perturbation" and not 1 <= self.k <= self.n:
+            raise ConfigError(f"perturbation needs 1 <= k <= n, got k = {self.k}, n = {self.n}")
+        r = min(2 * self.k, self.n)  # perturbation's exact gamma_2k enumerates C(n, r) supports
+        if self.experiment == "perturbation" and comb(self.n, r) > EXACT_GUARD:
+            raise ConfigError(f"perturbation enumerates binomial({self.n},{r}) supports, "
+                              f"more than {EXACT_GUARD}")
         if self.experiment == "mismatch" and self.recovery_trials < 1:
             raise ConfigError("mismatch needs recovery_trials >= 1")
         if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:

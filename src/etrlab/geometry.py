@@ -10,7 +10,6 @@ Gershgorin coherence inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 from typing import Iterator, Optional
 
@@ -37,27 +36,33 @@ class GeometryReport:
 
 
 def colex_supports(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All size-r subsets of range(n), colexicographic order."""
-    if r == 0:
-        yield ()
-        return
-    for last in range(r - 1, n):
-        for rest in colex_supports(last, r - 1):
-            yield rest + (last,)
+    """Size-r subsets of range(n), colex order: support_chunks rows of a (0, n) matrix."""
+    for block, _ in support_chunks(np.empty((0, n)), r):
+        yield from map(tuple, block.tolist())
 
 
 def support_chunks(mat: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(block, stack) over the colex supports of `size` columns of mat.
 
     block is a (B, size) array of column indices, CHUNK_BYTES of gathered
-    columns per chunk; stack[b] equals mat[:, list(block[b])] in values and
-    layout. Rows of mat.T give each slice that column-major layout, so
+    columns per chunk, unranked in the combinatorial number system: for
+    i = size..1, c_i is the largest c with C(c, i) <= rank, then rank -=
+    C(c_i, i); clipping the C(c, i) table at C(n, size) keeps it in int64
+    and changes no search. stack[b] equals mat[:, list(block[b])] in values
+    and layout: rows of mat.T give each slice that column-major layout, so
     numpy takes the same BLAS and LAPACK paths as on the single submatrix.
     """
     m, n = mat.shape
-    supports = colex_supports(n, size)
-    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * size))
-    while (block := np.array(list(islice(supports, rows)), dtype=np.intp)).size:
+    total = comb(n, size)
+    table = np.array([[min(comb(c, i), total) for c in range(n)] for i in range(size + 1)],
+                     dtype=np.int64)
+    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * max(size, 1)))
+    for start in range(0, total, rows):
+        rank = np.arange(start, min(start + rows, total), dtype=np.int64)
+        block = np.empty((rank.size, size), dtype=np.intp)
+        for i in range(size, 0, -1):
+            block[:, i - 1] = c = np.searchsorted(table[i], rank, "right") - 1
+            rank -= table[i, c]
         yield block, mat.T[block].transpose(0, 2, 1)
 
 

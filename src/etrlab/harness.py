@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import shlex
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -310,8 +309,6 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
 
 def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
     d, n, k = cfg.d, cfg.n, cfg.k
-    if comb(n, min(2 * k, n)) > 10 ** 5:
-        raise EnumerationTooLarge("perturbation suite needs exhaustive gamma_2k")
     base = RandomStream(cfg.master_seed)
     psi = build_dictionary("identity", n)
     violations, slacks = [], []

@@ -81,15 +81,15 @@ def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
 def smallest_singular_value(m: np.ndarray) -> float:
     """sigma_min of m as an operator on its column space coordinates.
 
-    Computed from a direct SVD: absolute accuracy ~eps * sigma_max, which
-    a Gram-matrix eigensolve cannot deliver near zero. Returns 0 for
-    rank-deficient (including wide) matrices; never negative.
+    A wide matrix has a nontrivial kernel and gets 0.0 without an SVD.
+    Otherwise sigma_min comes from a direct SVD, with absolute accuracy
+    ~eps * sigma_max, which a Gram-matrix eigensolve cannot deliver near
+    zero; a tall singular matrix gets that computed value. Never negative.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.linalg.svd(m, compute_uv=False)
     if m.shape[1] > m.shape[0]:
-        return 0.0  # wide: the kernel is nontrivial
-    return float(s[-1])
+        return 0.0
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def smallest_singular_pair(m: np.ndarray) -> tuple[float, np.ndarray]:

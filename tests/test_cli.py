@@ -219,7 +219,10 @@ def test_unknown_solver_rejected():
 def test_reproduce_line_selects_the_same_experiment(tmp_path):
     for experiment in EXPERIMENTS:
         out = str(tmp_path / experiment)
-        cfg = ExperimentConfig(experiment=experiment, master_seed=123, output_dir=out)
+        # the default d = 64, k = 3 would enumerate C(64, 6) supports, which
+        # perturbation rejects; give it the `verify` shape
+        shape = dict(d=6, n=8, k=1) if experiment == "perturbation" else {}
+        cfg = ExperimentConfig(experiment=experiment, master_seed=123, output_dir=out, **shape)
         bundle = render_report([{"trial": 0}], cfg, experiment, [])
         with open(bundle.summary_md) as fh:
             (command,) = re.findall(r"- reproduce: `etr-lab (.*)`", fh.read())

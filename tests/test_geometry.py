@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import numpy as np
@@ -35,6 +36,29 @@ def test_colex_order_is_documented():
         (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)
     ]
     assert list(colex_supports(3, 0)) == [()]
+
+
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 1, 100])
+def test_support_chunks_follow_colex_order(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    for n in range(1, 13):
+        mat = np.arange(3.0 * n).reshape(3, n)
+        for r in range(1, n + 1):
+            blocks = [block for block, _ in geometry.support_chunks(mat, r)]
+            want = sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1])
+            assert np.concatenate(blocks).tolist() == [list(s) for s in want]
+            assert list(colex_supports(n, r)) == want
+
+
+def test_colex_unranking_past_int64_binomials():
+    # C(69, 34) > 2**63: the unclipped table would overflow
+    assert comb(69, 34) > np.iinfo(np.int64).max
+    blocks = [block for block, _ in geometry.support_chunks(np.zeros((1, 70)), 67)]
+    rows = np.concatenate(blocks)
+    assert len(rows) == comb(70, 67)
+    assert rows[0].tolist() == list(range(67))
+    assert rows[-1].tolist() == list(range(3, 70))
+    assert np.all(np.diff(rows, axis=1) > 0)
 
 
 def test_gamma_exact_identity():

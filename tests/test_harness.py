@@ -253,6 +253,30 @@ def test_config_rejects_n_other_than_d(tmp_path, experiment):
     assert ExperimentConfig(experiment="perturbation", d=6, n=8).n == 8
 
 
+@pytest.mark.parametrize("k", [0, -1, 9])
+def test_config_rejects_perturbation_sparsity_outside_1_to_n(tmp_path, k):
+    # at load time, not at the first plant's InvalidSparsity
+    with pytest.raises(ConfigError, match="1 <= k <= n"):
+        ExperimentConfig(experiment="perturbation", d=6, n=8, k=k)
+    with pytest.raises(ConfigError, match="1 <= k <= n"):
+        load_config(_write(tmp_path, f"[perturbation]\nd = 6\nn = 8\nk = {k}\n"))
+
+
+def test_config_rejects_perturbation_gamma_past_the_exact_guard(tmp_path):
+    # at load time, not at gamma_exact's EnumerationTooLarge; one guard for both
+    from etrlab.geometry import EXACT_GUARD
+
+    assert math.comb(40, 8) > EXACT_GUARD
+    with pytest.raises(ConfigError, match="binomial\\(40,8\\)"):
+        ExperimentConfig(experiment="perturbation", d=6, n=40, k=4)
+    with pytest.raises(ConfigError, match="binomial\\(40,8\\)"):
+        load_config(_write(tmp_path, "[perturbation]\nd = 6\nn = 40\nk = 4\n"))
+    # C(24, 12) = 2 704 156 is past the guard; C(24, 6) = 134 596 is not
+    assert ExperimentConfig(experiment="perturbation", d=6, n=24, k=3).k == 3
+    with pytest.raises(ConfigError, match="binomial\\(24,12\\)"):
+        ExperimentConfig(experiment="perturbation", d=6, n=24, k=6)
+
+
 def test_config_rejects_negative_epsilon(tmp_path):
     # at load time, not at the first trial's observe
     with pytest.raises(ConfigError, match="epsilon"):
@@ -277,18 +301,19 @@ def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
 # ------------------------------------------------------ experiments (small)
 
 
-def test_toy_records_digest_is_pinned(tmp_path):
-    # a change to any record byte of the shipped toy config shows up here; the
-    # pin is the toy line of the table that scripts/records_digests.py checks
+@pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg"])
+def test_shipped_records_digest_is_pinned(tmp_path, config):
+    # a change to any record byte of these shipped configs shows up here; the
+    # pin is the config's line of the table that scripts/records_digests.py checks
     table = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")
     with open(table) as fh:
         pinned = dict(line.split() for line in fh if line.strip())
-    cfg = load_config(os.path.join(CONFIGS, "toy.cfg"))
+    cfg = load_config(os.path.join(CONFIGS, config))
     cfg.output_dir = str(tmp_path)
     bundle = run_experiment(cfg)
     with open(bundle.records_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == pinned["toy.cfg"]
+    assert digest == pinned[config]
 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP

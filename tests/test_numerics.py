@@ -95,6 +95,22 @@ def test_sigma_min_wide_matrix_is_zero():
     assert smallest_singular_value(np.ones((2, 5))) == 0.0
 
 
+def test_sigma_min_runs_an_svd_only_on_square_and_tall_inputs(monkeypatch):
+    gen = np.random.default_rng(5)
+    for shape in ((5, 3), (4, 4), (1, 1), (6, 1)):
+        m = gen.normal(size=shape)
+        got = smallest_singular_value(m)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.linalg.svd(m, compute_uv=False)[-1].tobytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called on a wide matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for shape in ((1, 2), (3, 7), (0, 2), (5, 6)):
+        assert smallest_singular_value(gen.normal(size=shape)) == 0.0
+
+
 @given(hnp.arrays(float, (5, 4), elements=finite))
 @settings(max_examples=100, deadline=None)
 def test_sigma_min_bounded_by_column_norms(m):
