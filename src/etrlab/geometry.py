@@ -10,6 +10,7 @@ Gershgorin coherence inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
@@ -21,6 +22,7 @@ from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
 CHUNK_BYTES = 2 ** 18  # gathered columns per stack in support_chunks
+BLOCK_CACHE = 16  # colex index blocks (and binomial tables) kept for reuse
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,50 @@ def support_chunks(mat: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.
     """(block, stack) over the colex supports of `size` columns of mat.
 
     block is a (B, size) array of column indices, CHUNK_BYTES of gathered
-    columns per chunk, unranked in the combinatorial number system: for
-    i = size..1, c_i is the largest c with C(c, i) <= rank, then rank -=
-    C(c_i, i); clipping the C(c, i) table at C(n, size) keeps it in int64
-    and changes no search. stack[b] equals mat[:, list(block[b])] in values
+    columns per chunk; stack[b] equals mat[:, list(block[b])] in values
     and layout: rows of mat.T give each slice that column-major layout, so
     numpy takes the same BLAS and LAPACK paths as on the single submatrix.
+    Only that gather runs per call. The blocks are read-only and shared:
+    `_colex_block` caches the last BLOCK_CACHE of them, keyed by (n, size,
+    rows per chunk, chunk index). A block holds at most CHUNK_BYTES (for
+    size <= CHUNK_BYTES / 8), so the cache never holds more than
+    BLOCK_CACHE * CHUNK_BYTES = 4 MiB, however large C(n, size) is.
     """
     m, n = mat.shape
+    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * max(size, 1)))
+    for chunk in range(-(-comb(n, size) // rows)):
+        block = _colex_block(n, size, rows, chunk)
+        yield block, mat.T[block].transpose(0, 2, 1)
+
+
+@lru_cache(maxsize=BLOCK_CACHE)
+def _binomials(n: int, size: int) -> np.ndarray:
+    """C(c, i) for i = 0..size and c = 0..n-1, clipped at C(n, size).
+
+    The clip keeps the table in int64 and changes no colex unranking search.
+    """
     total = comb(n, size)
     table = np.array([[min(comb(c, i), total) for c in range(n)] for i in range(size + 1)],
                      dtype=np.int64)
-    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * max(size, 1)))
-    for start in range(0, total, rows):
-        rank = np.arange(start, min(start + rows, total), dtype=np.int64)
-        block = np.empty((rank.size, size), dtype=np.intp)
-        for i in range(size, 0, -1):
-            block[:, i - 1] = c = np.searchsorted(table[i], rank, "right") - 1
-            rank -= table[i, c]
-        yield block, mat.T[block].transpose(0, 2, 1)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=BLOCK_CACHE)
+def _colex_block(n: int, size: int, rows: int, chunk: int) -> np.ndarray:
+    """Supports of colex ranks chunk * rows onward, at most rows of them.
+
+    Unranked in the combinatorial number system: for i = size..1, c_i is
+    the largest c with C(c, i) <= rank, then rank -= C(c_i, i).
+    """
+    table = _binomials(n, size)
+    rank = np.arange(chunk * rows, min((chunk + 1) * rows, comb(n, size)), dtype=np.int64)
+    block = np.empty((rank.size, size), dtype=np.intp)
+    for i in range(size, 0, -1):
+        block[:, i - 1] = c = np.searchsorted(table[i], rank, "right") - 1
+        rank -= table[i, c]
+    block.flags.writeable = False
+    return block
 
 
 def _zero_cutoff(a: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
+from .config import CELL_STRIDE, EXPERIMENT_COMMANDS, RECOVERY_KEY, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import EnumerationTooLarge, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
@@ -206,7 +206,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         }
 
     def recovery_trial(t):
-        stream = base.split(10_000 + t)
+        stream = base.split(RECOVERY_KEY + t)
         psi_star = build_dictionary("random-orthonormal", d, seed=stream.split(0).as_seed())
         inst = plant(psi_star, k, stream.split(1))
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
@@ -366,7 +366,7 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
     base = RandomStream(cfg.master_seed)
 
     def one_cell(mi, ki, m, k):
-        cell = base.split(mi * 1000 + ki)
+        cell = base.split(mi * CELL_STRIDE + ki)
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=cell.split(0).as_seed())
         a = compose(phi, psi)
         r = min(2 * k, cfg.n)

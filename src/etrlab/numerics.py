@@ -31,6 +31,7 @@ class Tolerances:
 
 
 TOL = Tolerances()
+_FLOAT64 = np.dtype(np.float64)
 
 
 def detected_support(v: np.ndarray) -> np.ndarray:
@@ -85,8 +86,11 @@ def smallest_singular_value(m: np.ndarray) -> float:
     Otherwise sigma_min comes from a direct SVD, with absolute accuracy
     ~eps * sigma_max, which a Gram-matrix eigensolve cannot deliver near
     zero; a tall singular matrix gets that computed value. Never negative.
+    Input that is not a 2-D float64 ndarray is first made one as by
+    np.atleast_2d(np.asarray(m, dtype=float)): a vector is one row.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if not (type(m) is np.ndarray and m.ndim == 2 and m.dtype is _FLOAT64):
+        m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[1] > m.shape[0]:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[-1])
@@ -132,10 +136,6 @@ def load_matrix(path) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise IoFailure(f"{path}: non-finite entries")
     return m
-
-
-def save_vector(path, v: np.ndarray) -> None:
-    save_matrix(path, np.asarray(v, dtype=float).reshape(-1, 1))
 
 
 def load_vector(path) -> np.ndarray:

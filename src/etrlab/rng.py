@@ -11,11 +11,16 @@ Draws of at most SMALL_DRAW words compute splitmix64 on Python ints,
 which is cheaper than the numpy uint64 path at that size; both paths
 do the same integer arithmetic mod 2^64 and the same exact float
 scaling, so a draw gives the same bits whichever path makes it.
+
+The uint64 constants of the numpy path are built once, at import, and
+mix64(master_seed), which every stream of a run shares, is kept for the
+last SEED_CACHE master seeds; neither changes a bit of any draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +30,7 @@ GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 SMALL_DRAW = 16  # uniforms draws of at most this many words run on Python ints
+SEED_CACHE = 16  # hashed master seeds kept for reuse
 
 
 def mix64(z: int) -> int:
@@ -35,11 +41,20 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=SEED_CACHE)
+def _seed_hash(master_seed: int) -> int:
+    return mix64(master_seed)
+
+
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_UM1, _UM2, _UGAMMA = np.uint64(_M1), np.uint64(_M2), np.uint64(GAMMA)
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # uint64 arrays wrap silently, matching the masked Python-int path
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _UM1
+    z = (z ^ (z >> _U27)) * _UM2
+    return z ^ (z >> _U31)
 
 
 @dataclass(frozen=True)
@@ -51,7 +66,7 @@ class RandomStream:
 
     @property
     def _base(self) -> int:
-        return mix64(mix64(self.master_seed) ^ mix64((self.stream_index + 1) * GAMMA))
+        return mix64(_seed_hash(self.master_seed) ^ mix64((self.stream_index + 1) * GAMMA))
 
     def as_seed(self) -> int:
         """64-bit seed for builders that take an integer seed."""
@@ -65,7 +80,7 @@ class RandomStream:
     def _words(self, count: int) -> np.ndarray:
         base = np.uint64(self._base)
         idx = np.arange(1, count + 1, dtype=np.uint64)
-        return _mix64_array(base + idx * np.uint64(GAMMA))
+        return _mix64_array(base + idx * _UGAMMA)
 
     def uniforms(self, count: int) -> np.ndarray:
         """count i.i.d. uniforms in [0, 1), 53-bit resolution."""
@@ -75,7 +90,7 @@ class RandomStream:
             base = self._base
             return np.array([(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53
                              for i in range(1, count + 1)])
-        return (self._words(count) >> np.uint64(11)) * 2.0 ** -53
+        return (self._words(count) >> _U11) * 2.0 ** -53
 
     def gaussians(self, count: int) -> np.ndarray:
         """count i.i.d. standard normals via the Box-Muller transform.

@@ -14,7 +14,7 @@ from etrlab.errors import SuiteFailure
 from etrlab.etr import UncertaintyReport
 from etrlab.harness import render_report, run_experiment
 from etrlab.dictionaries import EffectiveSensing, build_dictionary
-from etrlab.numerics import load_matrix, load_vector, save_matrix, save_vector
+from etrlab.numerics import load_matrix, load_vector, save_matrix
 from etrlab.solvers import SolverConfig, solve
 
 
@@ -40,7 +40,7 @@ def test_geometry_sampled_mode(capsys):
 
 def test_recover_matrix_y(tmp_path, capsys):
     save_matrix(tmp_path / "a.csv", np.eye(4))
-    save_vector(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]))
+    save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
     out = tmp_path / "res.csv"
     rc = main(["recover", "--solver", "l0", "--matrix", str(tmp_path / "a.csv"),
                "--y", str(tmp_path / "y.csv"), "--max-sparsity", "1",
@@ -55,7 +55,7 @@ def test_recover_matrix_y(tmp_path, capsys):
 
 def test_recover_instance_bundle(tmp_path, capsys):
     save_matrix(tmp_path / "basis.csv", np.eye(4))
-    save_vector(tmp_path / "alpha.csv", np.array([0.0, 0.0, 2.5, 0.0]))
+    save_matrix(tmp_path / "alpha.csv", np.array([0.0, 0.0, 2.5, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--solver", "omp", "--instance", str(tmp_path)])
     assert rc == 0
     assert "support: 2" in capsys.readouterr().out
@@ -63,7 +63,8 @@ def test_recover_instance_bundle(tmp_path, capsys):
 
 def test_recover_instance_prints_the_stability_ratio(tmp_path, capsys):
     save_matrix(tmp_path / "basis.csv", build_dictionary("random-orthonormal", 8, seed=3))
-    save_vector(tmp_path / "alpha.csv", np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0, 0.0, 0.0]))
+    alpha = np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0, 0.0, 0.0])
+    save_matrix(tmp_path / "alpha.csv", alpha.reshape(-1, 1))
     rc = main(["recover", "--instance", str(tmp_path), "--solver", "bp", "--epsilon", "0.01"])
     assert rc == 0
     printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
@@ -77,7 +78,7 @@ def test_recover_instance_prints_the_stability_ratio(tmp_path, capsys):
 
 def test_recover_omp_reports_coefficients_of_the_given_matrix(tmp_path, capsys):
     save_matrix(tmp_path / "a.csv", 2.0 * np.eye(4))
-    save_vector(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]))
+    save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--solver", "omp", "--matrix", str(tmp_path / "a.csv"),
                "--y", str(tmp_path / "y.csv")])
     assert rc == 0
@@ -88,7 +89,8 @@ def test_recover_omp_reports_coefficients_of_the_given_matrix(tmp_path, capsys):
 
 def test_recover_instance_rejects_invalid(tmp_path, capsys):
     save_matrix(tmp_path / "basis.csv", np.eye(3))
-    save_vector(tmp_path / "alpha.csv", np.array([0.0, 1e-6, 0.0]))  # below 0.1 floor
+    # 1e-6 is below the 0.1 coefficient floor
+    save_matrix(tmp_path / "alpha.csv", np.array([0.0, 1e-6, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--instance", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
@@ -97,7 +99,7 @@ def test_recover_instance_rejects_invalid(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [["--epsilon", "-0.01"], ["--max-sparsity", "-1"]])
 def test_recover_rejects_negative_solver_settings(tmp_path, capsys, setting):
     save_matrix(tmp_path / "a.csv", np.eye(4))
-    save_vector(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]))
+    save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--solver", "omp", "--matrix", str(tmp_path / "a.csv"),
                "--y", str(tmp_path / "y.csv"), *setting])
     assert rc == 1
@@ -106,7 +108,7 @@ def test_recover_rejects_negative_solver_settings(tmp_path, capsys, setting):
 
 def test_recover_rejects_y_of_the_wrong_length(tmp_path, capsys):
     save_matrix(tmp_path / "a.csv", np.eye(4))
-    save_vector(tmp_path / "y.csv", np.ones(3))
+    save_matrix(tmp_path / "y.csv", np.ones((3, 1)))
     rc = main(["recover", "--matrix", str(tmp_path / "a.csv"), "--y", str(tmp_path / "y.csv")])
     assert rc == 1
     assert "DimensionMismatch" in capsys.readouterr().err
@@ -114,7 +116,7 @@ def test_recover_rejects_y_of_the_wrong_length(tmp_path, capsys):
 
 def test_recover_rejects_alpha_of_the_wrong_length(tmp_path, capsys):
     save_matrix(tmp_path / "basis.csv", np.eye(4))
-    save_vector(tmp_path / "alpha.csv", np.array([0.0, 1.0, 0.0]))
+    save_matrix(tmp_path / "alpha.csv", np.array([0.0, 1.0, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--instance", str(tmp_path)])
     assert rc == 1
     assert "DimensionMismatch" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import solvers
+from etrlab import geometry, solvers
 from etrlab.config import ExperimentConfig, dump_config, load_config
 from etrlab.errors import ConfigError, IoFailure, NoFeasibleSolution
 from etrlab.harness import (
@@ -231,6 +231,30 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
     assert ExperimentConfig(experiment="phase", recovery_trials=0).recovery_trials == 0
 
 
+def test_config_rejects_mismatch_census_past_the_recovery_streams(tmp_path):
+    # census trial 10 000 would draw from recovery trial 0's stream
+    with pytest.raises(ConfigError, match="trials_per_cell = 10001"):
+        ExperimentConfig(experiment="mismatch", trials_per_cell=10_001)
+    with pytest.raises(ConfigError, match="recovery trials' streams"):
+        load_config(_write(tmp_path, "[mismatch]\ntrials_per_cell = 10001\n"))
+    assert ExperimentConfig(experiment="mismatch", trials_per_cell=10_000).trials_per_cell == 10_000
+    assert ExperimentConfig(experiment="phase", trials_per_cell=10_001).trials_per_cell == 10_001
+
+
+def test_config_rejects_regime_map_cells_past_the_stride(tmp_path):
+    # cell (m index 0, k index 1000) would draw from cell (1, 0)'s stream
+    ks = tuple(range(1, 1002))
+    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
+        ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=(4, 8))
+    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
+        ExperimentConfig(experiment="regime-map", k_sweep=ks)  # the six default budgets
+    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
+        load_config(_write(tmp_path, "[regime-map]\nk_sweep = 1:1001\nm_sweep = 4,8\n"))
+    # one budget has no next row to collide with; 1000 values of k fit the stride
+    assert len(ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=(8,)).k_sweep) == 1001
+    assert len(ExperimentConfig(experiment="regime-map", k_sweep=ks[:1000]).k_sweep) == 1000
+
+
 def test_config_rejects_regime_map_below_the_classifier_minimum(tmp_path):
     from etrlab.etr import RegimeThresholds
 
@@ -341,6 +365,30 @@ def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
         rows = list(csv.DictReader(fh))
     # every basis-pursuit solve on these paths is certified
     assert all(r["converged"] == "1" for r in rows if r.get("solver") == "basis-pursuit")
+
+
+def test_colex_caches_hold_no_run_state(tmp_path, monkeypatch):
+    # the perturbation and regime cases of test_shrunk_records_digest_is_pinned, run
+    # twice in one process: with warm caches, then with 100-byte chunks (at most three
+    # supports each) whose blocks take new cache keys and evict one another
+    cases = [
+        ("regime.cfg",
+         dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
+         "54c8daaca3f8f02983fbfb26f36cf07c439484880f92108d2b6d1643822e3da3"),
+        ("perturbation.cfg", dict(trials_per_cell=200),
+         "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
+    ]
+    for chunk_bytes in (geometry.CHUNK_BYTES, 100):
+        monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+        for config, overrides, digest in cases:
+            cfg = load_config(os.path.join(CONFIGS, config))
+            out = tmp_path / f"{chunk_bytes}-{config}"
+            bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(out)))
+            with open(bundle.records_csv, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, (chunk_bytes, config)
+    block, _ = next(geometry.support_chunks(np.ones((6, 8)), 2))
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
 
 
 def _tiny_phase(tmp_path, seed=7):

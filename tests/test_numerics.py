@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from etrlab.errors import IoFailure, RankDeficient
+from etrlab.geometry import support_chunks
 from etrlab.numerics import (
     least_squares,
     load_matrix,
     load_vector,
     save_matrix,
-    save_vector,
     smallest_singular_pair,
     smallest_singular_value,
 )
@@ -111,6 +111,33 @@ def test_sigma_min_runs_an_svd_only_on_square_and_tall_inputs(monkeypatch):
         assert smallest_singular_value(gen.normal(size=shape)) == 0.0
 
 
+def test_sigma_min_input_contract():
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for scalar in (3, np.float64(-3.0), np.array(3.0)):  # 0-d: a 1 x 1 matrix
+        assert smallest_singular_value(scalar) == 3.0
+    for row in ([1.0, 2.0], np.array([1.0, 2.0])):  # 1-d: one row, so 1 x 2 and wide
+        assert smallest_singular_value(row) == 0.0
+    reference = np.linalg.svd(np.array([[3.0], [4.0], [0.0]]), compute_uv=False)[-1]
+    for tall in ([[3], [4], [0]], np.array([[3], [4], [0]]),
+                 np.array([[3.0], [4.0], [0.0]], dtype=">f8")):
+        assert bits(smallest_singular_value(tall)) == bits(reference)
+    # single precision input is decomposed in double precision
+    m32 = np.random.default_rng(3).normal(size=(5, 3)).astype(np.float32)
+    assert bits(smallest_singular_value(m32)) == bits(
+        np.linalg.svd(m32.astype(float), compute_uv=False)[-1])
+    # the tall column-major slices gamma_exact passes, as support_chunks makes them
+    mat = np.random.default_rng(8).normal(size=(6, 8))
+    block, stack = next(support_chunks(mat, 3))
+    for support, sub in zip(block, stack):
+        assert sub.shape == (6, 3) and sub.flags.f_contiguous and not sub.flags.c_contiguous
+        got = smallest_singular_value(sub)
+        assert type(got) is float
+        assert bits(got) == bits(np.linalg.svd(sub, compute_uv=False)[-1])
+        assert bits(got) == bits(np.linalg.svd(mat[:, list(support)], compute_uv=False)[-1])
+
+
 @given(hnp.arrays(float, (5, 4), elements=finite))
 @settings(max_examples=100, deadline=None)
 def test_sigma_min_bounded_by_column_norms(m):
@@ -149,7 +176,7 @@ def test_matrix_csv_roundtrip(tmp_path):
 def test_vector_csv_roundtrip(tmp_path):
     v = np.array([3.0, -1.0, 1e-300])
     path = tmp_path / "v.csv"
-    save_vector(path, v)
+    save_matrix(path, v.reshape(-1, 1))
     np.testing.assert_array_equal(load_vector(path), v)
 
 
