@@ -28,12 +28,6 @@ EXPERIMENT_COMMANDS = {
 }
 EXPERIMENTS = tuple(EXPERIMENT_COMMANDS)
 
-# stream keys under the master seed: mismatch census trial t draws from
-# split(t) and recovery trial t from split(RECOVERY_KEY + t); regime-map
-# cell (mi, ki) of the m and k sweeps draws from split(mi * CELL_STRIDE + ki)
-RECOVERY_KEY = 10_000
-CELL_STRIDE = 1000
-
 
 @dataclass
 class ExperimentConfig:
@@ -79,14 +73,6 @@ class ExperimentConfig:
                               f"more than {EXACT_GUARD}")
         if self.experiment == "mismatch" and self.recovery_trials < 1:
             raise ConfigError("mismatch needs recovery_trials >= 1")
-        if self.experiment == "mismatch" and self.trials_per_cell > RECOVERY_KEY:
-            raise ConfigError(f"mismatch census trials past {RECOVERY_KEY} reuse the recovery "
-                              f"trials' streams, got trials_per_cell = {self.trials_per_cell}")
-        # a single m has no next row of cells to collide with; an empty m_sweep runs six
-        if (self.experiment == "regime-map" and len(self.k_sweep) > CELL_STRIDE
-                and len(self.m_sweep) != 1):
-            raise ConfigError(f"regime-map cells past {CELL_STRIDE} values of k reuse the next "
-                              f"m's streams, got {len(self.k_sweep)} values in k_sweep")
         if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:
             raise ConfigError(f"regime-map classifies a cell from at least thresholds.trials = "
                               f"{self.thresholds.trials} trials, got trials_per_cell = "

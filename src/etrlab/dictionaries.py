@@ -100,18 +100,19 @@ def normalize_columns(a: np.ndarray) -> np.ndarray:
     return a / norms
 
 
-def _check_orthonormal(psi: np.ndarray) -> None:
-    gram = psi.T @ psi
-    if not np.allclose(gram, np.eye(psi.shape[1]), atol=TOL.ortho):
-        raise NotOrthonormal("basis fails the orthonormality check")
+def is_orthonormal(psi: np.ndarray) -> bool:
+    """Square, with psi^T psi within TOL.ortho of the identity."""
+    if psi.shape[0] != psi.shape[1]:
+        return False
+    return bool(np.allclose(psi.T @ psi, np.eye(psi.shape[1]), atol=TOL.ortho))
 
 
 def mutual_coherence(psi1: np.ndarray, psi2: np.ndarray) -> float:
     """Largest |<column_i, column_j>| across the two orthonormal bases."""
     if psi1.shape[0] != psi2.shape[0]:
         raise DimensionMismatch(f"d={psi1.shape[0]} vs d={psi2.shape[0]}")
-    _check_orthonormal(psi1)
-    _check_orthonormal(psi2)
+    if not (is_orthonormal(psi1) and is_orthonormal(psi2)):
+        raise NotOrthonormal("basis fails the orthonormality check")
     return float(np.max(np.abs(psi1.T @ psi2)))
 
 

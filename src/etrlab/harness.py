@@ -1,8 +1,21 @@
 """Config-driven Monte-Carlo experiments and report rendering.
 
-Every trial owns a stream derived from (master_seed, cell index, trial
-index), and trials run one after another in a fixed order, so reruns of
-a config are bit-identical. Each run writes `<name>_records.csv`,
+Every trial draws from a path of splits under `RandomStream(master_seed)`,
+in which each split index at a level serves one role, so no two trials
+share a stream whatever the sweep lengths and trial counts:
+
+- phase: trial t at budget index ci is `split(ci).split(t)`;
+- mismatch: census trial t is `split(0).split(t)`, recovery trial t is
+  `split(1).split(t)`;
+- regime map: cell (mi, ki) is `split(mi).split(ki)`, which draws its
+  sensing from `split(0)`, sampled gamma from `split(1)` and trial t from
+  `split(2).split(t)`;
+- uncertainty principle: trial t at dimension index di is
+  `split(di).split(t)`;
+- perturbation: trial t is `split(t)`.
+
+Trials run one after another in a fixed order, so reruns of a config are
+bit-identical. Each run writes `<name>_records.csv`,
 `<name>_summary.md` and `<name>_config.cfg`, the config it ran, which the
 summary's reproduce line passes back to `etr-lab`; phase and regime-map
 runs also draw one SVG figure.
@@ -17,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from .config import CELL_STRIDE, EXPERIMENT_COMMANDS, RECOVERY_KEY, ExperimentConfig, dump_config
+from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import EnumerationTooLarge, IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
@@ -41,7 +54,7 @@ def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[boo
     """(success, support_match, rel_error); success needs both conditions."""
     star_norm = float(np.linalg.norm(alpha_star))
     rel = float(np.linalg.norm(alpha_hat - alpha_star)) / max(star_norm, 1e-300)
-    truth_supp = set(np.flatnonzero(np.abs(alpha_star) > TOL.zero_tau * star_norm))
+    truth_supp = set(detected_support(alpha_star))
     hat_supp = set(detected_support(alpha_hat))
     match = hat_supp == truth_supp
     return match and rel <= SUCCESS_REL_ERROR, match, rel
@@ -194,11 +207,14 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
     base = RandomStream(cfg.master_seed)
     scfg = _solver_config(cfg, k)
 
-    def census_trial(t):
-        stream = base.split(t)
+    def draw(stream):
+        # psi* from split(0) and the instance from split(1); recovery goes on at split(2)
         psi_star = build_dictionary("random-orthonormal", d, seed=stream.split(0).as_seed())
         inst = plant(psi_star, k, stream.split(1))
-        keff = effective_sparsity(inst.x, identity)
+        return psi_star, inst, effective_sparsity(inst.x, identity)
+
+    def census_trial(t):
+        _, _, keff = draw(base.split(0).split(t))
         return {
             "experiment": "mismatch", "phase": "census", "arm": "-", "m": 0,
             "k": k, "d": d, "trial": t, "k_eff": keff,
@@ -206,12 +222,10 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         }
 
     def recovery_trial(t):
-        stream = base.split(RECOVERY_KEY + t)
-        psi_star = build_dictionary("random-orthonormal", d, seed=stream.split(0).as_seed())
-        inst = plant(psi_star, k, stream.split(1))
+        stream = base.split(1).split(t)
+        psi_star, inst, keff = draw(stream)
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
         y = observe(inst.x, phi, cfg.epsilon, stream.split(3))
-        keff = effective_sparsity(inst.x, identity)
         matched = solve("basis-pursuit", compose(phi, psi_star), y, scfg)
         mism = solve("basis-pursuit", EffectiveSensing(phi), y, scfg)
         rows = []
@@ -366,7 +380,7 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
     base = RandomStream(cfg.master_seed)
 
     def one_cell(mi, ki, m, k):
-        cell = base.split(mi * CELL_STRIDE + ki)
+        cell = base.split(mi).split(ki)
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=cell.split(0).as_seed())
         a = compose(phi, psi)
         r = min(2 * k, cfg.n)
@@ -377,7 +391,7 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         scfg = _solver_config(cfg, k)
         successes = {name: 0 for name in SOLVER_NAMES}
         for t in range(cfg.trials_per_cell):
-            ts = cell.split(10 + t)
+            ts = cell.split(2).split(t)
             inst = plant(psi, k, ts.split(0))
             y = observe(inst.x, phi, cfg.epsilon, ts.split(1))
             for entry in run_battery(a, y, scfg):

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 
+from .dictionaries import is_orthonormal
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -38,12 +39,6 @@ class PlantedInstance:
         return tuple(np.flatnonzero(self.alpha_star))
 
 
-def _is_orthonormal(mat: np.ndarray) -> bool:
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    return bool(np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=TOL.ortho))
-
-
 def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
     """Minimal support size expressing x in psi to within TOL.zero_tau * ||x||.
 
@@ -59,7 +54,7 @@ def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
     if mat.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"psi has {mat.shape[0]} rows, x has {x.shape[0]} entries")
     tol = TOL.zero_tau * xnorm
-    if _is_orthonormal(mat):
+    if is_orthonormal(mat):
         coeffs = mat.T @ x
         support = np.flatnonzero(np.abs(coeffs) > tol)
         return SparsityReport(k_psi=len(support), support=tuple(support))
@@ -107,7 +102,7 @@ def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise ZeroSignal("effective sparsity of the zero signal is undefined")
-    if not _is_orthonormal(psi):
+    if not is_orthonormal(psi):
         raise InvalidSparsity("effective_sparsity requires an orthonormal basis")
     return int(np.sum(np.abs(psi.T @ x) > TOL.zero_tau * xnorm))
 

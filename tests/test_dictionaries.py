@@ -7,6 +7,7 @@ from etrlab.dictionaries import (
     build_dictionary,
     build_sensing,
     compose,
+    is_orthonormal,
     mutual_coherence,
     normalize_columns,
     self_coherence,
@@ -118,6 +119,11 @@ def test_mutual_coherence_rejects_nonorthonormal():
     skew = np.ones((4, 4)) / 2.0
     with pytest.raises(NotOrthonormal):
         mutual_coherence(i4, skew)
+    # orthonormal columns that span only part of R^d do not make a basis
+    tall = i4[:, :3]
+    with pytest.raises(NotOrthonormal):
+        mutual_coherence(tall, tall)
+    assert is_orthonormal(i4) and not is_orthonormal(skew) and not is_orthonormal(tall)
 
 
 @given(

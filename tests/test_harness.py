@@ -23,9 +23,11 @@ from etrlab.harness import (
 
 
 def test_recovery_success_exact():
-    a = np.array([0.0, 1.5, 0.0, -0.3])
-    ok, match, rel = recovery_success(a, a)
-    assert ok and match and rel == 0.0
+    # the truth's support is detected_support's too, at TOL.zero_tau * max(||v||, 1):
+    # 5e-9 is below it whatever the norm
+    for a in (np.array([0.0, 1.5, 0.0, -0.3]), np.array([0.01, 5e-9, 0.0])):
+        ok, match, rel = recovery_success(a, a)
+        assert ok and match and rel == 0.0
 
 
 def test_recovery_success_tolerates_tiny_error():
@@ -231,28 +233,23 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
     assert ExperimentConfig(experiment="phase", recovery_trials=0).recovery_trials == 0
 
 
-def test_config_rejects_mismatch_census_past_the_recovery_streams(tmp_path):
-    # census trial 10 000 would draw from recovery trial 0's stream
-    with pytest.raises(ConfigError, match="trials_per_cell = 10001"):
-        ExperimentConfig(experiment="mismatch", trials_per_cell=10_001)
-    with pytest.raises(ConfigError, match="recovery trials' streams"):
-        load_config(_write(tmp_path, "[mismatch]\ntrials_per_cell = 10001\n"))
-    assert ExperimentConfig(experiment="mismatch", trials_per_cell=10_000).trials_per_cell == 10_000
-    assert ExperimentConfig(experiment="phase", trials_per_cell=10_001).trials_per_cell == 10_001
+def test_config_accepts_mismatch_census_past_ten_thousand_trials(tmp_path):
+    # census and recovery trials draw from split(0) and split(1) of the master
+    # stream, so no census count reaches the recovery trials' streams
+    cfg = ExperimentConfig(experiment="mismatch", trials_per_cell=10_001)
+    assert load_config(_write(tmp_path, dump_config(cfg))) == cfg
+    assert load_config(_write(tmp_path, "[mismatch]\ntrials_per_cell = 10001\n")) == cfg
 
 
-def test_config_rejects_regime_map_cells_past_the_stride(tmp_path):
-    # cell (m index 0, k index 1000) would draw from cell (1, 0)'s stream
+def test_config_accepts_regime_map_past_a_thousand_k_values(tmp_path):
+    # cell (mi, ki) draws from split(mi).split(ki), so no k index reaches the next m's
+    # cells; an empty m_sweep runs six budgets
     ks = tuple(range(1, 1002))
-    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
-        ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=(4, 8))
-    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
-        ExperimentConfig(experiment="regime-map", k_sweep=ks)  # the six default budgets
-    with pytest.raises(ConfigError, match="1001 values in k_sweep"):
-        load_config(_write(tmp_path, "[regime-map]\nk_sweep = 1:1001\nm_sweep = 4,8\n"))
-    # one budget has no next row to collide with; 1000 values of k fit the stride
-    assert len(ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=(8,)).k_sweep) == 1001
-    assert len(ExperimentConfig(experiment="regime-map", k_sweep=ks[:1000]).k_sweep) == 1000
+    for m_sweep in ((4, 8), ()):
+        cfg = ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=m_sweep)
+        assert load_config(_write(tmp_path, dump_config(cfg))) == cfg
+    text = "[regime-map]\nk_sweep = 1:1001\nm_sweep = 4,8\n"
+    assert load_config(_write(tmp_path, text)).k_sweep == ks
 
 
 def test_config_rejects_regime_map_below_the_classifier_minimum(tmp_path):
@@ -341,11 +338,12 @@ def test_shipped_records_digest_is_pinned(tmp_path, config):
 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP
-# and OMP, the three-solver battery with exact gamma, and the perturbation suite
-@pytest.mark.parametrize("config, overrides, digest", [
+# and OMP, the three-solver battery with exact gamma, and the perturbation suite;
+# (config, overrides, sha256 of the records)
+SHRUNK_PINS = [
     ("regime.cfg",
      dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
-     "54c8daaca3f8f02983fbfb26f36cf07c439484880f92108d2b6d1643822e3da3"),
+     "a34567cbae849fb30ea61759e7ed7e845892a952d069eb5b37b3d0c690cd94aa"),
     ("perturbation.cfg", dict(trials_per_cell=200),
      "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
     ("phase.cfg",
@@ -355,7 +353,10 @@ def test_shipped_records_digest_is_pinned(tmp_path, config):
     # the phase workload's own path: epsilon = 0 BP at d = 64 and the 4000 cap
     ("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
      "19293c6c93edf0d2145b6c9b1994d0e0d32d50146e12b8795af4a260fcaf4abd"),
-])
+]
+
+
+@pytest.mark.parametrize("config, overrides, digest", SHRUNK_PINS)
 def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
     cfg = load_config(os.path.join(CONFIGS, config))
     bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path)))
@@ -371,13 +372,7 @@ def test_colex_caches_hold_no_run_state(tmp_path, monkeypatch):
     # the perturbation and regime cases of test_shrunk_records_digest_is_pinned, run
     # twice in one process: with warm caches, then with 100-byte chunks (at most three
     # supports each) whose blocks take new cache keys and evict one another
-    cases = [
-        ("regime.cfg",
-         dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
-         "54c8daaca3f8f02983fbfb26f36cf07c439484880f92108d2b6d1643822e3da3"),
-        ("perturbation.cfg", dict(trials_per_cell=200),
-         "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
-    ]
+    cases = [pin for pin in SHRUNK_PINS if pin[0] in ("regime.cfg", "perturbation.cfg")]
     for chunk_bytes in (geometry.CHUNK_BYTES, 100):
         monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
         for config, overrides, digest in cases:
