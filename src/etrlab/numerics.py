@@ -40,14 +40,24 @@ def detected_support(v: np.ndarray) -> np.ndarray:
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions c of gram @ c = rhs for a stack (B, c, c) of Gram matrices.
+    """Solutions c of gram @ c = rhs for one (c, c) Gram matrix and a (c,) rhs,
+    or a stack (B, c, c) of them and a (B, c) rhs.
 
     A Gram matrix is rank deficient when it is singular to the LU solve, or
     its smallest eigenvalue is not positive or below rank_rel^2 times the
-    largest; its row of the (B, c) result is NaN.
+    largest; its row of the (B, c) result, or the whole (c,) result, is NaN.
+    One matrix runs the same eigvalsh and LU solve as a stack of one, so
+    both give the same bytes.
     """
     lam = np.linalg.eigvalsh(gram)
-    ok = (lam[:, 0] > 0) & (lam[:, 0] >= TOL.rank_rel ** 2 * np.maximum(lam[:, -1], 1e-300))
+    ok = (lam[..., 0] > 0) & (lam[..., 0] >= TOL.rank_rel ** 2 * np.maximum(lam[..., -1], 1e-300))
+    if gram.ndim == 2:
+        if ok:
+            try:
+                return np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                pass
+        return np.full(rhs.shape, np.nan)
     coef = np.full(rhs.shape, np.nan)
     try:
         coef[ok] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
@@ -69,14 +79,14 @@ def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     a_sub = np.asarray(a_sub, dtype=float)
     y = np.asarray(y, dtype=float)
-    stack = a_sub if a_sub.ndim == 3 else np.atleast_2d(a_sub)[None]
-    a_t = stack.transpose(0, 2, 1)
-    coef = solve_gram(a_t @ stack, a_t @ y)
     if a_sub.ndim == 3:
-        return coef
-    if np.isnan(coef[0, 0]):
-        raise RankDeficient(f"the Gram matrix of {stack.shape[2]} columns is rank deficient")
-    return coef[0]
+        a_t = a_sub.transpose(0, 2, 1)
+        return solve_gram(a_t @ a_sub, a_t @ y)
+    a_sub = np.atleast_2d(a_sub)
+    coef = solve_gram(a_sub.T @ a_sub, a_sub.T @ y)
+    if np.isnan(coef[0]):
+        raise RankDeficient(f"the Gram matrix of {a_sub.shape[1]} columns is rank deficient")
+    return coef
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

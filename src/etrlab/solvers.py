@@ -199,6 +199,14 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
 
     Each step is charged the correlation update, one least-squares solve on
     S and n + |S| comparisons for the join and drop tests.
+
+    The step keeps its buffers for the whole solve, and its arithmetic is the
+    textbook two-sided step's to the bit: both join sides come from one pass
+    over the pairs (corr, -corr) and (slope, -slope), exact since
+    lam - (-c) = lam + c, 1 - (-s) = 1 + s and 1 - s > 0 iff s < 1; the drop
+    test divides Python floats, the same IEEE division, and keeps the first
+    minimum; d comes from the same LAPACK eigvalsh and LU solve calls
+    (`solve_gram` on one Gram matrix, as on a stack of one).
     """
     y = np.asarray(y, dtype=float)
     mat = a.a
@@ -210,46 +218,63 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     corr = mat.T @ y
     cost.charge(mult=n * m, add=n * (m - 1), cmp=n)
     lam = lam_start = float(np.max(np.abs(corr)))
+    # row 0 of each pair is corr or slope, row 1 its negation: one pass tests both join sides
+    pm_corr = np.stack((corr, -corr))
+    corr = pm_corr[0]
+    pm_slope = np.empty((2, n))
+    slope = pm_slope[0]
+    num, den, ratio = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    open_side = np.empty((2, n), dtype=bool)
+    joins = np.empty(n)
+    # free: may join this step; false on the active set and, for one step, the column
+    # dropped last, which sits on the boundary and may not rejoin at once
+    free = np.ones(n, dtype=bool)
     active: list[int] = []
-    dropped = -1
+    barred = -1
     # an event is a join, the column index j >= 0, or a drop, ~i < 0 for active[i]
     event = int(np.argmax(np.abs(corr)))
     steps = 0
     converged = ended = np.linalg.norm(y) <= eps or lam == 0.0
     while not ended and steps < cfg.max_iterations:
+        if barred >= 0:
+            free[barred] = True
         if event >= 0:
             active.append(event)
+            free[event] = False
+            barred = -1
         else:
-            dropped = active.pop(~event)
-            x[dropped] = 0.0
-        signs = np.sign(corr[active])
-        sub = mat[:, active]
+            barred = active.pop(~event)
+            x[barred] = 0.0
+        idx = np.array(active)
+        signs = np.sign(corr[idx])
+        sub = mat[:, idx]
         steps += 1
         cost.charge_least_squares(m, len(active), 1)
         cost.charge(mult=n * m, add=n * m, cmp=n + len(active))
-        d = solve_gram((sub.T @ sub)[None], signs[None])[0]
+        d = solve_gram(sub.T @ sub, signs)
         if np.isnan(d[0]):
             break
         u = sub @ d
-        slope = mat.T @ u
-        # join: |corr_j - g * slope_j| = lam - g; a negative ratio is a tie, joined at g = 0.
-        # The column dropped last step sits on the boundary and may not rejoin at once.
-        joins = np.full(n, np.inf)
-        free = np.ones(n, dtype=bool)
-        free[active] = False
-        if event < 0:
-            free[dropped] = False
-        np.divide(lam - corr, 1.0 - slope, out=joins, where=free & (slope < 1.0))
-        other = np.full(n, np.inf)
-        np.divide(lam + corr, 1.0 + slope, out=other, where=free & (slope > -1.0))
-        joins = np.maximum(np.minimum(joins, other), 0.0)
-        j = int(np.argmin(joins))
-        # drop: x_i + g * d_i = 0 on the first g > 0
-        drops = np.full(len(active), np.inf)
-        np.divide(-x[active], d, out=drops, where=d != 0.0)
-        drops[drops <= 0.0] = np.inf
-        i = int(np.argmin(drops))
-        event, gamma = (j, joins[j]) if joins[j] < drops[i] else (~i, drops[i])
+        np.matmul(mat.T, u, out=slope)
+        np.negative(slope, out=pm_slope[1])
+        # join: |corr_j - g * slope_j| = lam - g, so g = (lam -+ corr_j) / (1 -+ slope_j) on
+        # a side whose denominator is positive; a negative ratio is a tie, joined at g = 0
+        np.subtract(lam, pm_corr, out=num)
+        np.subtract(1.0, pm_slope, out=den)
+        np.greater(den, 0.0, out=open_side)
+        open_side &= free
+        ratio.fill(np.inf)
+        np.divide(num, den, out=ratio, where=open_side)
+        np.minimum(ratio[0], ratio[1], out=joins)
+        np.maximum(joins, 0.0, out=joins)
+        j = int(joins.argmin())
+        join = float(joins[j])
+        # drop: x_i + g * d_i = 0 on the first g > 0; the first minimum wins
+        i, drop = 0, np.inf
+        for k, (xk, dk) in enumerate(zip(x[idx].tolist(), d.tolist())):
+            if dk != 0.0 and 0.0 < (g := -xk / dk) < drop:
+                i, drop = k, g
+        event, gamma = (j, join) if join < drop else (~i, drop)
         if lam - gamma <= TOL.path_end * lam_start:
             gamma, ended = lam, True
         stop = False
@@ -261,9 +286,9 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
             root = excess / (ru + sqrt(disc)) if disc >= 0.0 else np.inf
             stop = root < gamma
             gamma = min(gamma, root)
-        x[active] += gamma * d
+        x[idx] += gamma * d
         res -= gamma * u
-        corr -= gamma * slope
+        pm_corr -= gamma * pm_slope
         lam -= gamma
         if stop or ended:
             # dual certificate: ||A^T nu||_inf <= 1 and no gap to the dual value

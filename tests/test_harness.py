@@ -322,7 +322,7 @@ def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
 # ------------------------------------------------------ experiments (small)
 
 
-@pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg"])
+@pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg", "phase.cfg", "mismatch.cfg"])
 def test_shipped_records_digest_is_pinned(tmp_path, config):
     # a change to any record byte of these shipped configs shows up here; the
     # pin is the config's line of the table that scripts/records_digests.py checks

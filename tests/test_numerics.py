@@ -6,12 +6,14 @@ from hypothesis.extra import numpy as hnp
 from etrlab.errors import IoFailure, RankDeficient
 from etrlab.geometry import support_chunks
 from etrlab.numerics import (
+    TOL,
     least_squares,
     load_matrix,
     load_vector,
     save_matrix,
     smallest_singular_pair,
     smallest_singular_value,
+    solve_gram,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -60,6 +62,40 @@ def test_least_squares_stack_marks_singular_members_only():
                 least_squares(mat, y)
         else:
             assert coef[i].tobytes() == least_squares(mat, y).tobytes()
+
+
+def test_solve_gram_one_matrix_matches_a_stack_of_one():
+    # one (c, c) Gram matrix runs the stack's eigvalsh, rank test and LU solve: the
+    # same bytes, and the same all-NaN answer when the Gram matrix is rank deficient
+    gen = np.random.default_rng(3)
+    seen = set()
+    for trial in range(400):
+        m, c = int(gen.integers(2, 8)), int(gen.integers(1, 6))
+        mat = gen.normal(size=(m, c))
+        if trial % 4 == 1 and c > 1:  # a copy or a multiple of a column
+            mat[:, -1] = mat[:, 0] * (1.0 if trial % 8 else 2.0)
+        if trial % 4 == 2 and c > 1:  # a copy up to rounding-sized noise
+            mat[:, -1] = mat[:, 0] + 1e-13 * gen.normal(size=m)
+        if trial % 4 == 3:
+            mat[:, 0] = 0.0
+        gram, rhs = mat.T @ mat, mat.T @ gen.normal(size=m)
+        one = solve_gram(gram, rhs)
+        assert one.shape == (c,)
+        assert one.tobytes() == solve_gram(gram[None], rhs[None])[0].tobytes()
+        lam = np.linalg.eigvalsh(gram)
+        passes = bool(lam[0] > 0 and lam[0] >= TOL.rank_rel ** 2 * max(lam[-1], 1e-300))
+        try:
+            np.linalg.solve(gram, rhs)
+            lu = True
+        except np.linalg.LinAlgError:
+            lu = False
+        if passes and lu:
+            assert np.all(np.isfinite(one))
+        else:
+            assert np.all(np.isnan(one))
+        seen.add((passes, lu))
+    # well conditioned, rejected by the eigenvalue test, and singular only to LU
+    assert seen >= {(True, True), (False, True), (True, False)}
 
 
 @given(hnp.arrays(float, (6, 3), elements=finite), hnp.arrays(float, (6,), elements=finite))

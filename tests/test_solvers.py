@@ -1,4 +1,5 @@
-from math import comb
+import re
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -466,6 +467,156 @@ def test_bp_random_shapes_certify_what_they_return():
             if not off_range:
                 assert np.sum(np.abs(res.alpha_hat)) <= np.sum(np.abs(alpha)) + 1e-9
     assert certified >= 0.98 * solved
+
+
+def _solve_gram_stacked(gram, rhs):
+    """numerics.solve_gram as it was when it took only a (B, c, c) stack."""
+    lam = np.linalg.eigvalsh(gram)
+    ok = (lam[:, 0] > 0) & (lam[:, 0] >= TOL.rank_rel ** 2 * np.maximum(lam[:, -1], 1e-300))
+    coef = np.full(rhs.shape, np.nan)
+    try:
+        coef[ok] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular member fails the whole solve
+        for i in np.flatnonzero(ok):
+            try:
+                coef[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    return coef
+
+
+def _solve_bp_one_side_at_a_time(a, y, cfg):
+    """solve_bp as it was before its step kept buffers: a stack-of-one Gram solve,
+    one pass per join side, a free mask rebuilt every step, a vectorized drop test."""
+    y = np.asarray(y, dtype=float)
+    mat = a.a
+    m, n = mat.shape
+    eps = cfg.epsilon
+    cost = CostCounter()
+    x = np.zeros(n)
+    res = y.copy()
+    corr = mat.T @ y
+    cost.charge(mult=n * m, add=n * (m - 1), cmp=n)
+    lam = lam_start = float(np.max(np.abs(corr)))
+    active: list[int] = []
+    dropped = -1
+    event = int(np.argmax(np.abs(corr)))
+    steps = 0
+    converged = ended = np.linalg.norm(y) <= eps or lam == 0.0
+    while not ended and steps < cfg.max_iterations:
+        if event >= 0:
+            active.append(event)
+        else:
+            dropped = active.pop(~event)
+            x[dropped] = 0.0
+        signs = np.sign(corr[active])
+        sub = mat[:, active]
+        steps += 1
+        cost.charge_least_squares(m, len(active), 1)
+        cost.charge(mult=n * m, add=n * m, cmp=n + len(active))
+        d = _solve_gram_stacked((sub.T @ sub)[None], signs[None])[0]
+        if np.isnan(d[0]):
+            break
+        u = sub @ d
+        slope = mat.T @ u
+        joins = np.full(n, np.inf)
+        free = np.ones(n, dtype=bool)
+        free[active] = False
+        if event < 0:
+            free[dropped] = False
+        np.divide(lam - corr, 1.0 - slope, out=joins, where=free & (slope < 1.0))
+        other = np.full(n, np.inf)
+        np.divide(lam + corr, 1.0 + slope, out=other, where=free & (slope > -1.0))
+        joins = np.maximum(np.minimum(joins, other), 0.0)
+        j = int(np.argmin(joins))
+        drops = np.full(len(active), np.inf)
+        np.divide(-x[active], d, out=drops, where=d != 0.0)
+        drops[drops <= 0.0] = np.inf
+        i = int(np.argmin(drops))
+        event, gamma = (j, joins[j]) if joins[j] < drops[i] else (~i, drops[i])
+        if lam - gamma <= TOL.path_end * lam_start:
+            gamma, ended = lam, True
+        stop = False
+        if eps > 0.0:
+            ru, uu, excess = res.dot(u), u.dot(u), res.dot(res) - eps * eps
+            disc = ru * ru - uu * excess
+            root = excess / (ru + sqrt(disc)) if disc >= 0.0 else np.inf
+            stop = root < gamma
+            gamma = min(gamma, root)
+        x[active] += gamma * d
+        res -= gamma * u
+        corr -= gamma * slope
+        lam -= gamma
+        if stop or ended:
+            nu = (y - mat @ x) / lam if stop else u
+            l1 = float(np.sum(np.abs(x)))
+            gap = l1 - (nu.dot(y) - eps * sqrt(nu.dot(nu)))
+            converged = bool(np.max(np.abs(mat.T @ nu)) <= 1.0 + TOL.bound_slack
+                             and gap <= TOL.bound_slack * max(l1, 1.0))
+            break
+    result = _finish(a, x, y, cost, converged, iterations=steps)
+    if ended and result.residual_norm > eps + TOL.reachability:
+        raise NoFeasibleSolution("y outside the reachable residual ball")
+    return result
+
+
+def _bp_reference_instances():
+    """(A, y, epsilon, cap): phase geometry at d = 64 over the phase m sweep; +-1
+    ensembles at d = 32, with exact ties and singular active sets; random shapes
+    with zero columns, repeated rows, dense y (off the range of A when a row repeats)
+    and small step caps."""
+    for epsilon in (0.0, 0.01):
+        for m in (4, 6, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48):
+            for t in range(2):
+                a, _, y = _planted(m, 64, 3, seed=100 * m + t, epsilon=epsilon)
+                yield a.a, y, epsilon, 4000
+        for sensing, basis in (("bernoulli", "identity"), ("row-subsample", "hadamard"),
+                               ("row-subsample", "identity")):
+            psi = build_dictionary(basis, 32)
+            for m in (8, 12, 16, 24):
+                for t in range(6):
+                    s = RandomStream(91, m).split(t)
+                    phi = build_sensing(sensing, m, 32, seed=s.split(0).as_seed())
+                    inst = plant(psi, 3, s.split(1))
+                    yield phi @ psi, observe(inst.x, phi, epsilon, s.split(2)), epsilon, 4000
+    gen = np.random.default_rng(29)
+    for trial in range(480):
+        n, eps = (8, 16, 32, 64)[trial % 4], (0.0, 0.01, 0.1)[trial // 12 % 3]
+        m = int(gen.integers(1, n + 1))
+        mat = gen.normal(size=(m, n))
+        if trial % 5 == 0 and m > 1:
+            mat[-1] = mat[0]
+        if trial % 7 == 0:
+            mat[:, int(gen.integers(n))] = 0.0
+        k = int(gen.integers(1, max(m // 3, 1) + 1))
+        alpha = np.zeros(n)
+        alpha[gen.choice(n, k, replace=False)] = gen.normal(size=k)
+        noise = gen.normal(size=m)
+        # a dense y takes long paths with many drops; with a repeated row it is off range(A)
+        y = noise if trial // 4 % 2 else mat @ alpha + 0.5 * eps * noise / np.linalg.norm(noise)
+        yield mat, y, eps, (1, 3, 4000)[trial % 3]
+
+
+def test_bp_matches_the_one_side_at_a_time_path_bit_for_bit():
+    seen = set()
+    for mat, y, eps, cap in _bp_reference_instances():
+        a, cfg = EffectiveSensing(mat), SolverConfig(epsilon=eps, max_iterations=cap)
+        try:
+            old = _solve_bp_one_side_at_a_time(a, y, cfg)
+        except EtrLabError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                solve_bp(a, y, cfg)
+            seen.add(type(exc).__name__)
+            continue
+        new = solve_bp(a, y, cfg)
+        assert new.alpha_hat.tobytes() == old.alpha_hat.tobytes()
+        assert (new.iterations, new.converged) == (old.iterations, old.converged)
+        assert (new.cost.multiplies, new.cost.additions, new.cost.comparisons) == (
+            old.cost.multiplies, old.cost.additions, old.cost.comparisons)
+        assert new.residual_norm == old.residual_norm
+        seen.add((eps > 0, new.converged, new.iterations == cap))
+    assert seen >= {"NoFeasibleSolution", (False, True, False), (True, True, False),
+                    (False, False, False), (False, False, True), (True, False, True)}
 
 
 def test_solve_rescales_omp_on_unnormalized_matrix():
