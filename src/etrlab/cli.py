@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, default=0, help="rows (default d)")
     g.add_argument("--seed", type=int, default=42)
     g.add_argument("--r", type=int, default=2)
-    g.add_argument("--mode", default="exact", choices=("exact", "sampled", "bound"))
-    g.add_argument("--trials", type=int, default=100)
     g.add_argument("--normalize", action="store_true", help="column-normalize A")
     g.add_argument("--out", help="write the report CSV here")
 
@@ -79,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "verify":
-            p.add_argument("--suite", default="uncertainty-principle",
-                           choices=("uncertainty-principle", "perturbation"))
+            p.add_argument("--suite", choices=("uncertainty-principle", "perturbation"),
+                           help="default: the config's suite, else uncertainty-principle")
     return parser
 
 
@@ -88,27 +86,16 @@ _SOLVER_ALIAS = {"l0": "l0-exhaustive", "bp": "basis-pursuit"}
 
 
 def _experiment_config(args, command: str) -> ExperimentConfig:
+    suite = getattr(args, "suite", None)
+    expected = [suite] if suite else [
+        e for e, line in EXPERIMENT_COMMANDS.items() if line.split()[0] == command]
     if args.config:
         cfg = load_config(args.config)
-        expected = [e for e, line in EXPERIMENT_COMMANDS.items() if line.split()[0] == command]
         if cfg.experiment not in expected:
-            raise EtrLabError(
-                f"config experiment {cfg.experiment!r} does not match subcommand {command!r}"
-            )
-    elif command == "verify":
-        suite = args.suite
-        if suite == "perturbation":
-            cfg = ExperimentConfig(experiment="perturbation", d=6, n=8, k=1,
-                                   trials_per_cell=200)
-        else:
-            cfg = ExperimentConfig(experiment="uncertainty-principle", trials_per_cell=200)
-    elif command == "mismatch":
-        cfg = ExperimentConfig(experiment="mismatch", d=32, k=4,
-                               trials_per_cell=1000, recovery_trials=50)
-    elif command == "regime":
-        cfg = ExperimentConfig(experiment="regime-map", d=16, n=16, trials_per_cell=20)
+            given = f"{command} --suite {suite}" if suite else command
+            raise EtrLabError(f"config experiment {cfg.experiment!r} does not match {given!r}")
     else:
-        cfg = ExperimentConfig(experiment="phase")
+        cfg = ExperimentConfig(experiment=expected[0])
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.out:
@@ -124,8 +111,7 @@ def _cmd_geometry(args) -> int:
     a = compose(phi, psi)
     if args.normalize:
         a = EffectiveSensing(normalize_columns(a.a))
-    stream = RandomStream(args.seed, 1)
-    report = geometry_report(a, args.r, mode=args.mode, trials=args.trials, stream=stream)
+    report = geometry_report(a, args.r, RandomStream(args.seed, 1))
     row = {
         "r": report.r,
         "gamma_exact": report.gamma_exact if report.gamma_exact is not None else "",

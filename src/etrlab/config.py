@@ -2,15 +2,17 @@
 
 Config files use INI sections, one section named after the experiment
 (`phase`, `mismatch`, `uncertainty-principle`, `perturbation`,
-`regime-map`) plus an optional `[thresholds]` section. Unknown sections
-or keys are errors; silent typos are worse than loud ones.
+`regime-map`) plus, for phase and regime-map, an optional `[thresholds]`
+section. `EXPERIMENTS` lists the keys each experiment reads and their
+defaults. Unknown sections or keys are errors, and so is a key the
+experiment does not read; silent typos are worse than loud ones.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import ConfigError
@@ -26,36 +28,62 @@ EXPERIMENT_COMMANDS = {
     "perturbation": "verify --suite perturbation",
     "regime-map": "regime",
 }
-EXPERIMENTS = tuple(EXPERIMENT_COMMANDS)
+
+# each experiment and the fields its runner reads, with their defaults; a
+# callable default is computed from the fields filled before it
+EXPERIMENTS = {
+    "phase": dict(d=64, n=lambda cfg: cfg.d, k=3, m_sweep=tuple(range(4, 49, 4)), epsilon=0.0,
+                  trials_per_cell=50, basis="identity", sensing="gaussian",
+                  solvers=("basis-pursuit",), max_iterations=4000,
+                  thresholds=RegimeThresholds()),
+    "mismatch": dict(d=32, k=4, m=lambda cfg: cfg.d // 2, epsilon=0.0, trials_per_cell=1000,
+                     recovery_trials=50, sensing="gaussian", max_iterations=4000),
+    "uncertainty-principle": dict(d_sweep=(4, 16, 64), trials_per_cell=200),
+    "perturbation": dict(d=6, n=8, k=1, trials_per_cell=200, sensing="gaussian"),
+    "regime-map": dict(d=16, n=lambda cfg: cfg.d, k_sweep=(1, 2, 3), m_sweep=(2, 4, 6, 8, 12, 16),
+                       epsilon=0.0, trials_per_cell=20, basis="identity", sensing="gaussian",
+                       max_iterations=4000, thresholds=RegimeThresholds()),
+}
+# fields that every experiment takes; workers accepts only 1
+SHARED_FIELDS = ("experiment", "master_seed", "output_dir", "workers")
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings: the fields the experiment reads are filled
+    from `EXPERIMENTS` when left None, and every other field must stay None."""
+
     experiment: str = "phase"
-    d: int = 64
-    n: int = 0                      # 0: defaults to d
-    k: int = 3
-    k_sweep: tuple = ()
-    m_sweep: tuple = ()
-    m: int = 0                      # mismatch recovery budget; 0: d // 2
-    d_sweep: tuple = ()             # uncertainty-principle dimensions
-    epsilon: float = 0.0
-    trials_per_cell: int = 50
-    recovery_trials: int = 100      # mismatch recovery sub-experiment
+    d: int | None = None
+    n: int | None = None
+    k: int | None = None
+    k_sweep: tuple | None = None
+    m_sweep: tuple | None = None
+    m: int | None = None                # mismatch recovery budget
+    d_sweep: tuple | None = None        # uncertainty-principle dimensions
+    epsilon: float | None = None
+    trials_per_cell: int | None = None
+    recovery_trials: int | None = None  # mismatch recovery sub-experiment
     master_seed: int = 42
-    basis: str = "identity"
-    sensing: str = "gaussian"
-    solvers: tuple = ("basis-pursuit",)
-    max_iterations: int = 4000      # basis pursuit's path-step cap
+    basis: str | None = None
+    sensing: str | None = None
+    solvers: tuple | None = None
+    max_iterations: int | None = None   # basis pursuit's path-step cap
     output_dir: str = "out"
-    workers: int = 1                # trials run sequentially; only 1 is accepted
-    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
+    workers: int = 1                    # trials run sequentially; only 1 is accepted
+    thresholds: RegimeThresholds | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        reads = EXPERIMENTS.get(self.experiment)
+        if reads is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.n == 0:
-            self.n = self.d
+        unread = [f.name for f in dataclasses.fields(self) if f.name not in reads
+                  and f.name not in SHARED_FIELDS and getattr(self, f.name) is not None]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}")
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default(self) if callable(default) else default)
         if self.experiment in ("phase", "regime-map") and self.n != self.d:
             raise ConfigError(f"{self.experiment} builds a d x d dictionary: n must equal d "
                               f"(n = {self.n}, d = {self.d})")
@@ -63,28 +91,34 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
-        if not self.epsilon >= 0.0:
+        if self.epsilon is not None and not self.epsilon >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.experiment == "perturbation" and not 1 <= self.k <= self.n:
-            raise ConfigError(f"perturbation needs 1 <= k <= n, got k = {self.k}, n = {self.n}")
-        r = min(2 * self.k, self.n)  # perturbation's exact gamma_2k enumerates C(n, r) supports
-        if self.experiment == "perturbation" and comb(self.n, r) > EXACT_GUARD:
-            raise ConfigError(f"perturbation enumerates binomial({self.n},{r}) supports, "
-                              f"more than {EXACT_GUARD}")
+        for name in [key for key in ("k_sweep", "m_sweep", "d_sweep") if key in reads]:
+            sweep = getattr(self, name)
+            if not sweep or not all(isinstance(v, int) and v >= 1 for v in sweep):
+                raise ConfigError(f"{name} must hold positive integers and not be empty")
+            # the isotonic 50% crossing and the heat-map axes read sweeps in order
+            if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
+                raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
+        # every planted signal is k-sparse in n columns (d columns in mismatch)
+        if self.experiment != "uncertainty-principle":
+            ks = self.k_sweep if self.experiment == "regime-map" else (self.k,)
+            dim = "d" if self.experiment == "mismatch" else "n"
+            if not all(1 <= k <= getattr(self, dim) for k in ks):
+                raise ConfigError(f"{self.experiment} needs 1 <= k <= {dim} for each k in {ks}, "
+                                  f"{dim} = {getattr(self, dim)}")
+        if self.experiment == "perturbation":
+            r = min(2 * self.k, self.n)  # its exact gamma_2k enumerates C(n, r) supports
+            if comb(self.n, r) > EXACT_GUARD:
+                raise ConfigError(f"perturbation enumerates binomial({self.n},{r}) supports, "
+                                  f"more than {EXACT_GUARD}")
         if self.experiment == "mismatch" and self.recovery_trials < 1:
             raise ConfigError("mismatch needs recovery_trials >= 1")
         if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:
             raise ConfigError(f"regime-map classifies a cell from at least thresholds.trials = "
                               f"{self.thresholds.trials} trials, got trials_per_cell = "
                               f"{self.trials_per_cell}")
-        for name, sweep in (("k_sweep", self.k_sweep), ("m_sweep", self.m_sweep),
-                            ("d_sweep", self.d_sweep)):
-            if sweep and not all(isinstance(v, int) and v >= 1 for v in sweep):
-                raise ConfigError(f"{name} must hold positive integers")
-            # the isotonic 50% crossing and the heat-map axes read sweeps in order
-            if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
-                raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
-        unknown = [v for v in self.solvers if v not in SOLVER_NAMES]
+        unknown = [v for v in self.solvers or () if v not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
 
@@ -165,9 +199,9 @@ def load_config(path) -> ExperimentConfig:
 def dump_config(cfg: ExperimentConfig) -> str:
     """The config file text that `load_config` reads back as `cfg`.
 
-    Every field is written, and every threshold; floats by repr, which
-    parses back to the same bits, and `%` doubled for the loader's
-    interpolation.
+    Every field the experiment reads is written, with every threshold
+    when it reads them; floats by repr, which parses back to the same
+    bits, and `%` doubled for the loader's interpolation.
     """
     def text(value) -> str:
         if isinstance(value, tuple):
@@ -176,8 +210,10 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
     lines = [f"[{cfg.experiment}]"]
     lines += [f"{f.name} = {text(getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
-              if f.name not in ("experiment", "thresholds")]
-    lines += ["", "[thresholds]"]
-    lines += [f"{f.name} = {text(getattr(cfg.thresholds, f.name))}"
-              for f in dataclasses.fields(cfg.thresholds)]
+              if f.name not in ("experiment", "workers", "thresholds")
+              and getattr(cfg, f.name) is not None]
+    if cfg.thresholds is not None:
+        lines += ["", "[thresholds]"]
+        lines += [f"{f.name} = {text(getattr(cfg.thresholds, f.name))}"
+                  for f in dataclasses.fields(cfg.thresholds)]
     return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NotNo
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
+SAMPLED_SUPPORTS = 200  # supports geometry_report samples past EXACT_GUARD
 CHUNK_BYTES = 2 ** 18  # gathered columns per stack in support_chunks
 BLOCK_CACHE = 16  # colex index blocks (and binomial tables) kept for reuse
 
@@ -34,7 +35,7 @@ class GeometryReport:
     injective_on_r_sparse: str  # yes | no | unknown
     witness: Optional[np.ndarray]
     supports_examined: int
-    method: str  # exact | sampled | bound
+    method: str  # exact | sampled
 
 
 def colex_supports(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -170,42 +171,27 @@ def perturbation_check(
     return slack >= -TOL.bound_slack * max(lhs, 1.0), slack
 
 
-def geometry_report(
-    a: EffectiveSensing,
-    r: int,
-    mode: str = "exact",
-    trials: int = 0,
-    stream=None,
-) -> GeometryReport:
-    """Assemble the gamma triple; the method used is always recorded."""
-    n = a.a.shape[1]
-    total = comb(n, r)
+def geometry_report(a: EffectiveSensing, r: int, stream=None) -> GeometryReport:
+    """Assemble the gamma triple; the method used is always recorded.
+
+    gamma_r is exact when C(n, r) <= EXACT_GUARD; past the guard it is the
+    upper bound from SAMPLED_SUPPORTS supports drawn from `stream`.
+    """
     try:
         lower = gamma_lower_coherence(a, r)
     except NotNormalized:
         lower = 0.0  # columns not normalized: bound unavailable
-    exact = witness = None
-    examined = 0
-    upper = np.inf
-    if mode == "exact":
+    n = a.a.shape[1]
+    if comb(n, r) <= EXACT_GUARD:
         exact, witness, examined = gamma_exact(a, r, with_witness=True)
         upper = exact
-    elif mode == "sampled":
-        if stream is None or trials < 1:
-            raise InvalidSparsity("sampled mode needs trials >= 1 and a stream")
-        upper = gamma_sampled(a, r, trials, stream)
-        examined = min(trials, total)
-    elif mode == "bound":
-        upper = float(np.max(np.linalg.norm(a.a, axis=0)))  # trivial sigma bound
-    else:
-        raise InvalidSparsity(f"unknown mode {mode!r}")
-    if exact is not None:
         lower = min(lower, exact)  # the r = 2 Gershgorin bound is tight; absorb last-ulp rounding
         injective = "no" if exact <= _zero_cutoff(a.a) else "yes"
-    elif upper <= _zero_cutoff(a.a):
-        injective = "no"
     else:
-        injective = "unknown"
+        exact = witness = None
+        examined = SAMPLED_SUPPORTS
+        upper = gamma_sampled(a, r, SAMPLED_SUPPORTS, stream)
+        injective = "no" if upper <= _zero_cutoff(a.a) else "unknown"
     return GeometryReport(
         r=r,
         gamma_exact=exact,
@@ -214,5 +200,5 @@ def geometry_report(
         injective_on_r_sparse=injective,
         witness=witness,
         supports_examined=examined,
-        method=mode,
+        method="sampled" if exact is None else "exact",
     )

@@ -32,7 +32,7 @@ import numpy as np
 from . import svgplot
 from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
-from .errors import EnumerationTooLarge, IoFailure, SuiteFailure
+from .errors import IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
 from .numerics import TOL, detected_support
@@ -143,7 +143,6 @@ def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
-    m_sweep = cfg.m_sweep or tuple(range(4, 49, 4))
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
     scfg = _solver_config(cfg, cfg.k)
@@ -169,7 +168,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
             rows.append(row)
         return rows
 
-    records = [row for ci, m in enumerate(m_sweep) for t in range(cfg.trials_per_cell)
+    records = [row for ci, m in enumerate(cfg.m_sweep) for t in range(cfg.trials_per_cell)
                for row in one_trial(ci, m, t)]
 
     threshold = sample_threshold(cfg.k, cfg.n, cfg.thresholds.sample_c0)
@@ -179,14 +178,14 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
     series: dict = {}
     for solver in cfg.solvers:
         rates = []
-        for m in m_sweep:
+        for m in cfg.m_sweep:
             cell = [r for r in records if r["solver"] == solver and r["m"] == m]
             rate = sum(r["success"] for r in cell) / len(cell)
             rates.append(rate)
             lines.append(f"| {m} | {solver} | {rate:.3f} |")
-        series[solver] = list(zip(m_sweep, rates))
+        series[solver] = list(zip(cfg.m_sweep, rates))
         smooth = isotonic_fit(rates)
-        crossing = next((m for m, r in zip(m_sweep, smooth) if r >= 0.5), None)
+        crossing = next((m for m, r in zip(cfg.m_sweep, smooth) if r >= 0.5), None)
         lines.append("")
         lines.append(f"isotonic 50% crossing for {solver}: m = {crossing}")
         lines.append("")
@@ -201,8 +200,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
 
 
 def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
-    d, k = cfg.d, cfg.k
-    m = cfg.m or d // 2
+    d, k, m = cfg.d, cfg.k, cfg.m
     identity = build_dictionary("identity", d)
     base = RandomStream(cfg.master_seed)
     scfg = _solver_config(cfg, k)
@@ -273,10 +271,9 @@ def _subgroup_indicator(d: int) -> np.ndarray:
 
 
 def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
-    d_sweep = cfg.d_sweep or (4, 16, 64)
     base = RandomStream(cfg.master_seed)
     records, violations, lines = [], [], []
-    for di, d in enumerate(d_sweep):
+    for di, d in enumerate(cfg.d_sweep):
         ident = build_dictionary("identity", d)
         hada = build_dictionary("hadamard", d)
         mu = mutual_coherence(ident, hada)
@@ -374,8 +371,6 @@ REGIME_COLORS = {
 
 
 def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
-    k_sweep = cfg.k_sweep or (1, 2, 3)
-    m_sweep = cfg.m_sweep or (2, 4, 6, 8, 12, 16)
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
 
@@ -383,11 +378,7 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         cell = base.split(mi).split(ki)
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=cell.split(0).as_seed())
         a = compose(phi, psi)
-        r = min(2 * k, cfg.n)
-        try:
-            geom = geometry_report(a, r, mode="exact")
-        except EnumerationTooLarge:
-            geom = geometry_report(a, r, mode="sampled", trials=200, stream=cell.split(1))
+        geom = geometry_report(a, min(2 * k, cfg.n), cell.split(1))
         scfg = _solver_config(cfg, k)
         successes = {name: 0 for name in SOLVER_NAMES}
         for t in range(cfg.trials_per_cell):
@@ -415,20 +406,20 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         }
 
     records = [one_cell(mi, ki, m, k)
-               for mi, m in enumerate(m_sweep) for ki, k in enumerate(k_sweep)]
+               for mi, m in enumerate(cfg.m_sweep) for ki, k in enumerate(cfg.k_sweep)]
 
-    lines = ["| m \\ k | " + " | ".join(str(k) for k in k_sweep) + " |",
-             "|---" * (len(k_sweep) + 1) + "|"]
-    for m in m_sweep:
+    lines = ["| m \\ k | " + " | ".join(str(k) for k in cfg.k_sweep) + " |",
+             "|---" * (len(cfg.k_sweep) + 1) + "|"]
+    for m in cfg.m_sweep:
         row = [next(r["regime"] for r in records if r["m"] == m and r["k"] == k)
-               for k in k_sweep]
+               for k in cfg.k_sweep]
         lines.append(f"| {m} | " + " | ".join(row) + " |")
     lines.append("")
     lines.append("classifier thresholds: " + repr(cfg.thresholds))
     os.makedirs(cfg.output_dir, exist_ok=True)
     fig = os.path.join(cfg.output_dir, "regime_map.svg")
     grid = {(r["k"], r["m"]): r["regime"] for r in records}
-    svgplot.heat_map(fig, grid, list(k_sweep), list(m_sweep), "k", "m",
+    svgplot.heat_map(fig, grid, list(cfg.k_sweep), list(cfg.m_sweep), "k", "m",
                      "discovery regimes", colors=REGIME_COLORS)
     return render_report(records, cfg, "regime_map", lines, (fig,))
 

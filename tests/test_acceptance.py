@@ -237,7 +237,7 @@ def test_criterion_8_regime_classifier(tmp_path):
     # duplicate columns force non-unique regardless of solver statistics
     mat = build_sensing("gaussian", 8, 11, seed=80)
     a = EffectiveSensing(np.hstack([mat, mat[:, [3]]]))
-    geom = geometry_report(a, 2, mode="exact")
+    geom = geometry_report(a, 2)
     stats = BatteryStats(20, {"l0-exhaustive": 1.0, "omp": 1.0, "basis-pursuit": 1.0})
     label = classify_regime(geom, m=8, n=12, k=1, battery_stats=stats)
     assert label.label == "non-unique"
@@ -247,7 +247,7 @@ def test_criterion_8_regime_classifier(tmp_path):
     psi = build_dictionary("identity", d)
     phi = build_sensing("identity", d, d)
     a = compose(phi, psi)
-    geom = geometry_report(a, 2, mode="exact")
+    geom = geometry_report(a, 2)
     succ = {"l0-exhaustive": 0, "omp": 0, "basis-pursuit": 0}
     for t in range(20):
         stream = RandomStream(808, t)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import etrlab.cli as cli
+from etrlab import geometry
 from etrlab.cli import main
 from etrlab.config import EXPERIMENTS, ExperimentConfig, load_config
 from etrlab.errors import SuiteFailure
@@ -30,10 +32,11 @@ def test_geometry_markdown_and_csv(tmp_path, capsys):
     assert lines[1].startswith("2,1,")  # identity has gamma_2 = 1
 
 
-def test_geometry_sampled_mode(capsys):
+def test_geometry_sampled_mode(capsys, monkeypatch):
+    # C(6, 2) = 15 supports, past a guard of 10
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 10)
     rc = main(["geometry", "--dict", "random-orthonormal", "--d", "6",
-               "--sensing", "gaussian", "--m", "4", "--mode", "sampled",
-               "--trials", "10", "--seed", "3"])
+               "--sensing", "gaussian", "--m", "4", "--seed", "3"])
     assert rc == 0
     assert "sampled" in capsys.readouterr().out
 
@@ -190,6 +193,42 @@ def test_verify_uncertainty_small(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 0
 
 
+def test_verify_suite_must_match_the_config(tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[uncertainty-principle]\nd_sweep = 4\ntrials_per_cell = 10\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    rc = main(["verify", "--suite", "perturbation", "--config", str(cfg)])
+    assert rc == 1
+    assert "does not match 'verify --suite perturbation'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    assert main(["verify", "--suite", "uncertainty-principle", "--config", str(cfg)]) == 0
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")) as fh:
+    SHIPPED_PINS = dict(line.split() for line in fh if line.strip())
+
+# sha256 of the records each experiment subcommand writes without a config
+NO_CONFIG_PINS = [
+    ("phase", "864d4001e01628fc139dcbdb25ab4339127e2f5944beff985bd2d4c0381f9e2c"),
+    ("mismatch", "b449c48ce6a0650f1a8fb89f224cf1188d2ab04f781ff5605bbcdd235ab3b0ef"),
+    ("verify", "b592eff1d3affaab3d2974e3ab5dbf39f60648451c1d3dcd41f8eb9439cc818e"),
+    # the regime map's defaults are regime.cfg's settings
+    ("regime", SHIPPED_PINS["regime.cfg"]),
+    # perturbation.cfg at 200 trials, as in test_harness's SHRUNK_PINS
+    ("verify --suite perturbation",
+     "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
+]
+
+
+@pytest.mark.parametrize("command, digest", NO_CONFIG_PINS)
+def test_subcommand_without_a_config_writes_the_pinned_records(tmp_path, capsys, command,
+                                                                digest):
+    assert main(shlex.split(command) + ["--out", str(tmp_path)]) == 0
+    (records,) = re.findall(r"records: (.*)", capsys.readouterr().out)
+    with open(records, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
 def test_workers_flag_rejected():
     with pytest.raises(SystemExit):
         main(["phase", "--workers", "1"])
@@ -205,7 +244,8 @@ def test_format_flag_rejected():
 def test_experiment_always_draws_its_svg(tmp_path, experiment, figure):
     # the config names no formats
     path = tmp_path / "run.cfg"
-    path.write_text(f"[{experiment}]\nd = 8\nk = 1\nk_sweep = 1\nm_sweep = 2,8\n"
+    sparsity = "k = 1" if experiment == "phase" else "k_sweep = 1"
+    path.write_text(f"[{experiment}]\nd = 8\n{sparsity}\nm_sweep = 2,8\n"
                     f"trials_per_cell = 3\noutput_dir = {tmp_path / 'o'}\n"
                     "[thresholds]\ntrials = 3\n")
     bundle = run_experiment(load_config(path))

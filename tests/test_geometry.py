@@ -184,30 +184,36 @@ def test_perturbation_check_degenerate_gamma():
 
 
 def test_geometry_report_exact_mode():
-    rep = geometry_report(_random_a(8, 12, seed=3, normalized=True), 2, mode="exact")
+    rep = geometry_report(_random_a(8, 12, seed=3, normalized=True), 2)
     assert rep.method == "exact"
     assert rep.gamma_lower <= rep.gamma_exact <= rep.gamma_upper + 1e-15
     assert rep.injective_on_r_sparse == "yes"
     assert rep.supports_examined == 66
 
 
-def test_geometry_report_sampled_mode():
-    rep = geometry_report(_random_a(8, 12, seed=3), 2, mode="sampled",
-                          trials=10, stream=RandomStream(1))
+def test_geometry_report_sampled_mode(monkeypatch):
+    # C(12, 2) = 66 supports: exact at a guard of 66, sampled just below it
+    a = _random_a(8, 12, seed=3)
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 66)
+    assert geometry_report(a, 2, RandomStream(1)).method == "exact"
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 65)
+    rep = geometry_report(a, 2, RandomStream(1))
     assert rep.method == "sampled"
     assert rep.gamma_exact is None
     assert rep.injective_on_r_sparse == "unknown"
+    assert rep.supports_examined == geometry.SAMPLED_SUPPORTS
+    assert rep.gamma_upper == gamma_sampled(a, 2, geometry.SAMPLED_SUPPORTS, RandomStream(1))
 
 
 def test_geometry_report_duplicate_columns():
     a = EffectiveSensing(np.column_stack([E1, E1, E2]))
-    rep = geometry_report(a, 2, mode="exact")
+    rep = geometry_report(a, 2)
     assert rep.injective_on_r_sparse == "no"
     assert rep.witness is not None
 
 
 def test_geometry_report_bound_unavailable_only_without_normalization(monkeypatch):
-    rep = geometry_report(_random_a(8, 12, seed=3), 2, mode="exact")
+    rep = geometry_report(_random_a(8, 12, seed=3), 2)
     assert rep.gamma_lower == 0.0
 
     def broken(a, r):
@@ -215,7 +221,7 @@ def test_geometry_report_bound_unavailable_only_without_normalization(monkeypatc
 
     monkeypatch.setattr(geometry, "gamma_lower_coherence", broken)
     with pytest.raises(ValueError):
-        geometry_report(_random_a(8, 12, seed=3, normalized=True), 2, mode="exact")
+        geometry_report(_random_a(8, 12, seed=3, normalized=True), 2)
 
 
 # ------------------------------------------ chunked enumeration in gamma_exact

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrlab import geometry, solvers
-from etrlab.config import ExperimentConfig, dump_config, load_config
+from etrlab.config import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig, dump_config, load_config
 from etrlab.errors import ConfigError, IoFailure, NoFeasibleSolution
 from etrlab.harness import (
     isotonic_fit,
@@ -139,20 +139,26 @@ def test_dump_config_reads_back_as_the_same_config(tmp_path, name):
 def test_dump_config_round_trips_every_field(tmp_path):
     from etrlab.etr import RegimeThresholds
 
-    cfg = ExperimentConfig(
-        experiment="regime-map", d=12, k=4, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
+    values = dict(
+        d=12, n=12, k=5, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
         epsilon=0.1 + 0.2, trials_per_cell=7, recovery_trials=4, master_seed=2 ** 64 - 1,
         basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
         output_dir="out/100%/x",
         thresholds=RegimeThresholds(0.1 / 3, 2.5, 0.95, 0.25, 7),
     )
-    defaults = ExperimentConfig()
-    same = [f.name for f in dataclasses.fields(cfg)
-            if getattr(cfg, f.name) == getattr(defaults, f.name)]
-    assert same == ["workers"]  # the one value workers may take
-    back = load_config(_write(tmp_path, dump_config(cfg)))
-    assert back == cfg
-    assert back.epsilon == 0.1 + 0.2
+    # every field is read by some experiment, or taken by all of them
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == (
+        set(values) | set(SHARED_FIELDS))
+    for experiment, reads in EXPERIMENTS.items():
+        cfg = ExperimentConfig(experiment=experiment, **{
+            key: value for key, value in values.items() if key in reads or key in SHARED_FIELDS})
+        defaults = ExperimentConfig(experiment=experiment)
+        same = [f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is not None
+                and getattr(cfg, f.name) == getattr(defaults, f.name)]
+        assert same == ["experiment", "workers"]  # the one value workers may take
+        back = load_config(_write(tmp_path, dump_config(cfg)))
+        assert back == cfg
+        assert back.epsilon == (0.1 + 0.2 if "epsilon" in reads else None)
 
 
 def test_load_config_thresholds_section(tmp_path):
@@ -230,7 +236,8 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
         ExperimentConfig(experiment="mismatch", recovery_trials=0)
     with pytest.raises(ConfigError, match="recovery_trials"):
         load_config(_write(tmp_path, "[mismatch]\nrecovery_trials = 0\n"))
-    assert ExperimentConfig(experiment="phase", recovery_trials=0).recovery_trials == 0
+    with pytest.raises(ConfigError, match="phase does not read recovery_trials"):
+        ExperimentConfig(experiment="phase", recovery_trials=0)
 
 
 def test_config_accepts_mismatch_census_past_ten_thousand_trials(tmp_path):
@@ -243,12 +250,11 @@ def test_config_accepts_mismatch_census_past_ten_thousand_trials(tmp_path):
 
 def test_config_accepts_regime_map_past_a_thousand_k_values(tmp_path):
     # cell (mi, ki) draws from split(mi).split(ki), so no k index reaches the next m's
-    # cells; an empty m_sweep runs six budgets
+    # cells; d = n = 1001 columns take every k
     ks = tuple(range(1, 1002))
-    for m_sweep in ((4, 8), ()):
-        cfg = ExperimentConfig(experiment="regime-map", k_sweep=ks, m_sweep=m_sweep)
-        assert load_config(_write(tmp_path, dump_config(cfg))) == cfg
-    text = "[regime-map]\nk_sweep = 1:1001\nm_sweep = 4,8\n"
+    cfg = ExperimentConfig(experiment="regime-map", d=1001, k_sweep=ks, m_sweep=(4, 8))
+    assert load_config(_write(tmp_path, dump_config(cfg))) == cfg
+    text = "[regime-map]\nd = 1001\nk_sweep = 1:1001\nm_sweep = 4,8\n"
     assert load_config(_write(tmp_path, text)).k_sweep == ks
 
 
@@ -308,21 +314,73 @@ def test_config_rejects_negative_epsilon(tmp_path):
 
 @pytest.mark.parametrize("key", ["m_sweep", "k_sweep", "d_sweep"])
 def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
-    # an empty range would fall back to the default sweep, and the isotonic
-    # crossing and the heat-map axes read a sweep in increasing order
-    for text, reason in (("10:4", "empty"), ("4:8:-1", "empty"),
+    # an empty sweep runs nothing, and the isotonic crossing and the heat-map
+    # axes read a sweep in increasing order
+    experiment = {"m_sweep": "phase", "k_sweep": "regime-map",
+                  "d_sweep": "uncertainty-principle"}[key]
+    for text, reason in (("", "empty"), ("10:4", "empty"), ("4:8:-1", "empty"),
                          ("8,4", "strictly increasing"), ("4,4", "strictly increasing")):
         with pytest.raises(ConfigError, match=reason):
-            load_config(_write(tmp_path, f"[phase]\n{key} = {text}\n"))
+            load_config(_write(tmp_path, f"[{experiment}]\n{key} = {text}\n"))
     with pytest.raises(ConfigError, match="strictly increasing"):
-        ExperimentConfig(**{key: (8, 4)})
-    assert getattr(load_config(_write(tmp_path, f"[phase]\n{key} = 4:8:4\n")), key) == (4, 8)
+        ExperimentConfig(experiment=experiment, **{key: (8, 4)})
+    text = f"[{experiment}]\n{key} = 4:8:4\n"
+    assert getattr(load_config(_write(tmp_path, text)), key) == (4, 8)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[phase]\nd = 8\nk = 9\n", "phase needs 1 <= k <= n"),
+    ("[mismatch]\nd = 8\nk = 9\n", "mismatch needs 1 <= k <= d"),
+    ("[regime-map]\nd = 8\nk_sweep = 1,9\n", "regime-map needs 1 <= k <= n"),
+], ids=["phase", "mismatch", "regime-map"])
+def test_config_rejects_sparsity_past_the_dictionary(tmp_path, text, message):
+    # at load time, not at the first plant's InvalidSparsity after earlier cells ran
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, text))
+
+
+# one key per experiment that its runner never reads: (experiment, key, text, value)
+UNREAD_KEYS = [("phase", "m", "8", 8), ("mismatch", "basis", "hadamard", "hadamard"),
+               ("uncertainty-principle", "d", "128", 128),
+               ("perturbation", "epsilon", "0.01", 0.01),
+               ("regime-map", "solvers", "omp", ("omp",))]
+
+
+@pytest.mark.parametrize("experiment, key, text, value", UNREAD_KEYS)
+def test_config_rejects_a_key_the_experiment_never_reads(tmp_path, experiment, key, text,
+                                                         value):
+    assert key not in EXPERIMENTS[experiment]
+    with pytest.raises(ConfigError, match=f"{experiment} does not read {key}"):
+        load_config(_write(tmp_path, f"[{experiment}]\n{key} = {text}\n"))
+    with pytest.raises(ConfigError, match=f"{experiment} does not read {key}"):
+        ExperimentConfig(experiment=experiment, **{key: value})
+
+
+@pytest.mark.parametrize("experiment", ["mismatch", "uncertainty-principle", "perturbation"])
+def test_config_rejects_thresholds_the_experiment_never_reads(tmp_path, experiment):
+    with pytest.raises(ConfigError, match=f"{experiment} does not read thresholds"):
+        load_config(_write(tmp_path, f"[{experiment}]\n[thresholds]\ntrials = 5\n"))
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_config_that_omits_keys_dumps_every_key_it_ran(tmp_path, experiment):
+    cfg = load_config(_write(tmp_path, f"[{experiment}]\n"))
+    assert cfg == ExperimentConfig(experiment=experiment)
+    text = dump_config(cfg)
+    assert load_config(_write(tmp_path, text)) == cfg
+    written = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+    reads = set(EXPERIMENTS[experiment]) - {"thresholds"} | {"master_seed", "output_dir"}
+    if "thresholds" in EXPERIMENTS[experiment]:
+        reads |= {f.name for f in dataclasses.fields(cfg.thresholds)}
+    assert set(written) == reads
+    assert all(written.values())  # no sweep or budget is left empty
 
 
 # ------------------------------------------------------ experiments (small)
 
 
-@pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg", "phase.cfg", "mismatch.cfg"])
+@pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg", "phase.cfg", "mismatch.cfg",
+                                    "uncertainty.cfg"])
 def test_shipped_records_digest_is_pinned(tmp_path, config):
     # a change to any record byte of these shipped configs shows up here; the
     # pin is the config's line of the table that scripts/records_digests.py checks
@@ -451,7 +509,7 @@ def test_phase_transition_seed_changes_records(tmp_path):
 def test_mismatch_small(tmp_path):
     cfg = ExperimentConfig(
         experiment="mismatch", d=8, k=2, m=6, trials_per_cell=20,
-        recovery_trials=5, basis="hadamard", output_dir=str(tmp_path),
+        recovery_trials=5, output_dir=str(tmp_path),
     )
     bundle = run_experiment(cfg)
     summary = open(bundle.summary_md).read()
