@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run every shipped config and print the sha256 of its records.
 
-    PYTHONPATH=src python scripts/records_digests.py
-    PYTHONPATH=src python scripts/records_digests.py --check scripts/records_digests.txt
+    python scripts/records_digests.py
+    python scripts/records_digests.py --check scripts/records_digests.txt
 
-Each config in configs/ runs into its own temporary directory; one line
-per config, `<config>  <sha256 of its records CSV>`. Run it on two commits
-and diff the output to see whether a change altered any record byte.
+The lab is imported from the checkout's own `src/`, which the script puts
+first on `sys.path`, so no PYTHONPATH is needed. Each config in configs/
+runs into its own temporary directory; one line per config,
+`<config>  <sha256 of its records CSV>`. Run it on two commits and diff
+the output to see whether a change altered any record byte.
 A verification suite that reports violations still writes its records,
 so its digest is printed with a note. With --check, the digests are
 compared with a pinned table in the same format; the script exits 1 if
@@ -20,9 +22,12 @@ import pathlib
 import sys
 import tempfile
 
-from etrlab.config import load_config
-from etrlab.errors import SuiteFailure
-from etrlab.harness import run_experiment
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from etrlab.config import load_config  # noqa: E402
+from etrlab.errors import SuiteFailure  # noqa: E402
+from etrlab.harness import run_experiment  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -34,7 +39,7 @@ def main(argv=None) -> int:
     if args.check:
         with open(args.check) as fh:
             pinned = dict(line.split() for line in fh if line.strip())
-    configs = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
     mismatches = 0
     for path in configs:
         with tempfile.TemporaryDirectory() as tmp:

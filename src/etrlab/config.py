@@ -5,7 +5,11 @@ Config files use INI sections, one section named after the experiment
 `regime-map`) plus, for phase and regime-map, an optional `[thresholds]`
 section. `EXPERIMENTS` lists the keys each experiment reads and their
 defaults. Unknown sections or keys are errors, and so is a key the
-experiment does not read; silent typos are worse than loud ones.
+experiment does not read; silent typos are worse than loud ones. A
+setting the dictionary or sensing builders or the solvers would reject
+(an unknown basis or sensing name, a budget m the sensing kind cannot
+draw, a hadamard d that is not a power of 2, max_iterations < 1) is an
+error at load time too, before any trial runs.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from math import comb
 
+from .dictionaries import DICTIONARY_KINDS, SENSING_KINDS
 from .errors import ConfigError
 from .etr import RegimeThresholds
 from .geometry import EXACT_GUARD
@@ -46,6 +51,10 @@ EXPERIMENTS = {
 }
 # fields that every experiment takes; workers accepts only 1
 SHARED_FIELDS = ("experiment", "master_seed", "output_dir", "workers")
+# each experiment that builds m x d sensing matrices: the key holding its
+# budgets m and the key holding the width d (perturbation's are d x n)
+SENSING_SHAPES = {"phase": ("m_sweep", "d"), "mismatch": ("m", "d"),
+                  "perturbation": ("d", "n"), "regime-map": ("m_sweep", "d")}
 
 
 @dataclass
@@ -121,6 +130,36 @@ class ExperimentConfig:
         unknown = [v for v in self.solvers or () if v not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        self._check_builds()
+
+    def _check_builds(self):
+        # what build_dictionary and build_sensing would reject at run time
+        if self.basis is not None:
+            if self.basis not in DICTIONARY_KINDS:
+                raise ConfigError(f"unknown basis {self.basis!r}; known: "
+                                  f"{', '.join(DICTIONARY_KINDS)}")
+            if self.basis == "hadamard" and self.d & (self.d - 1):
+                raise ConfigError(f"basis = hadamard needs d a power of 2, got d = {self.d}")
+            if self.basis == "dct" and self.d < 2:
+                raise ConfigError(f"basis = dct needs d >= 2, got d = {self.d}")
+        if self.sensing is None:
+            return
+        if self.sensing not in SENSING_KINDS:
+            raise ConfigError(f"unknown sensing {self.sensing!r}; known: "
+                              f"{', '.join(SENSING_KINDS)}")
+        key, width_key = SENSING_SHAPES[self.experiment]
+        value, width = getattr(self, key), getattr(self, width_key)
+        budgets = value if isinstance(value, tuple) else (value,)
+        if any(m < 1 for m in budgets):
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.sensing == "row-subsample" and any(m > width for m in budgets):
+            raise ConfigError(f"sensing = row-subsample needs {key} <= {width_key} = {width}, "
+                              f"got {key} = {value}")
+        if self.sensing == "identity" and any(m != width for m in budgets):
+            raise ConfigError(f"sensing = identity needs {key} = {width_key} = {width}, "
+                              f"got {key} = {value}")
 
 
 def _parse_sweep(text: str) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -165,8 +165,10 @@ def perturbation_check(
     if gamma_2k <= TOL.gamma_zero:
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
     h = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
-    lhs = float(np.linalg.norm(h))
-    rhs = float(np.linalg.norm(a.a @ h)) / gamma_2k
+    ah = a.a @ h
+    # sqrt(v . v) is np.linalg.norm's own formula for a real vector, same bits
+    lhs = sqrt(h.dot(h))
+    rhs = sqrt(ah.dot(ah)) / gamma_2k
     slack = rhs - lhs
     return slack >= -TOL.bound_slack * max(lhs, 1.0), slack
 

@@ -12,6 +12,16 @@ which is cheaper than the numpy uint64 path at that size; both paths
 do the same integer arithmetic mod 2^64 and the same exact float
 scaling, so a draw gives the same bits whichever path makes it.
 
+A draw of one or two normals (one Box-Muller pair) runs on Python
+floats too: 1 - u, -2 * log, the square root, 2 * pi * u and the
+products are IEEE-exact, so Python floats give the array path's bits.
+log, cos and sin are not exact, and numpy's float64 loops (SIMD ones on
+hosts that have them) need not agree with the C library behind `math`:
+on an AVX-512 Xeon, `math` gave other bits than numpy for 323 of 200 000
+normals. So the pair calls numpy's own `np.log`, `np.cos` and `np.sin`
+on scalars, which run the same loops as the array path; the tests
+compare both paths with `np.array_equal` on 10^4 streams per count.
+
 The uint64 constants of the numpy path are built once, at import, and
 mix64(master_seed), which every stream of a run shares, is kept for the
 last SEED_CACHE master seeds; neither changes a bit of any draw.
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import pi, sqrt
 
 import numpy as np
 
@@ -57,7 +68,7 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomStream:
     """Immutable handle on one deterministic scalar sequence."""
 
@@ -82,14 +93,17 @@ class RandomStream:
         idx = np.arange(1, count + 1, dtype=np.uint64)
         return _mix64_array(base + idx * _UGAMMA)
 
+    def _small_uniforms(self, count: int) -> list[float]:
+        # the first count uniforms, for count <= SMALL_DRAW, as Python floats
+        base = self._base
+        return [(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53 for i in range(1, count + 1)]
+
     def uniforms(self, count: int) -> np.ndarray:
         """count i.i.d. uniforms in [0, 1), 53-bit resolution."""
         if count == 0:
             return np.zeros(0)
         if count <= SMALL_DRAW:
-            base = self._base
-            return np.array([(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53
-                             for i in range(1, count + 1)])
+            return np.array(self._small_uniforms(count))
         return (self._words(count) >> _U11) * 2.0 ** -53
 
     def gaussians(self, count: int) -> np.ndarray:
@@ -100,6 +114,13 @@ class RandomStream:
         """
         if count == 0:
             return np.zeros(0)
+        if count <= 2:
+            u1, u2 = self._small_uniforms(2)
+            r = sqrt(-2.0 * float(np.log(1.0 - u1)))
+            theta = 2.0 * pi * u2
+            if count == 1:
+                return np.array([r * float(np.cos(theta))])
+            return np.array([r * float(np.cos(theta)), r * float(np.sin(theta))])
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
         u1 = 1.0 - u[0::2]  # (0, 1]: keeps log finite
@@ -123,7 +144,8 @@ class RandomStream:
         Swap i draws from the n - i positions left, as integers_below does.
         """
         pool = list(range(n))
-        for i, u in enumerate(self.uniforms(k).tolist()):
+        draws = self._small_uniforms(k) if k <= SMALL_DRAW else self.uniforms(k).tolist()
+        for i, u in enumerate(draws):
             j = i + min(int(u * (n - i)), n - i - 1)
             pool[i], pool[j] = pool[j], pool[i]
         return np.array(sorted(pool[:k]), dtype=np.int64)

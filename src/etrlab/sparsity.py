@@ -113,11 +113,14 @@ def plant(psi: np.ndarray, k: int, stream: RandomStream) -> PlantedInstance:
     n = psi.shape[1]
     if not 1 <= k <= n:
         raise InvalidSparsity(f"k={k} outside 1..{n}")
-    support = stream.split(0).choose_without_replacement(n, k)
-    signs = np.where(stream.split(1).uniforms(k) < 0.5, -1.0, 1.0)
-    magnitudes = MIN_COEFF + np.abs(stream.split(2).gaussians(k))
+    support = stream.split(0).choose_without_replacement(n, k).tolist()
+    signs = stream.split(1).uniforms(k).tolist()
+    magnitudes = stream.split(2).gaussians(k).tolist()
+    # entries computed on Python floats, k being small: each has the bits of
+    # the array form, sign * (MIN_COEFF + |g|) with the sign -1.0 where u < 0.5
     alpha = np.zeros(n)
-    alpha[support] = signs * magnitudes
+    for i, u, g in zip(support, signs, magnitudes):
+        alpha[i] = (-1.0 if u < 0.5 else 1.0) * (MIN_COEFF + abs(g))
     return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
 
 

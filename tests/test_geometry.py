@@ -16,7 +16,7 @@ from etrlab.geometry import (
     geometry_report,
     perturbation_check,
 )
-from etrlab.numerics import smallest_singular_pair, smallest_singular_value
+from etrlab.numerics import TOL, smallest_singular_pair, smallest_singular_value
 from etrlab.rng import RandomStream
 
 E1 = np.array([1.0, 0.0])
@@ -322,3 +322,20 @@ def test_gamma_exact_calls_smallest_singular_value_once_per_support(monkeypatch)
         gamma_exact(_random_a(m, n, seed=m * n + r), r)
         assert len(calls) == comb(n, r)
         assert set(calls) == {(m, r)}
+
+
+def test_perturbation_check_slack_is_the_linalg_norm_form():
+    # the slack is ||A h|| / gamma - ||h|| with both norms as np.linalg.norm takes them
+    for t in range(300):
+        m, n = 1 + t % 7, 2 + t % 11
+        a = _random_a(m, n, seed=t)
+        s = RandomStream(77, t)
+        z1 = s.split(0).gaussians(n) * 10.0 ** (t % 5 - 2)
+        z2 = z1 if t % 50 == 0 else s.split(1).gaussians(n)
+        g = 0.01 + s.split(2).uniforms(1)[0]
+        h = z1 - z2
+        lhs = float(np.linalg.norm(h))
+        rhs = float(np.linalg.norm(a.a @ h)) / g
+        holds, slack = perturbation_check(a, z1, z2, g)
+        assert slack == rhs - lhs
+        assert holds == (rhs - lhs >= -TOL.bound_slack * max(lhs, 1.0))

@@ -103,6 +103,18 @@ def test_write_records_csv_rejects_a_value_that_would_shift_columns(tmp_path, va
     assert not path.exists()
 
 
+@pytest.mark.parametrize("column", ["a", "error", "note"])
+def test_write_records_csv_names_the_column_whatever_its_place(tmp_path, column):
+    # a lone comma or newline, in the first, a middle or the last column
+    path = tmp_path / "r.csv"
+    for value in (",", "\n", "x,y\nz"):
+        bad = {"a": 2, "error": "", "note": "ok"}
+        bad[column] = value
+        with pytest.raises(IoFailure, match=f"column '{column}'"):
+            write_records_csv(path, [{"a": 1, "error": "", "note": "ok"}, bad])
+        assert not path.exists()
+
+
 # ------------------------------------------------------ config files
 
 
@@ -238,6 +250,39 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
         load_config(_write(tmp_path, "[mismatch]\nrecovery_trials = 0\n"))
     with pytest.raises(ConfigError, match="phase does not read recovery_trials"):
         ExperimentConfig(experiment="phase", recovery_trials=0)
+
+
+# settings the dictionary and sensing builders would reject only at run time,
+# some after other trials ran; each must fail to load, naming its key
+BUILD_REJECTS = [
+    ("[mismatch]\nm = 0\n", "m must be >= 1"),
+    ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,32\n", "row-subsample needs m_sweep"),
+    ("[regime-map]\nd = 8\nsensing = identity\nm_sweep = 4,9\n", "identity needs m_sweep"),
+    ("[phase]\nmax_iterations = 0\n", "max_iterations"),
+    ("[mismatch]\nmax_iterations = 0\n", "max_iterations"),
+    ("[perturbation]\nsensing = gausian\n", "unknown sensing 'gausian'"),
+    ("[phase]\nbasis = haar\n", "unknown basis 'haar'"),
+    ("[regime-map]\nd = 12\nbasis = hadamard\nm_sweep = 4,8\n", "hadamard needs d"),
+    ("[phase]\nd = 1\nk = 1\nbasis = dct\nm_sweep = 1\n", "dct needs d"),
+    ("[perturbation]\nsensing = identity\n", "identity needs d = n"),
+    ("[perturbation]\nd = 9\nsensing = row-subsample\n", "row-subsample needs d <= n"),
+]
+
+
+@pytest.mark.parametrize("text, message", BUILD_REJECTS, ids=[f"{t[1:t.index(']')]}: {m}" for t, m in BUILD_REJECTS])
+def test_config_rejects_what_the_builders_would_reject(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, text))
+
+
+def test_config_accepts_the_builders_edge_values(tmp_path):
+    for text in ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,16\n",
+                 "[regime-map]\nd = 8\nsensing = identity\nm_sweep = 8\n",
+                 "[perturbation]\nd = 8\nsensing = identity\n",
+                 "[mismatch]\nm = 1\nmax_iterations = 1\n",
+                 "[phase]\nd = 2\nk = 1\nbasis = dct\nm_sweep = 2\n",
+                 "[regime-map]\nd = 8\nbasis = hadamard\nm_sweep = 4,8\n"):
+        load_config(_write(tmp_path, text))
 
 
 def test_config_accepts_mismatch_census_past_ten_thousand_trials(tmp_path):

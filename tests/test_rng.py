@@ -175,3 +175,26 @@ def test_choose_matches_numpy_only_path_at_every_size():
             s = stream.split(n * 81 + k)
             _same_bytes(s.choose_without_replacement(n, k),
                         _old_choose_without_replacement(s, n, k))
+
+
+# ------------------------------------------------ one Box-Muller pair on floats
+# The pair path does log, cos and sin with numpy on scalars; `math` gives
+# other bits on some hosts, so the pair is compared with the array form
+# (_old_gaussians, a verbatim copy) on many streams, not on a handful.
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 16])
+def test_gaussians_match_array_box_muller_on_many_streams(count):
+    base = RandomStream(2026, 5)
+    for t in range(10_000):
+        s = base.split(t)
+        new, old = s.gaussians(count), _old_gaussians(s, count)
+        assert np.array_equal(new, old), (t, new, old)
+        _same_bytes(new, old)
+
+
+def test_streams_hold_no_instance_dict():
+    s = RandomStream(1, 2)
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s.stream_index = 3

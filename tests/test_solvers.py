@@ -95,7 +95,8 @@ def test_l0_no_feasible_solution():
 
 
 def test_l0_enumeration_guard():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1))
+    # 400 + C(400, 2) supports fit under the guard, adding C(400, 3) does not
+    a = EffectiveSensing(build_sensing("gaussian", 8, 400, seed=1))
     with pytest.raises(EnumerationTooLarge):
         solve_l0(a, np.ones(8), SolverConfig(max_sparsity=8))
 
@@ -678,7 +679,7 @@ def test_battery_cost_ordering_16x32():
 
 
 def test_battery_records_failures_without_aborting():
-    a = EffectiveSensing(build_sensing("gaussian", 8, 200, seed=1))
+    a = EffectiveSensing(build_sensing("gaussian", 8, 400, seed=1))
     entries = run_battery(a, np.ones(8), SolverConfig(max_sparsity=8))
     l0 = next(e for e in entries if e.solver == "l0-exhaustive")
     assert l0.result is None and "EnumerationTooLarge" in l0.error

@@ -7,6 +7,8 @@ from etrlab.errors import DimensionMismatch, InvalidSparsity, ZeroSignal
 from etrlab.rng import RandomStream
 from etrlab.solvers import SolverConfig, solve_l0
 from etrlab.sparsity import (
+    MIN_COEFF,
+    PlantedInstance,
     effective_sparsity,
     observe,
     plant,
@@ -138,6 +140,32 @@ def test_plant_deterministic():
     a = plant(psi, 3, RandomStream(5, 2))
     b = plant(psi, 3, RandomStream(5, 2))
     np.testing.assert_array_equal(a.alpha_star, b.alpha_star)
+
+
+def _old_plant(psi, k, stream):
+    """Verbatim copy of plant as it built alpha with numpy arrays."""
+    n = psi.shape[1]
+    if not 1 <= k <= n:
+        raise InvalidSparsity(f"k={k} outside 1..{n}")
+    support = stream.split(0).choose_without_replacement(n, k)
+    signs = np.where(stream.split(1).uniforms(k) < 0.5, -1.0, 1.0)
+    magnitudes = MIN_COEFF + np.abs(stream.split(2).gaussians(k))
+    alpha = np.zeros(n)
+    alpha[support] = signs * magnitudes
+    return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 20])
+def test_plant_matches_array_form_on_many_streams(k):
+    psi = build_dictionary("random-orthonormal", 24, seed=k)
+    base = RandomStream(31, k)
+    for t in range(10_000):
+        s = base.split(t)
+        new, old = plant(psi, k, s), _old_plant(psi, k, s)
+        assert np.array_equal(new.alpha_star, old.alpha_star), t
+        assert new.alpha_star.tobytes() == old.alpha_star.tobytes()
+        assert new.x.tobytes() == old.x.tobytes()
+        assert new.k == old.k
 
 
 def test_plant_invalid_k():
