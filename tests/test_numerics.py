@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from etrlab import numerics
+from etrlab.dictionaries import EffectiveSensing, build_sensing
 from etrlab.errors import IoFailure, RankDeficient
 from etrlab.geometry import support_chunks
 from etrlab.numerics import (
@@ -15,6 +19,7 @@ from etrlab.numerics import (
     smallest_singular_value,
     solve_gram,
 )
+from etrlab.rng import RandomStream
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -143,6 +148,7 @@ def test_sigma_min_runs_an_svd_only_on_square_and_tall_inputs(monkeypatch):
         raise AssertionError("svd called on a wide matrix")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(numerics, "_SVD", refuse)
     for shape in ((1, 2), (3, 7), (0, 2), (5, 6)):
         assert smallest_singular_value(gen.normal(size=shape)) == 0.0
 
@@ -172,6 +178,157 @@ def test_sigma_min_input_contract():
         assert type(got) is float
         assert bits(got) == bits(np.linalg.svd(sub, compute_uv=False)[-1])
         assert bits(got) == bits(np.linalg.svd(mat[:, list(support)], compute_uv=False)[-1])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _np_linalg_sigma_min(m):
+    return np.linalg.svd(m, compute_uv=False)[-1]
+
+
+def _perturbation_submatrices(trials):
+    """The 28 tall 6 x 2 column pairs of perturbation.cfg's first `trials` sensing matrices."""
+    base = RandomStream(42)
+    for t in range(trials):
+        mat = EffectiveSensing(build_sensing("gaussian", 6, 8, seed=base.split(t).split(0).as_seed())).a
+        for _, stack in support_chunks(mat, 2):
+            yield from stack
+
+
+def _regime_shaped_matrices():
+    """regime.cfg's square and tall (m, r) supports, C- and F-ordered and as strided views."""
+    gen = np.random.default_rng(11)
+    for m in (2, 4, 6, 8, 12, 16):
+        for r in range(1, min(m, 6) + 1):
+            mat = gen.normal(size=(m, r))
+            yield mat
+            yield np.asfortranarray(mat)
+            yield gen.normal(size=(2 * m, 3 * r))[::2, ::3]
+            yield gen.normal(size=(m + 3, r + 2))[1:m + 1, 2:]
+
+
+def _awkward_matrices():
+    """Rank-deficient, zero-column, huge, tiny and subnormal inputs."""
+    gen = np.random.default_rng(12)
+    for m, r in ((2, 2), (6, 2), (6, 4), (16, 6)):
+        mat = gen.normal(size=(m, r))
+        dup = mat.copy()
+        dup[:, -1] = dup[:, 0]
+        zero = mat.copy()
+        zero[:, 0] = 0.0
+        yield from (dup, zero, np.zeros((m, r)), mat * 1e300, mat * 1e-300, dup * 1e-300,
+                    mat * 1e-310, np.full((m, r), 5e-324))
+
+
+def test_sigma_min_has_the_bits_of_np_linalg_svd():
+    subs = [*_perturbation_submatrices(300), *_regime_shaped_matrices(), *_awkward_matrices()]
+    assert len(subs) > 300 * 28
+    for sub in subs:
+        assert _bits(smallest_singular_value(sub)) == _bits(_np_linalg_sigma_min(sub))
+
+
+def _outcome(func, *args):
+    """The bytes func returns, or the LinAlgError it raises."""
+    with warnings.catch_warnings():  # the gufuncs warn of the invalid values they return
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return np.asarray(func(*args)).tobytes()
+        except np.linalg.LinAlgError as exc:
+            return f"LinAlgError: {exc}"
+
+
+def _non_finite(shape):
+    base = np.eye(*shape)
+    for bad in (np.inf, -np.inf, np.nan):
+        one = base.copy()
+        one[0, -1] = one[-1, 0] = bad
+        yield one
+        yield np.full(shape, bad)
+
+
+def test_sigma_min_fails_as_np_linalg_svd_does_on_non_finite_input():
+    outcomes = set()
+    for mat in _non_finite((6, 2)):
+        got = _outcome(smallest_singular_value, mat)
+        assert got == _outcome(_np_linalg_sigma_min, mat)
+        outcomes.add(got)
+    # inf gives NaN, NaN raises
+    assert {_bits(np.nan), "LinAlgError: SVD did not converge"} <= outcomes
+
+
+def _solve_gram_before(gram, rhs):
+    # solve_gram as it was when every call went through np.linalg, verbatim
+    lam = np.linalg.eigvalsh(gram)
+    ok = (lam[..., 0] > 0) & (lam[..., 0] >= TOL.rank_rel ** 2 * np.maximum(lam[..., -1], 1e-300))
+    if gram.ndim == 2:
+        if ok:
+            try:
+                return np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                pass
+        return np.full(rhs.shape, np.nan)
+    coef = np.full(rhs.shape, np.nan)
+    try:
+        coef[ok] = np.linalg.solve(gram[ok], rhs[ok, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular member fails the whole solve
+        for i in np.flatnonzero(ok):
+            try:
+                coef[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    return coef
+
+
+def _gram_problems():
+    # the generator of test_solve_gram_one_matrix_matches_a_stack_of_one, grouped
+    # by size into stacks; every fourth stack member is singular only to LU
+    gen = np.random.default_rng(3)
+    by_size = {}
+    for trial in range(400):
+        m, c = int(gen.integers(2, 8)), int(gen.integers(1, 6))
+        mat = gen.normal(size=(m, c))
+        if trial % 4 == 1 and c > 1:  # a copy or a multiple of a column
+            mat[:, -1] = mat[:, 0] * (1.0 if trial % 8 else 2.0)
+        if trial % 4 == 2 and c > 1:  # a copy up to rounding-sized noise
+            mat[:, -1] = mat[:, 0] + 1e-13 * gen.normal(size=m)
+        if trial % 4 == 3:
+            mat[:, 0] = 0.0
+        gram, rhs = mat.T @ mat, mat.T @ gen.normal(size=m)
+        by_size.setdefault(c, []).append((gram, rhs))
+        yield gram, rhs
+    for pairs in by_size.values():
+        yield np.stack([g for g, _ in pairs]), np.stack([r for _, r in pairs])
+
+
+def test_solve_gram_has_the_bytes_of_its_np_linalg_form():
+    problems = list(_gram_problems())
+    assert len(problems) == 405
+    for gram, rhs in problems:
+        assert solve_gram(gram, rhs).tobytes() == _solve_gram_before(gram, rhs).tobytes()
+    outcomes = set()
+    for gram in _non_finite((3, 3)):
+        got = _outcome(solve_gram, gram, np.ones(3))
+        assert got == _outcome(_solve_gram_before, gram, np.ones(3))
+        outcomes.add(got)
+    assert "LinAlgError: Eigenvalues did not converge" in outcomes
+
+
+def test_np_linalg_fallbacks_give_the_same_bytes(monkeypatch):
+    subs = [*_perturbation_submatrices(20), *_regime_shaped_matrices(), *_awkward_matrices(),
+            *_non_finite((6, 2))]
+    problems = [*_gram_problems(), *((gram, np.ones(3)) for gram in _non_finite((3, 3)))]
+
+    def outcomes():
+        return ([_outcome(smallest_singular_value, sub) for sub in subs],
+                [_outcome(solve_gram, gram, rhs) for gram, rhs in problems])
+
+    bound = outcomes()
+    for name in ("_SVD", "_EIGVALSH", "_SOLVE1"):
+        assert getattr(numerics, name) is not None  # numpy 2 has all three
+        monkeypatch.setattr(numerics, name, None)
+    assert outcomes() == bound
 
 
 @given(hnp.arrays(float, (5, 4), elements=finite))
