@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dictionaries import EffectiveSensing, self_coherence
-from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NotNormalized
+from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
@@ -58,10 +58,26 @@ def support_chunks(mat: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.
     BLOCK_CACHE * CHUNK_BYTES = 4 MiB, however large C(n, size) is.
     """
     m, n = mat.shape
-    rows = max(1, CHUNK_BYTES // (8 * max(m, 1) * max(size, 1)))
-    for chunk in range(-(-comb(n, size) // rows)):
-        block = _colex_block(n, size, rows, chunk)
-        yield block, mat.T[block].transpose(0, 2, 1)
+    rows = chunk_rows(m, size)
+    for chunk in range(chunk_count(n, size, rows)):
+        yield support_chunk(mat, size, rows, chunk)
+
+
+def chunk_rows(m: int, size: int) -> int:
+    """Supports per support_chunks chunk: CHUNK_BYTES of gathered m-row columns."""
+    return max(1, CHUNK_BYTES // (8 * max(m, 1) * max(size, 1)))
+
+
+def chunk_count(n: int, size: int, rows: int) -> int:
+    """Chunks of `rows` supports that cover the C(n, size) colex supports."""
+    return -(-comb(n, size) // rows)
+
+
+def support_chunk(mat: np.ndarray, size: int, rows: int, chunk: int):
+    """(block, stack) of chunk `chunk` of support_chunks(mat, size), whose chunks
+    hold `rows` supports each."""
+    block = _colex_block(mat.shape[1], size, rows, chunk)
+    return block, mat.T[block].transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=BLOCK_CACHE)
@@ -153,9 +169,18 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
 
 
 def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
-    """Gershgorin bound sqrt(max(0, 1 - (r-1) mu)) for unit-norm columns."""
-    mu = self_coherence(a)
-    return float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu)))
+    """Gershgorin bound min_j ||a_j|| sqrt(max(0, 1 - (r-1) mu)), mu the self
+    coherence of A with normalized columns; 0.0 when A has a zero column.
+
+    sigma_min(A_S) >= min_{j in S} ||a_j|| sigma_min of the normalized A_S, so
+    the bound holds for any column norms.
+    """
+    norms = np.linalg.norm(a.a, axis=0)
+    smallest = float(np.min(norms))
+    if smallest == 0.0:
+        return 0.0
+    mu = self_coherence(EffectiveSensing(a.a / norms))
+    return smallest * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu)))
 
 
 def perturbation_check(
@@ -179,10 +204,7 @@ def geometry_report(a: EffectiveSensing, r: int, stream=None) -> GeometryReport:
     gamma_r is exact when C(n, r) <= EXACT_GUARD; past the guard it is the
     upper bound from SAMPLED_SUPPORTS supports drawn from `stream`.
     """
-    try:
-        lower = gamma_lower_coherence(a, r)
-    except NotNormalized:
-        lower = 0.0  # columns not normalized: bound unavailable
+    lower = gamma_lower_coherence(a, r)
     n = a.a.shape[1]
     if comb(n, r) <= EXACT_GUARD:
         exact, witness, examined = gamma_exact(a, r, with_witness=True)

@@ -75,12 +75,17 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
 
     A NaN smallest eigenvalue comes from NaN input or no convergence (the
     gufunc then warns of an invalid value); np.linalg.eigvalsh reruns, so the
-    outcome is its own: the same LinAlgError, or the same NaN.
+    outcome is its own: the same LinAlgError, or the same NaN. Where warnings
+    are errors, that warning raises and np.linalg reruns just the same.
     """
     if _EIGVALSH is not None:
-        lam = _EIGVALSH(gram, signature="d->d")
-        if lam[0] == lam[0]:
-            return lam
+        try:
+            lam = _EIGVALSH(gram, signature="d->d")
+        except RuntimeWarning:
+            pass
+        else:
+            if lam[0] == lam[0]:
+                return lam
     return np.linalg.eigvalsh(gram)
 
 
@@ -125,11 +130,52 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if _full_rank(lam[0], lam[-1]):
             return _lu_solve(gram, rhs)
         return np.full(rhs.shape, np.nan)
+    return _solve_full_rank(*_full_rank_grams(gram), rhs)
+
+
+def _full_rank_grams(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the full-rank members of a (B, c, c) stack, those members)."""
     lam = np.linalg.eigvalsh(gram)
-    coef = np.full(rhs.shape, np.nan)
     ok = _full_rank(lam[:, 0], lam[:, -1])
-    coef[ok] = _lu_solve(gram[ok], rhs[ok])
+    return ok, gram[ok]
+
+
+def _solve_full_rank(ok: np.ndarray, grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The (B, c) solutions: grams^-1 rhs[ok] on the ok rows, NaN on the others."""
+    coef = np.full(rhs.shape, np.nan)
+    coef[ok] = _lu_solve(grams, rhs[ok])
     return coef
+
+
+@dataclass(frozen=True, slots=True)
+class StackFit:
+    """The half of least squares on a (B, m, c) stack that does not depend on y.
+
+    full_rank marks the members whose Gram matrix passes solve_gram's rank
+    test, and grams holds those Gram matrices in stack order.
+    """
+
+    stack: np.ndarray
+    full_rank: np.ndarray
+    grams: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.stack.nbytes + self.full_rank.nbytes + self.grams.nbytes
+
+
+def stack_fit(a_sub: np.ndarray) -> StackFit:
+    """The Gram matrices of a (B, m, c) stack and their rank test: the y-independent
+    step of `least_squares` on a stack."""
+    a_sub = np.asarray(a_sub, dtype=float)
+    return StackFit(a_sub, *_full_rank_grams(a_sub.transpose(0, 2, 1) @ a_sub))
+
+
+def stack_coefficients(fit: StackFit, y: np.ndarray) -> np.ndarray:
+    """The (B, c) least-squares coefficients of fit.stack @ c ~ y, NaN rows for the
+    rank-deficient members: the y-dependent step of `least_squares` on a stack."""
+    rhs = fit.stack.transpose(0, 2, 1) @ np.asarray(y, dtype=float)
+    return _solve_full_rank(fit.full_rank, fit.grams, rhs)
 
 
 def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,12 +184,13 @@ def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     a_sub is one (m, c) matrix or a stack (B, m, c) sharing y. When a Gram
     matrix is rank deficient (`solve_gram`), a single matrix raises
     RankDeficient and a stack member gets a NaN row in the (B, c) result.
+    A stack runs `stack_fit` and then `stack_coefficients`, which gives the
+    bytes of solve_gram on its Gram stack.
     """
     a_sub = np.asarray(a_sub, dtype=float)
-    y = np.asarray(y, dtype=float)
     if a_sub.ndim == 3:
-        a_t = a_sub.transpose(0, 2, 1)
-        return solve_gram(a_t @ a_sub, a_t @ y)
+        return stack_coefficients(stack_fit(a_sub), y)
+    y = np.asarray(y, dtype=float)
     a_sub = np.atleast_2d(a_sub)
     coef = solve_gram(a_sub.T @ a_sub, a_sub.T @ y)
     if np.isnan(coef[0]):
@@ -165,16 +212,21 @@ def smallest_singular_value(m: np.ndarray) -> float:
     np.linalg.svd(m, compute_uv=False), to the bit. A NaN result means NaN
     input or no convergence (the gufunc then warns of an invalid value), and
     np.linalg.svd reruns, so the outcome is its own: the same LinAlgError, or
-    the same NaN for infinite input.
+    the same NaN for infinite input. Where warnings are errors, that warning
+    raises and np.linalg.svd reruns just the same.
     """
     if not (type(m) is np.ndarray and m.ndim == 2 and m.dtype is _FLOAT64):
         m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[1] > m.shape[0]:
         return 0.0
     if _SVD is not None:
-        sigma = float(_SVD(m, signature="d->d")[-1])
-        if sigma == sigma:
-            return sigma
+        try:
+            sigma = float(_SVD(m, signature="d->d")[-1])
+        except RuntimeWarning:
+            pass
+        else:
+            if sigma == sigma:
+                return sigma
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 

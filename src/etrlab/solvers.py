@@ -107,6 +107,12 @@ def solve_l0(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     Supports of a given size are visited in colex order; the first
     feasible support (residual <= epsilon + 1e-10) is returned, so the
     result has minimal support size by construction. Exponential cost.
+
+    `sparsity.minimal_support` keeps, for the last matrix it searched, each
+    chunk's gathered columns, Gram matrices and rank test, so later solves
+    on the same `a` pay only the y-dependent solve and residual. The
+    CostCounter still charges every fit in full: it counts the textbook
+    cost of the search, not what this process happened to keep.
     """
     y = np.asarray(y, dtype=float)
     mat = a.a

@@ -132,6 +132,35 @@ def test_coherence_bound_below_exact(seed, r):
     assert gamma_lower_coherence(a, r) <= gamma_exact(a, r) + 1e-10
 
 
+@given(st.integers(min_value=0, max_value=200), st.sampled_from([2, 3]),
+       st.sampled_from([False, True]))
+@settings(max_examples=40, deadline=None)
+def test_coherence_bound_below_exact_on_unnormalized_columns(seed, r, rescale):
+    a = _random_a(8, 10, seed=seed)
+    if rescale:  # column norms spread over two decades
+        a = EffectiveSensing(a.a * np.random.default_rng(seed).uniform(0.1, 10.0, size=10))
+    lower = gamma_lower_coherence(a, r)
+    assert 0.0 <= lower <= gamma_exact(a, r) + 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16])
+def test_coherence_bound_below_exact_on_regime_shapes(m):
+    # regime.cfg's Gaussian sensing, d = n = 16, at each r = 2k it enumerates
+    a = _random_a(m, 16, seed=100 + m)
+    assert not np.allclose(np.linalg.norm(a.a, axis=0), 1.0, atol=TOL.unit_norm)
+    for r in (2, 4, 6):
+        assert 0.0 <= gamma_lower_coherence(a, r) <= gamma_exact(a, r) + 1e-10
+    assert gamma_lower_coherence(a, 2) > 0.0 or m == 2
+
+
+def test_coherence_bound_scales_with_the_smallest_column():
+    assert gamma_lower_coherence(EffectiveSensing(3.0 * np.eye(4)), 3) == 3.0
+    scaled = EffectiveSensing(TRI.a * np.array([2.0, 0.5, 4.0]))
+    assert gamma_lower_coherence(scaled, 2) == pytest.approx(
+        0.5 * np.sqrt(1 - 1 / np.sqrt(2)), rel=1e-12)
+    assert gamma_lower_coherence(EffectiveSensing(np.column_stack([E1, E2, 0 * E1])), 2) == 0.0
+
+
 def test_gamma_one_is_smallest_column_norm():
     a = _random_a(6, 8, seed=77)
     assert gamma_exact(a, 1) == pytest.approx(np.min(np.linalg.norm(a.a, axis=0)), rel=1e-10)
@@ -212,9 +241,9 @@ def test_geometry_report_duplicate_columns():
     assert rep.witness is not None
 
 
-def test_geometry_report_bound_unavailable_only_without_normalization(monkeypatch):
+def test_geometry_report_bounds_unnormalized_columns_and_lets_errors_through(monkeypatch):
     rep = geometry_report(_random_a(8, 12, seed=3), 2)
-    assert rep.gamma_lower == 0.0
+    assert 0.0 < rep.gamma_lower <= rep.gamma_exact
 
     def broken(a, r):
         raise ValueError("not a normalization problem")

@@ -258,6 +258,24 @@ def test_sigma_min_fails_as_np_linalg_svd_does_on_non_finite_input():
     assert {_bits(np.nan), "LinAlgError: SVD did not converge"} <= outcomes
 
 
+def test_warnings_as_errors_leave_np_linalgs_outcome():
+    # the gufuncs warn of the invalid values they return; raised as errors,
+    # those warnings must not stand in for np.linalg's LinAlgError
+    def strict(func, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return np.asarray(func(*args)).tobytes()
+            except np.linalg.LinAlgError as exc:
+                return f"LinAlgError: {exc}"
+
+    for mat in _non_finite((6, 2)):
+        assert strict(smallest_singular_value, mat) == _outcome(_np_linalg_sigma_min, mat)
+    for gram in _non_finite((3, 3)):
+        rhs = np.ones(3)
+        assert strict(solve_gram, gram, rhs) == _outcome(_solve_gram_before, gram, rhs)
+
+
 def _solve_gram_before(gram, rhs):
     # solve_gram as it was when every call went through np.linalg, verbatim
     lam = np.linalg.eigvalsh(gram)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import geometry, solvers
+from etrlab import geometry, solvers, sparsity
 from etrlab.dictionaries import (
     EffectiveSensing,
     build_dictionary,
@@ -18,7 +18,7 @@ from etrlab.errors import (
     RankDeficient, Stalled,
 )
 from etrlab.geometry import colex_supports, gamma_exact
-from etrlab.numerics import TOL, least_squares
+from etrlab.numerics import TOL, least_squares, solve_gram, stack_fit
 from etrlab.rng import RandomStream
 from etrlab.solvers import (
     L0_SUPPORT_GUARD,
@@ -31,7 +31,7 @@ from etrlab.solvers import (
     solve_l0,
     solve_omp,
 )
-from etrlab.sparsity import observe, plant
+from etrlab.sparsity import minimal_support, observe, plant
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -170,28 +170,140 @@ def _assert_l0_matches_one_at_a_time(a, y, cfg):
     return new
 
 
-@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 2000])
-def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
-    # 2000 bytes cuts sizes 2 and 3 into chunks of 5 to 62 supports
-    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+def _l0_problems(trials, ys_per_matrix=1):
+    """(mat, k, eps, ys): random m x 16 matrices, some with exactly singular
+    supports or a zero column, and observations of k-sparse alphas within eps."""
     gen = np.random.default_rng(11)
-    sizes = []
-    for trial in range(300):
+    for trial in range(trials):
         m, k = int(gen.integers(2, 17)), int(gen.integers(1, 4))
         mat = gen.normal(size=(m, 16))
         if trial % 5 == 0:  # exactly singular supports: a column and a copy or multiple
             mat[:, 7] = mat[:, 3] * (1.0 if trial % 10 else 2.0)
         if trial % 7 == 0:
             mat[:, 5] = 0.0
-        alpha = np.zeros(16)
-        alpha[gen.choice(16, k, replace=False)] = gen.normal(size=k)
         eps = 0.01 if trial % 2 else 0.0
-        noise = gen.normal(size=m)
-        y = mat @ alpha + eps * noise / np.linalg.norm(noise)
+        ys = []
+        for _ in range(ys_per_matrix):
+            alpha = np.zeros(16)
+            alpha[gen.choice(16, k, replace=False)] = gen.normal(size=k)
+            noise = gen.normal(size=m)
+            ys.append(mat @ alpha + eps * noise / np.linalg.norm(noise))
+        yield mat, k, eps, ys
+
+
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 2000])
+def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
+    # 2000 bytes cuts sizes 2 and 3 into chunks of 5 to 62 supports
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    sizes = []
+    for mat, k, eps, (y,) in _l0_problems(300):
         res = _assert_l0_matches_one_at_a_time(
             EffectiveSensing(mat), y, SolverConfig(epsilon=eps, max_sparsity=k))
         sizes.append(-1 if res is None else len(res.support))
     assert {1, 2, 3} <= set(sizes)
+
+
+def _minimal_support_before(mat, y, tol, max_size, guard):
+    """sparsity.minimal_support as it was before it kept fits per matrix, verbatim
+    but for numerics.least_squares' stack path written out."""
+    n = mat.shape[1]
+    tallies = []
+    for size in range(1, max_size + 1):
+        if sum(comb(n, s) for s in range(1, size + 1)) > guard:
+            raise EnumerationTooLarge(f"cumulative supports exceed {guard}")
+        examined = nonsingular = 0
+        for block, stack in geometry.support_chunks(mat, size):
+            a_t = stack.transpose(0, 2, 1)
+            coef = solve_gram(a_t @ stack, a_t @ y)
+            resid = (stack @ coef[:, :, None])[:, :, 0] - y
+            norms = np.sqrt(resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+            hits = np.flatnonzero(norms <= tol)
+            stop = int(hits[0]) + 1 if hits.size else len(block)
+            examined += stop
+            nonsingular += int(np.count_nonzero(~np.isnan(coef[:stop, 0])))
+            if hits.size:
+                tallies.append((size, examined, nonsingular))
+                return tuple(int(i) for i in block[stop - 1]), coef[stop - 1], tallies
+        tallies.append((size, examined, nonsingular))
+    return None, None, tallies
+
+
+def _assert_same_search(got, want):
+    assert got[0] == want[0]
+    assert got[2] == want[2]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.fixture
+def fits_made(monkeypatch):
+    """A cold l0 fit memo, and the number of chunk fits computed so far."""
+    monkeypatch.setattr(sparsity, "_chunk_fits", sparsity._ChunkFits(None))
+    made = [0]
+
+    def counted(stack):
+        made[0] += 1
+        return stack_fit(stack)
+
+    monkeypatch.setattr(sparsity, "stack_fit", counted)
+    return made
+
+
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 2000])
+def test_l0_fit_memo_cold_and_warm_match_the_search_without_it(monkeypatch, fits_made,
+                                                                chunk_bytes):
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    hits = 0
+    for mat, k, eps, ys in _l0_problems(100, ys_per_matrix=3):
+        tol = eps + TOL.feasibility_slack
+        for y in ys:  # the first search is cold, later ones meet kept fits
+            want = _minimal_support_before(mat, y, tol, k, L0_SUPPORT_GUARD)
+            _assert_same_search(minimal_support(mat, y, tol, k, L0_SUPPORT_GUARD), want)
+            made = fits_made[0]
+            _assert_same_search(minimal_support(mat, y, tol, k, L0_SUPPORT_GUARD), want)
+            assert fits_made[0] == made  # every chunk that search walked is kept
+            hits += want[0] is not None
+    assert hits > 250
+
+
+def test_l0_fit_memo_serves_no_stale_fit(fits_made, monkeypatch):
+    mat = np.random.default_rng(2).normal(size=(6, 10))
+    y = mat[:, [2, 4, 7]] @ np.array([1.0, -0.5, 2.0])
+    tol = TOL.feasibility_slack
+
+    def search():
+        got = minimal_support(mat, y, tol, 3, L0_SUPPORT_GUARD)
+        _assert_same_search(got, _minimal_support_before(mat, y, tol, 3, L0_SUPPORT_GUARD))
+        return got[0]
+
+    assert search() == (2, 4, 7)
+    # 2000 bytes: size 2 in chunks of 20 supports where the kept fits hold all 45
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", 2000)
+    assert search() == (2, 4, 7)
+    made = fits_made[0]
+    mat[:, 0] = y / 3.0  # edited in place: now one column fits
+    assert search() == (0,)
+    assert fits_made[0] == made + 1
+
+
+def test_l0_fit_memo_holds_at_most_its_bound(fits_made):
+    # sizes 1..3 of 40 columns at m = 16 gather about 4.7 MiB of fits
+    gen = np.random.default_rng(4)
+    mat, y = gen.normal(size=(16, 40)), gen.normal(size=16)
+    want = _minimal_support_before(mat, y, 1e-10, 3, L0_SUPPORT_GUARD)
+    assert want[0] is None  # no fit: every chunk is walked
+    chunks = sum(geometry.chunk_count(40, size, geometry.chunk_rows(16, size))
+                 for size in (1, 2, 3))
+    _assert_same_search(minimal_support(mat, y, 1e-10, 3, L0_SUPPORT_GUARD), want)
+    memo = sparsity._chunk_fits
+    held = sum(block.nbytes + fit.nbytes for block, fit in memo.fits.values())
+    assert held == memo.nbytes <= sparsity.FIT_MEMO_BYTES
+    assert fits_made[0] == chunks > len(memo.fits)
+    # the kept chunks are served, the others fitted again and still not kept
+    _assert_same_search(minimal_support(mat, y, 1e-10, 3, L0_SUPPORT_GUARD), want)
+    assert fits_made[0] == 2 * chunks - len(memo.fits)
+    assert sparsity._chunk_fits is memo and memo.nbytes == held
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -434,13 +546,13 @@ def test_bp_degenerate_ensembles_are_certified_or_say_so(sensing, basis, epsilon
     assert outcomes == {True, False}  # these seeds reach both outcomes
 
 
-def test_bp_random_shapes_certify_what_they_return():
-    # every row count from 1 to n, repeated rows (rank-deficient A), zero
-    # columns, and observations off the range of A; the planted alpha is
-    # feasible except for the off-range ones
+def _bp_random_shapes(trials):
+    """(mat, alpha, y, eps, off_range, distance): every row count from 1 to n,
+    repeated rows (rank-deficient A), zero columns, and observations off the
+    range of A; the planted alpha is feasible except for the off-range ones.
+    distance is y's least-squares distance from range(A)."""
     gen = np.random.default_rng(17)
-    certified = solved = 0
-    for trial in range(300):
+    for trial in range(trials):
         n, eps = (8, 16, 32, 64)[trial % 4], (0.0, 0.01, 0.1)[trial % 3]
         m = int(gen.integers(1, n + 1))
         mat = gen.normal(size=(m, n))
@@ -455,6 +567,12 @@ def test_bp_random_shapes_certify_what_they_return():
         off_range = trial % 17 == 0
         y = noise if off_range else mat @ alpha + 0.5 * eps * noise / np.linalg.norm(noise)
         distance = np.linalg.norm(mat @ np.linalg.lstsq(mat, y, rcond=None)[0] - y)
+        yield mat, alpha, y, eps, off_range, distance
+
+
+def test_bp_random_shapes_certify_what_they_return():
+    certified = solved = 0
+    for mat, alpha, y, eps, off_range, distance in _bp_random_shapes(300):
         try:
             res = solve_bp(EffectiveSensing(mat), y, SolverConfig(epsilon=eps))
         except NoFeasibleSolution:
@@ -468,6 +586,19 @@ def test_bp_random_shapes_certify_what_they_return():
             if not off_range:
                 assert np.sum(np.abs(res.alpha_hat)) <= np.sum(np.abs(alpha)) + 1e-9
     assert certified >= 0.98 * solved
+
+
+@pytest.mark.xfail(strict=True, raises=NoFeasibleSolution,
+                   reason="the one-step bar on a dropped column ends the path early "
+                          "(ROADMAP item 3)")
+def test_bp_solves_the_square_instance_its_drop_bar_strands():
+    # trial 153: n = m = 16, eps = 0, y = noise, which lies in range(A) up to
+    # rounding; the path drops the 16th column with 15 active, the bar leaves
+    # none free to join, and the step runs to lambda = 0 short of y
+    mat, _, y, eps, off_range, distance = list(_bp_random_shapes(154))[153]
+    assert mat.shape == (16, 16) and eps == 0.0 and off_range and distance < 1e-13
+    res = solve_bp(EffectiveSensing(mat), y, SolverConfig(epsilon=eps))
+    assert res.converged and res.residual_norm <= TOL.feasibility_slack
 
 
 def _solve_gram_stacked(gram, rhs):
