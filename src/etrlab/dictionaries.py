@@ -74,7 +74,9 @@ def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> np.ndarray:
         raise UnsupportedDimension(f"{kind} needs m <= d, got m={m} > d={d}")
     stream = RandomStream(seed).split(1)
     if kind == "gaussian":
-        return stream.gaussians(m * d).reshape(m, d) / np.sqrt(m)
+        phi = stream.gaussians(m * d).reshape(m, d)
+        phi /= np.sqrt(m)  # in place: the draw is a fresh array
+        return phi
     if kind == "bernoulli":
         u = stream.uniforms(m * d).reshape(m, d)
         return np.where(u < 0.5, -1.0, 1.0) / np.sqrt(m)

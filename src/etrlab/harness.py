@@ -35,7 +35,7 @@ from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, com
 from .errors import IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
-from .numerics import TOL, detected_support
+from .numerics import TOL, detected_support, vector_norm
 from .rng import RandomStream
 from .solvers import SOLVER_NAMES, SolverConfig, run_battery, solve
 from .sparsity import effective_sparsity, plant, observe, representation_complexity
@@ -52,8 +52,8 @@ class ReportBundle:
 
 def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[bool, bool, float]:
     """(success, support_match, rel_error); success needs both conditions."""
-    star_norm = float(np.linalg.norm(alpha_star))
-    rel = float(np.linalg.norm(alpha_hat - alpha_star)) / max(star_norm, 1e-300)
+    star_norm = vector_norm(alpha_star)
+    rel = vector_norm(alpha_hat - alpha_star) / max(star_norm, 1e-300)
     truth_supp = set(detected_support(alpha_star))
     hat_supp = set(detected_support(alpha_hat))
     match = hat_supp == truth_supp

@@ -12,11 +12,18 @@ with. np.linalg.svd(compute_uv=False), eigvalsh and solve make these same
 calls on float64 input after their argument checks, so the bits are
 np.linalg's. Where a gufunc is not bound (numpy 1.x has no `svd` gufunc),
 or where it returns NaN, the public np.linalg call runs instead.
+
+The hot path also skips numpy's scalar machinery. `vector_norm` is
+np.linalg.norm's own formula for a float64 vector (ravel in memory order,
+dot, square root) without its argument checks, and `solve_gram` runs the
+rank test of one Gram matrix on Python floats; both give np.linalg's and
+the stacked test's answers to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -40,6 +47,7 @@ class Tolerances:
 
 
 TOL = Tolerances()
+_RANK_REL2 = TOL.rank_rel ** 2  # the rank test compares eigenvalues, squares of singular values
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -60,14 +68,31 @@ _EIGVALSH = _gufunc("eigvalsh_lo", "(m,m)->(m)", "d->d")
 _SOLVE1 = _gufunc("solve1", "(m,m),(m)->(m)", "dd->d")
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """float(np.linalg.norm(v)) of a float64 array, to the bit.
+
+    np.linalg.norm's own formula for ord=None: sqrt of the dot of the ravel in
+    memory order. The ravel matters: the dot of a strided view runs another
+    BLAS kernel, which sums in another order and can differ in the last bit.
+    """
+    x = v.ravel(order="K")
+    return sqrt(x.dot(x))
+
+
 def detected_support(v: np.ndarray) -> np.ndarray:
-    """Indices of the entries of v above TOL.zero_tau * max(||v||, 1)."""
-    return np.flatnonzero(np.abs(v) > TOL.zero_tau * max(float(np.linalg.norm(v)), 1.0))
+    """Indices of the entries of the float64 vector v above TOL.zero_tau * max(||v||, 1)."""
+    return np.flatnonzero(np.abs(v) > TOL.zero_tau * max(vector_norm(v), 1.0))
 
 
-def _full_rank(lo, hi):
-    """The rank test on the extreme eigenvalues of Gram matrices (floats or arrays)."""
-    return (lo > 0) & (lo >= TOL.rank_rel ** 2 * np.maximum(hi, 1e-300))
+def _full_rank(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rank test on arrays of the extreme eigenvalues of Gram matrices."""
+    return (lo > 0) & (lo >= _RANK_REL2 * np.maximum(hi, 1e-300))
+
+
+def _full_rank_one(lo: float, hi: float) -> bool:
+    """`_full_rank` on the Python floats of one Gram matrix: the same decision,
+    NaN included (max keeps a NaN hi, as np.maximum does)."""
+    return lo > 0 and lo >= _RANK_REL2 * max(hi, 1e-300)
 
 
 def _eigvalsh(gram: np.ndarray) -> np.ndarray:
@@ -120,14 +145,15 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     largest; its row of the (B, c) result, or the whole (c,) result, is NaN.
 
     One matrix, every homotopy step and every OMP fit, runs the bound
-    `eigvalsh_lo` gufunc with no errstate (`_eigvalsh`); a stack runs
-    np.linalg.eigvalsh, the same gufunc call. Both run the same rank test and
+    `eigvalsh_lo` gufunc with no errstate (`_eigvalsh`) and the rank test on
+    Python floats (`_full_rank_one`); a stack runs np.linalg.eigvalsh, the
+    same gufunc call, and the array test (`_full_rank`). Both run the same
     `solve1` LU solve (`_lu_solve`), so one matrix and a stack of one give the
     same bytes.
     """
     if gram.ndim == 2:
         lam = _eigvalsh(gram)
-        if _full_rank(lam[0], lam[-1]):
+        if _full_rank_one(lam.item(0), lam.item(-1)):
             return _lu_solve(gram, rhs)
         return np.full(rhs.shape, np.nan)
     return _solve_full_rank(*_full_rank_grams(gram), rhs)
@@ -193,7 +219,7 @@ def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     a_sub = np.atleast_2d(a_sub)
     coef = solve_gram(a_sub.T @ a_sub, a_sub.T @ y)
-    if np.isnan(coef[0]):
+    if coef[0] != coef[0]:  # NaN: rank deficient
         raise RankDeficient(f"the Gram matrix of {a_sub.shape[1]} columns is rank deficient")
     return coef
 

@@ -12,15 +12,22 @@ which is cheaper than the numpy uint64 path at that size; both paths
 do the same integer arithmetic mod 2^64 and the same exact float
 scaling, so a draw gives the same bits whichever path makes it.
 
-A draw of one or two normals (one Box-Muller pair) runs on Python
-floats too: 1 - u, -2 * log, the square root, 2 * pi * u and the
-products are IEEE-exact, so Python floats give the array path's bits.
+A draw of at most PAIR_DRAW normals runs pair by pair on Python floats
+too (timeit puts the array path ahead only above about a dozen): 1 - u,
+-2 * log, the square root, 2 * pi * u and the products are correctly
+rounded, so Python floats give the array path's bits.
 log, cos and sin are not exact, and numpy's float64 loops (SIMD ones on
 hosts that have them) need not agree with the C library behind `math`:
 on an AVX-512 Xeon, `math` gave other bits than numpy for 323 of 200 000
 normals. So the pair calls numpy's own `np.log`, `np.cos` and `np.sin`
 on scalars, which run the same loops as the array path; the tests
 compare both paths with `np.array_equal` on 10^4 streams per count.
+
+Larger draws work in place: the words are mixed and shifted inside the
+one uint64 array that `np.arange` makes, and the Box-Muller transform
+writes into two buffers and the output array. log, cos and sin still read
+and write contiguous arrays, so they run the same loops as before; every
+other step is correctly rounded wherever it writes.
 
 The uint64 constants of the numpy path are built once, at import, and
 mix64(master_seed), which every stream of a run shares, is kept for the
@@ -41,6 +48,7 @@ GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 SMALL_DRAW = 16  # uniforms draws of at most this many words run on Python ints
+PAIR_DRAW = 12  # gaussians draws of at most this many normals run pair by pair on floats
 SEED_CACHE = 16  # hashed master seeds kept for reuse
 
 
@@ -61,11 +69,17 @@ _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _UM1, _UM2, _UGAMMA = np.uint64(_M1), np.uint64(_M2), np.uint64(GAMMA)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arrays wrap silently, matching the masked Python-int path
-    z = (z ^ (z >> _U30)) * _UM1
-    z = (z ^ (z >> _U27)) * _UM2
-    return z ^ (z >> _U31)
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, written over z; returns z.
+
+    uint64 arrays wrap silently, matching the masked Python-int path.
+    """
+    z ^= z >> _U30
+    z *= _UM1
+    z ^= z >> _U27
+    z *= _UM2
+    z ^= z >> _U31
+    return z
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,9 +103,10 @@ class RandomStream:
         return RandomStream(self.master_seed, child)
 
     def _words(self, count: int) -> np.ndarray:
-        base = np.uint64(self._base)
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        return _mix64_array(base + idx * _UGAMMA)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _UGAMMA
+        z += np.uint64(self._base)
+        return _mix64_in_place(z)
 
     def _small_uniforms(self, count: int) -> list[float]:
         # the first count uniforms, for count <= SMALL_DRAW, as Python floats
@@ -104,7 +119,9 @@ class RandomStream:
             return np.zeros(0)
         if count <= SMALL_DRAW:
             return np.array(self._small_uniforms(count))
-        return (self._words(count) >> _U11) * 2.0 ** -53
+        words = self._words(count)
+        words >>= _U11
+        return words * 2.0 ** -53
 
     def gaussians(self, count: int) -> np.ndarray:
         """count i.i.d. standard normals via the Box-Muller transform.
@@ -114,22 +131,28 @@ class RandomStream:
         """
         if count == 0:
             return np.zeros(0)
-        if count <= 2:
-            u1, u2 = self._small_uniforms(2)
-            r = sqrt(-2.0 * float(np.log(1.0 - u1)))
-            theta = 2.0 * pi * u2
-            if count == 1:
-                return np.array([r * float(np.cos(theta))])
-            return np.array([r * float(np.cos(theta)), r * float(np.sin(theta))])
+        if count <= PAIR_DRAW:
+            u = self._small_uniforms(count + count % 2)
+            out = []
+            for i in range(0, count, 2):
+                r = sqrt(-2.0 * float(np.log(1.0 - u[i])))
+                theta = 2.0 * pi * u[i + 1]
+                out.append(r * float(np.cos(theta)))
+                if i + 1 < count:
+                    out.append(r * float(np.sin(theta)))
+            return np.array(out)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
-        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        r = np.subtract(1.0, u[0::2])  # (0, 1]: keeps log finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = np.multiply(u[1::2], 2.0 * np.pi)
+        cos = np.cos(theta)
+        sin = np.sin(theta, out=theta)
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        np.multiply(r, cos, out=out[0::2])
+        np.multiply(r, sin, out=out[1::2])
         return out[:count]
 
     def integers_below(self, bounds) -> np.ndarray:

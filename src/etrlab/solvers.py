@@ -26,7 +26,7 @@ from .dictionaries import EffectiveSensing
 from .errors import (
     EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
 )
-from .numerics import TOL, detected_support, least_squares, solve_gram
+from .numerics import TOL, detected_support, least_squares, solve_gram, vector_norm
 from .sparsity import minimal_support
 
 L0_SUPPORT_GUARD = 10 ** 7
@@ -94,7 +94,7 @@ def _finish(a, alpha, y, cost, converged, iterations=0) -> RecoveryResult:
     return RecoveryResult(
         alpha_hat=alpha,
         support=tuple(detected_support(alpha)),
-        residual_norm=float(np.linalg.norm(a.a @ alpha - y)),
+        residual_norm=vector_norm(a.a @ alpha - y),
         cost=cost,
         converged=converged,
         iterations=iterations,
@@ -123,7 +123,7 @@ def solve_l0(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     feas = cfg.epsilon + TOL.feasibility_slack
     cost = CostCounter()
     cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
-    if np.linalg.norm(y) <= feas:
+    if vector_norm(y) <= feas:
         return _finish(a, np.zeros(n), y, cost, True)
     support, coef, tallies = minimal_support(mat, y, feas, kmax, L0_SUPPORT_GUARD)
     for size, examined, nonsingular in tallies:  # a residual and a comparison per non-singular fit
@@ -156,7 +156,7 @@ def solve_omp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> Recovery
     residual = y.copy()
     coef = np.zeros(0)
     iters = 0
-    while np.linalg.norm(residual) > feas and len(support) < kmax:
+    while vector_norm(residual) > feas and len(support) < kmax:
         corr = np.abs(mat.T @ residual)
         cost.charge(mult=n * m + m, add=n * (m - 1), cmp=n)
         corr[support] = -1.0
@@ -176,7 +176,7 @@ def solve_omp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> Recovery
     alpha = np.zeros(n)
     if support:
         alpha[support] = coef
-    converged = bool(np.linalg.norm(residual) <= feas)
+    converged = vector_norm(residual) <= feas
     return _finish(a, alpha / norms, y, cost, converged, iterations=iters)
 
 
@@ -204,7 +204,9 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     raises NoFeasibleSolution.
 
     Each step is charged the correlation update, one least-squares solve on
-    S and n + |S| comparisons for the join and drop tests.
+    S and n + |S| comparisons for the join and drop tests. The steps' sizes
+    |S| are kept and the CostCounter is charged once, after the path, with the
+    same per-step formulas, so the totals are those of a charge per step.
 
     The step keeps its buffers for the whole solve, and its arithmetic is the
     textbook two-sided step's to the bit: both join sides come from one pass
@@ -212,7 +214,8 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     lam - (-c) = lam + c, 1 - (-s) = 1 + s and 1 - s > 0 iff s < 1; the drop
     test divides Python floats, the same IEEE division, and keeps the first
     minimum; d comes from the same LAPACK eigvalsh and LU solve calls
-    (`solve_gram` on one Gram matrix, as on a stack of one).
+    (`solve_gram` on one Gram matrix, as on a stack of one), whose NaN answer
+    for a rank-deficient S the step detects as d[0] != d[0].
     """
     y = np.asarray(y, dtype=float)
     mat = a.a
@@ -220,13 +223,14 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     eps = cfg.epsilon
     cost = CostCounter()
     x = np.zeros(n)
-    res = y.copy()
-    corr = mat.T @ y
-    cost.charge(mult=n * m, add=n * (m - 1), cmp=n)
-    lam = lam_start = float(np.max(np.abs(corr)))
+    res = y.copy()  # y - Ax, kept only for epsilon > 0
     # row 0 of each pair is corr or slope, row 1 its negation: one pass tests both join sides
-    pm_corr = np.stack((corr, -corr))
-    corr = pm_corr[0]
+    pm_corr = np.empty((2, n))
+    corr = np.matmul(mat.T, y, out=pm_corr[0])
+    np.negative(corr, out=pm_corr[1])
+    # an event is a join, the column index j >= 0, or a drop, ~i < 0 for active[i]
+    event = int(np.abs(corr).argmax())
+    lam = lam_start = abs(corr.item(event))  # max |corr|, NaN included
     pm_slope = np.empty((2, n))
     slope = pm_slope[0]
     num, den, ratio = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
@@ -236,11 +240,10 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     # dropped last, which sits on the boundary and may not rejoin at once
     free = np.ones(n, dtype=bool)
     active: list[int] = []
+    sizes: list[int] = []  # |S| of each step, charged after the path
     barred = -1
-    # an event is a join, the column index j >= 0, or a drop, ~i < 0 for active[i]
-    event = int(np.argmax(np.abs(corr)))
     steps = 0
-    converged = ended = np.linalg.norm(y) <= eps or lam == 0.0
+    converged = ended = vector_norm(y) <= eps or lam == 0.0
     while not ended and steps < cfg.max_iterations:
         if barred >= 0:
             free[barred] = True
@@ -255,10 +258,9 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
         signs = np.sign(corr[idx])
         sub = mat[:, idx]
         steps += 1
-        cost.charge_least_squares(m, len(active), 1)
-        cost.charge(mult=n * m, add=n * m, cmp=n + len(active))
+        sizes.append(len(active))
         d = solve_gram(sub.T @ sub, signs)
-        if np.isnan(d[0]):
+        if d[0] != d[0]:
             break
         u = sub @ d
         np.matmul(mat.T, u, out=slope)
@@ -274,10 +276,11 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
         np.minimum(ratio[0], ratio[1], out=joins)
         np.maximum(joins, 0.0, out=joins)
         j = int(joins.argmin())
-        join = float(joins[j])
+        join = joins.item(j)
         # drop: x_i + g * d_i = 0 on the first g > 0; the first minimum wins
+        x_s = x[idx]
         i, drop = 0, np.inf
-        for k, (xk, dk) in enumerate(zip(x[idx].tolist(), d.tolist())):
+        for k, (xk, dk) in enumerate(zip(x_s.tolist(), d.tolist())):
             if dk != 0.0 and 0.0 < (g := -xk / dk) < drop:
                 i, drop = k, g
         event, gamma = (j, join) if join < drop else (~i, drop)
@@ -292,18 +295,25 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
             root = excess / (ru + sqrt(disc)) if disc >= 0.0 else np.inf
             stop = root < gamma
             gamma = min(gamma, root)
-        x[idx] += gamma * d
-        res -= gamma * u
+            res -= gamma * u
+        x_s += gamma * d
+        x[idx] = x_s
         pm_corr -= gamma * pm_slope
         lam -= gamma
         if stop or ended:
             # dual certificate: ||A^T nu||_inf <= 1 and no gap to the dual value
             nu = (y - mat @ x) / lam if stop else u
-            l1 = float(np.sum(np.abs(x)))
+            l1 = float(np.abs(x).sum())
             gap = l1 - (nu.dot(y) - eps * sqrt(nu.dot(nu)))
-            converged = bool(np.max(np.abs(mat.T @ nu)) <= 1.0 + TOL.bound_slack
+            converged = bool(np.abs(mat.T @ nu).max() <= 1.0 + TOL.bound_slack
                              and gap <= TOL.bound_slack * max(l1, 1.0))
             break
+    # the correlation A^T y, then per step: a least-squares solve on S, the correlation
+    # update and n + |S| comparisons
+    cost.charge(mult=n * m, add=n * (m - 1), cmp=n)
+    for size in set(sizes):
+        cost.charge_least_squares(m, size, sizes.count(size))
+    cost.charge(mult=steps * n * m, add=steps * n * m, cmp=steps * n + sum(sizes))
     result = _finish(a, x, y, cost, converged, iterations=steps)
     if ended and result.residual_norm > eps + TOL.reachability:
         raise NoFeasibleSolution("y outside the reachable residual ball")

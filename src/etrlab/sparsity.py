@@ -16,7 +16,7 @@ from .errors import (
 )
 from .geometry import BLOCK_CACHE, CHUNK_BYTES, chunk_count, chunk_rows, support_chunk
 # least_squares stays importable from here: bench/tracing.py patches sparsity.least_squares
-from .numerics import TOL, least_squares, stack_coefficients, stack_fit  # noqa: F401
+from .numerics import TOL, least_squares, stack_coefficients, stack_fit, vector_norm  # noqa: F401
 from .rng import RandomStream
 
 ENUMERATION_GUARD = 2 ** 24
@@ -194,7 +194,7 @@ def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream
         noise = np.zeros(m)
     else:
         g = stream.split(3).gaussians(m)
-        noise = epsilon * g / np.linalg.norm(g)
+        noise = epsilon * g / vector_norm(g)
     return clean + noise
 
 

@@ -18,6 +18,7 @@ from etrlab.numerics import (
     smallest_singular_pair,
     smallest_singular_value,
     solve_gram,
+    vector_norm,
 )
 from etrlab.rng import RandomStream
 
@@ -101,6 +102,69 @@ def test_solve_gram_one_matrix_matches_a_stack_of_one():
         seen.add((passes, lu))
     # well conditioned, rejected by the eigenvalue test, and singular only to LU
     assert seen >= {(True, True), (False, True), (True, False)}
+    # the edges of the rank test: one matrix decides on Python floats, a stack on
+    # arrays, and both must reject exactly the same Gram matrices
+    for gram, passes in _rank_test_edges():
+        rhs = np.arange(1.0, len(gram) + 1.0)
+        one = solve_gram(gram, rhs)
+        assert one.tobytes() == solve_gram(gram[None], rhs[None])[0].tobytes()
+        if passes is not None:
+            assert bool(np.all(np.isfinite(one))) is passes, gram
+
+
+def _rank_test_edges():
+    """(Gram matrix, whether it passes the rank test, or None where only the
+    agreement of both forms is pinned)."""
+    rel2 = TOL.rank_rel ** 2
+    for hi in (1.0, 3.0, 7.5e5):
+        at = rel2 * hi
+        # eigvalsh of a diagonal matrix returns its diagonal: the edge is really tested
+        assert np.linalg.eigvalsh(np.diag([at, hi])).tolist() == [at, hi]
+        yield np.diag([at, hi]), True
+        yield np.diag([np.nextafter(at, np.inf), hi]), True
+        yield np.diag([np.nextafter(at, 0.0), hi]), False
+    for lo in (0.0, -0.0, -1e-30, -1.0):  # lambda_min <= 0
+        yield np.diag([lo, 1.0]), False
+    for lo, hi in ((5e-324, 1e-301), (1e-310, 1e-305), (1e-305, 1e-301)):  # lambda_max < 1e-300
+        yield np.diag([lo, hi]), None
+    mat = RandomStream(8).gaussians(12).reshape(4, 3)
+    mat[:, 2] = mat[:, 0]  # an exactly duplicated column
+    yield mat.T @ mat, None
+
+
+def _norm_cases():
+    gen = np.random.default_rng(11)
+    big = gen.normal(size=3000)
+    yield big[:64]                       # contiguous
+    yield big[::3]                       # strided
+    yield big[::-1]                      # reversed
+    yield big[-2::-7]                    # reversed and strided
+    yield big[:12].reshape(3, 4).T[1]    # a row of a transposed view
+    yield np.zeros(17)
+    yield np.array([-0.0])
+    yield np.array([5e-324, -5e-324, 1e-310])   # subnormal; the squares underflow to 0
+    yield np.array([1e-160, 3e-170])             # the squares are subnormal
+    yield np.array([1e200, -1e200, 1.0])         # the sum of squares overflows to inf
+    yield np.array([np.inf, 1.0])
+    yield np.array([-2.5])                       # length 1
+    yield np.array([np.nan, 1.0])
+    for size in (1, 2, 3, 7, 64, 129, 3072):
+        v = gen.normal(size=3 * size) * 10.0 ** gen.uniform(-5, 5)
+        yield v[::3]
+        yield v[:size]
+
+
+def test_vector_norm_has_the_bits_of_np_linalg_norm():
+    for v in _norm_cases():
+        with np.errstate(over="ignore"):  # both warn where the dot overflows
+            got, want = vector_norm(v), float(np.linalg.norm(v))
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True) and repr(got) == repr(want), v
+    gen = np.random.default_rng(12)
+    for _ in range(2000):
+        big = gen.normal(size=int(gen.integers(3, 400)))
+        v = big[int(gen.integers(0, 3))::int(gen.choice([-3, -2, -1, 1, 2, 3]))]
+        assert vector_norm(v) == float(np.linalg.norm(v))
 
 
 @given(hnp.arrays(float, (6, 3), elements=finite), hnp.arrays(float, (6,), elements=finite))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab.rng import GAMMA, MASK64, SMALL_DRAW, RandomStream, _mix64_array, mix64
+from etrlab.rng import GAMMA, MASK64, PAIR_DRAW, SMALL_DRAW, RandomStream, mix64
 
 SEEDS = st.integers(min_value=0, max_value=MASK64)
 
@@ -92,7 +92,15 @@ def test_known_reference_values():
 
 # ------------------------------------------------ small draws on Python ints
 # Verbatim copies of the numpy-only draws that predate the Python-int path
-# for small counts; the current draws must match them byte for byte.
+# for small counts and the in-place array path; the current draws must
+# match them byte for byte.
+
+
+def _mix64_array(z):
+    # uint64 arrays wrap silently, matching the masked Python-int path
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _old_words(stream, count, offset):
@@ -168,6 +176,24 @@ def test_choose_matches_numpy_only_path(seed, idx, data):
                 _old_choose_without_replacement(stream, n, k))
 
 
+# the sensing draws of the shipped configs: phase.cfg's m * 64, perturbation.cfg's
+# 6 * 8 and regime.cfg's m * 16, each over its m_sweep
+ARRAY_COUNTS = sorted({*(m * 64 for m in (4, 6, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48)),
+                       6 * 8, *(m * 16 for m in (2, 4, 6, 8, 12, 16))})
+
+
+@pytest.mark.parametrize("count", ARRAY_COUNTS)
+def test_array_draws_match_numpy_only_path_at_shipped_sizes(count):
+    base = RandomStream(2027, count)
+    for t in range(200):
+        s = base.split(t)
+        _same_bytes(s.uniforms(count), _old_uniforms(s, count))
+        _same_bytes(s.gaussians(count), _old_gaussians(s, count))
+    for s in STREAMS:
+        _same_bytes(s.gaussians(count), _old_gaussians(s, count))
+    assert count > SMALL_DRAW
+
+
 def test_choose_matches_numpy_only_path_at_every_size():
     stream = RandomStream(42, 7)
     for n in range(81):
@@ -183,7 +209,7 @@ def test_choose_matches_numpy_only_path_at_every_size():
 # (_old_gaussians, a verbatim copy) on many streams, not on a handful.
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 16])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, PAIR_DRAW, PAIR_DRAW + 1, 16])
 def test_gaussians_match_array_box_muller_on_many_streams(count):
     base = RandomStream(2026, 5)
     for t in range(10_000):
