@@ -9,6 +9,7 @@ functions of their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -75,11 +76,11 @@ def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> np.ndarray:
     stream = RandomStream(seed).split(1)
     if kind == "gaussian":
         phi = stream.gaussians(m * d).reshape(m, d)
-        phi /= np.sqrt(m)  # in place: the draw is a fresh array
+        phi /= sqrt(m)  # in place: the draw is a fresh array
         return phi
     if kind == "bernoulli":
         u = stream.uniforms(m * d).reshape(m, d)
-        return np.where(u < 0.5, -1.0, 1.0) / np.sqrt(m)
+        return np.where(u < 0.5, -1.0, 1.0) / sqrt(m)
     if kind == "row-subsample":
         return np.eye(d)[stream.choose_without_replacement(d, m)]
     # identity

@@ -111,7 +111,9 @@ def _colex_block(n: int, size: int, rows: int, chunk: int) -> np.ndarray:
 
 
 def _zero_cutoff(a: np.ndarray) -> float:
-    return TOL.gamma_zero * float(np.max(np.linalg.norm(a, axis=0)))
+    # TOL.gamma_zero times the largest np.linalg.norm(a, axis=0), whose formula this
+    # is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits
+    return TOL.gamma_zero * sqrt(np.max(np.add.reduce(a * a, axis=0)))
 
 
 def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
@@ -131,11 +133,12 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
     best = np.inf
     best_support: tuple[int, ...] = ()
     for block, stack in support_chunks(mat, r):
-        for i, sub in enumerate(stack):
-            sigma = smallest_singular_value(sub)
-            if sigma < best:  # strict: the first minimum in colex order wins
-                best = sigma
-                best_support = tuple(block[i].tolist())
+        sigmas = [smallest_singular_value(sub) for sub in stack]
+        # best leads, so NaN never wins and ties keep the first minimum in colex order
+        low = min(best, *sigmas)
+        if low < best:
+            best = low
+            best_support = tuple(block[sigmas.index(low)].tolist())
     witness = None
     if best < _zero_cutoff(a.a):
         _, direction = smallest_singular_pair(mat[:, list(best_support)])
@@ -210,12 +213,12 @@ def geometry_report(a: EffectiveSensing, r: int, stream=None) -> GeometryReport:
         exact, witness, examined = gamma_exact(a, r, with_witness=True)
         upper = exact
         lower = min(lower, exact)  # the r = 2 Gershgorin bound is tight; absorb last-ulp rounding
-        injective = "no" if exact <= _zero_cutoff(a.a) else "yes"
+        injective = "no" if witness is not None else "yes"
     else:
         exact = witness = None
         examined = SAMPLED_SUPPORTS
         upper = gamma_sampled(a, r, SAMPLED_SUPPORTS, stream)
-        injective = "no" if upper <= _zero_cutoff(a.a) else "unknown"
+        injective = "no" if upper < _zero_cutoff(a.a) else "unknown"  # gamma_exact's test
     return GeometryReport(
         r=r,
         gamma_exact=exact,

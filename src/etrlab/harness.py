@@ -15,10 +15,10 @@ share a stream whatever the sweep lengths and trial counts:
 - perturbation: trial t is `split(t)`.
 
 Trials run one after another in a fixed order, so reruns of a config are
-bit-identical. Each run writes `<name>_records.csv`,
-`<name>_summary.md` and `<name>_config.cfg`, the config it ran, which the
-summary's reproduce line passes back to `etr-lab`; phase and regime-map
-runs also draw one SVG figure.
+bit-identical on one host and numpy build. Each run writes
+`<name>_records.csv`, `<name>_summary.md` and `<name>_config.cfg`, the
+config it ran, which the summary's reproduce line passes back to
+`etr-lab`; phase and regime-map runs also draw one SVG figure.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ binds numpy's own LAPACK gufuncs from `numpy.linalg._umath_linalg`: `svd`
 the core signature and the 'd->d' / 'dd->d' loop that np.linalg calls it
 with. np.linalg.svd(compute_uv=False), eigvalsh and solve make these same
 calls on float64 input after their argument checks, so the bits are
-np.linalg's. Where a gufunc is not bound (numpy 1.x has no `svd` gufunc),
-or where it returns NaN, the public np.linalg call runs instead.
+np.linalg's; `svd` gets float64 input and a reused output per width, which
+select that loop without `signature=`. Where a gufunc is not bound (numpy
+1.x has no `svd` gufunc), or where it returns NaN, np.linalg runs instead.
 
 The hot path also skips numpy's scalar machinery. `vector_norm` is
 np.linalg.norm's own formula for a float64 vector (ravel in memory order,
@@ -66,6 +67,7 @@ def _gufunc(name: str, signature: str, types: str) -> np.ufunc | None:
 _SVD = _gufunc("svd", "(m,n)->(p)", "d->d")
 _EIGVALSH = _gufunc("eigvalsh_lo", "(m,m)->(m)", "d->d")
 _SOLVE1 = _gufunc("solve1", "(m,m),(m)->(m)", "dd->d")
+_SIGMA_OUT: dict[int, np.ndarray] = {}  # sigma buffers by width, reused: one thread at a time
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -234,8 +236,10 @@ def smallest_singular_value(m: np.ndarray) -> float:
     Input that is not a 2-D float64 ndarray is first made one as by
     np.atleast_2d(np.asarray(m, dtype=float)): a vector is one row.
 
-    The SVD is the bound `svd` gufunc, called with no errstate: the last of
-    np.linalg.svd(m, compute_uv=False), to the bit. A NaN result means NaN
+    The SVD is the bound `svd` gufunc, with no errstate and no signature: the
+    float64 input and the float64 buffer of m's width it writes (made once
+    per width, `_SIGMA_OUT`) select the 'd->d' loop, so the last value is
+    np.linalg.svd(m, compute_uv=False)'s, to the bit. A NaN result means NaN
     input or no convergence (the gufunc then warns of an invalid value), and
     np.linalg.svd reruns, so the outcome is its own: the same LinAlgError, or
     the same NaN for infinite input. Where warnings are errors, that warning
@@ -243,11 +247,15 @@ def smallest_singular_value(m: np.ndarray) -> float:
     """
     if not (type(m) is np.ndarray and m.ndim == 2 and m.dtype is _FLOAT64):
         m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[1] > m.shape[0]:
+    rows, cols = m.shape
+    if cols > rows:
         return 0.0
     if _SVD is not None:
+        out = _SIGMA_OUT.get(cols)
+        if out is None:
+            out = _SIGMA_OUT[cols] = np.empty(cols)
         try:
-            sigma = float(_SVD(m, signature="d->d")[-1])
+            sigma = _SVD(m, out).item(-1)
         except RuntimeWarning:
             pass
         else:

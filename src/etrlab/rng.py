@@ -4,8 +4,12 @@ Counter-based generator built on the splitmix64 finalizer: the i-th raw
 word of a stream is ``mix64(base + (i+1) * GAMMA)`` where ``base`` is a
 64-bit hash of (master_seed, stream_index). Every output is a pure
 function of (master_seed, stream_index, position), so streams are
-immutable values, trivially splittable, and bit-identical across
-platforms. No platform RNG is used anywhere in the package.
+immutable values and trivially splittable. The uint64 words and the
+uniforms are bit-identical across platforms. The normals are not: they
+go through numpy's log, cos and sin loops, which change with numpy's
+CPU dispatch (with NPY_DISABLE_CPU_FEATURES=X86_V4, np.log gives other
+bits), so they are bit-identical on one host and numpy build. No
+platform RNG is used anywhere in the package.
 
 Draws of at most SMALL_DRAW words compute splitmix64 on Python ints,
 which is cheaper than the numpy uint64 path at that size; both paths

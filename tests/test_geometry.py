@@ -241,6 +241,25 @@ def test_geometry_report_duplicate_columns():
     assert rep.witness is not None
 
 
+def test_geometry_report_says_no_only_when_gamma_exact_finds_a_witness(monkeypatch):
+    # sigma_min = 1e-10 sits exactly at the cutoff 1e-10 * max column norm:
+    # gamma_exact's strict test finds no kernel direction, so the report says yes
+    a = EffectiveSensing(np.diag([1.0, 1e-10]))
+    cutoff = geometry._zero_cutoff(a.a)
+    g, witness, _ = gamma_exact(a, 2, with_witness=True)
+    assert g == cutoff == 1e-10 and witness is None
+    rep = geometry_report(a, 2)
+    assert rep.method == "exact" and rep.witness is None
+    assert rep.injective_on_r_sparse == "yes"
+    # sampled, the same support gives the same sigma and the same strict test
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 0)
+    rep = geometry_report(a, 2, RandomStream(1))
+    assert rep.method == "sampled" and rep.gamma_upper == cutoff
+    assert rep.injective_on_r_sparse == "unknown"
+    rep = geometry_report(EffectiveSensing(np.diag([1.0, 0.5e-10])), 2, RandomStream(1))
+    assert rep.injective_on_r_sparse == "no"
+
+
 def test_geometry_report_bounds_unnormalized_columns_and_lets_errors_through(monkeypatch):
     rep = geometry_report(_random_a(8, 12, seed=3), 2)
     assert 0.0 < rep.gamma_lower <= rep.gamma_exact
@@ -336,6 +355,69 @@ def test_gamma_exact_minimum_at_a_chunk_boundary(monkeypatch, position):
         g, witness, _ = _assert_gamma_matches_old_loop(mat, r)
         assert g < 1e-12
         assert set(np.flatnonzero(witness)) == {lo, hi}
+
+
+@pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 1, 8 * 4 * 2 * 5, 8 * 4 * 2 * 2])
+def test_gamma_exact_never_takes_a_nan_sigma(monkeypatch, chunk_bytes):
+    # an inf in column 0 makes sigma NaN on every support holding column 0, so
+    # chunks lead with NaN; (1, 2) is a parallel pair, colex index 2, behind two NaNs
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    sigmas = []
+
+    def recorded(sub):
+        sigmas.append(smallest_singular_value(sub))
+        return sigmas[-1]
+
+    monkeypatch.setattr(geometry, "smallest_singular_value", recorded)
+    gen = np.random.default_rng(23)
+    mats = []
+    for trial in range(6):
+        mat = gen.normal(size=(4, 8))
+        mat[trial % 4, 0] = np.inf
+        if trial % 2 == 0:
+            mat[:, 2] = -3.0 * mat[:, 1]
+        mats.append(mat)
+    mats.append(np.vstack([np.full((1, 3), np.inf), np.eye(3)]))  # every support NaN
+    for mat in mats:
+        for r in range(1, min(mat.shape) + 1):  # tall or square: wide supports skip the SVD
+            sigmas.clear()
+            g, witness, _ = gamma_exact(EffectiveSensing(mat), r, with_witness=True)
+            assert sigmas[0] != sigmas[0]  # the first support holds column 0
+            finite = [s for s in sigmas if s == s]
+            assert g == (min(finite) if finite else np.inf)
+            if witness is not None:
+                assert witness[0] == 0.0
+            _assert_gamma_matches_old_loop(mat, r)
+    assert g == np.inf and witness is None
+
+
+def _old_zero_cutoff(a):
+    return TOL.gamma_zero * float(np.max(np.linalg.norm(a, axis=0)))
+
+
+def test_zero_cutoff_has_the_bits_of_the_largest_linalg_norm():
+    gen = np.random.default_rng(29)
+    mats = [np.zeros((0, 3)), np.zeros((4, 5)), np.ones((1, 1))]
+    for trial in range(400):
+        m, n = int(gen.integers(1, 20)), int(gen.integers(1, 20))
+        mat = gen.normal(size=(m, n)) * 10.0 ** gen.integers(-3, 4)
+        if trial % 3 == 0:
+            mat[:, gen.integers(0, n)] = 0.0
+        mats.append(mat)
+    for scale in (1e150, 1e-150, 1e160, 1e-160, 1e-170):  # 1e160 squared overflows to inf
+        mats += [mat * scale for mat in mats[3:60]]
+    overflow = 0
+    for mat in mats:
+        with np.errstate(over="ignore"):
+            got = geometry._zero_cutoff(mat)
+            assert type(got) is float
+            assert got == _old_zero_cutoff(mat)
+        overflow += got == np.inf
+        if got == np.inf:  # both warn of the overflow alike where warnings are errors
+            for cutoff in (geometry._zero_cutoff, _old_zero_cutoff):
+                with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                    cutoff(mat)
+    assert overflow > 50
 
 
 def test_gamma_exact_calls_smallest_singular_value_once_per_support(monkeypatch):

@@ -286,11 +286,35 @@ def _awkward_matrices():
                     mat * 1e-310, np.full((m, r), 5e-324))
 
 
+def _converted_inputs():
+    """float32, int, big-endian, Python-list and strided inputs, which the entry
+    makes float64 arrays (or takes as they are, when already float64 and 2-D)."""
+    gen = np.random.default_rng(13)
+    for m, r in ((2, 1), (2, 2), (6, 2), (6, 4), (16, 6)):
+        mat = gen.normal(size=(m, r))
+        yield mat.astype(np.float32)
+        yield np.rint(4.0 * mat).astype(np.int64)
+        yield mat.astype(">f8")
+        yield mat.tolist()
+        yield mat[::-1, ::-1]
+        yield gen.normal(size=(3 * m, 2 * r))[::-3, 1::2]
+
+
 def test_sigma_min_has_the_bits_of_np_linalg_svd():
     subs = [*_perturbation_submatrices(300), *_regime_shaped_matrices(), *_awkward_matrices()]
     assert len(subs) > 300 * 28
     for sub in subs:
         assert _bits(smallest_singular_value(sub)) == _bits(_np_linalg_sigma_min(sub))
+    # np.linalg.svd would decompose float32 in single precision; sigma_min takes float64
+    for sub in _converted_inputs():
+        assert _bits(smallest_singular_value(sub)) == _bits(
+            _np_linalg_sigma_min(np.asarray(sub, dtype=float)))
+    # one output buffer per width: alternating widths must not read another call's values
+    gen = np.random.default_rng(14)
+    mats = [gen.normal(size=(8, r)) * 10.0 ** r for r in range(1, 7)]
+    expected = [_bits(_np_linalg_sigma_min(mat)) for mat in mats]
+    for r in (5, 0, 3, 1, 5, 2, 0, 4, 3, 5, 1, 0, 2):
+        assert _bits(smallest_singular_value(mats[r])) == expected[r]
 
 
 def _outcome(func, *args):
