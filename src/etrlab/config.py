@@ -136,6 +136,9 @@ class ExperimentConfig:
 
     def _check_builds(self):
         # what build_dictionary and build_sensing would reject at run time
+        if self.experiment == "uncertainty-principle" and any(d & (d - 1) for d in self.d_sweep):
+            raise ConfigError(f"uncertainty-principle builds hadamard bases: d_sweep needs "
+                              f"powers of 2, got d_sweep = {self.d_sweep}")
         if self.basis is not None:
             if self.basis not in DICTIONARY_KINDS:
                 raise ConfigError(f"unknown basis {self.basis!r}; known: "

@@ -41,6 +41,10 @@ class DegenerateGamma(EtrLabError):
     pass
 
 
+class NonFiniteMatrix(EtrLabError):
+    pass
+
+
 class NoFeasibleSolution(EtrLabError):
     pass
 

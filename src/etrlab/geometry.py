@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .dictionaries import EffectiveSensing, self_coherence
-from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
+from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value
 
 EXACT_GUARD = 10 ** 6
@@ -112,8 +112,12 @@ def _colex_block(n: int, size: int, rows: int, chunk: int) -> np.ndarray:
 
 def _zero_cutoff(a: np.ndarray) -> float:
     # TOL.gamma_zero times the largest np.linalg.norm(a, axis=0), whose formula this
-    # is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits
-    return TOL.gamma_zero * sqrt(np.max(np.add.reduce(a * a, axis=0)))
+    # is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits.
+    # Only a cutoff that is not finite pays the scan that refuses an inf or NaN entry
+    cutoff = TOL.gamma_zero * sqrt((a * a).sum(axis=0).max())
+    if not isfinite(cutoff) and not np.isfinite(a).all():
+        raise NonFiniteMatrix("the matrix is not finite: it holds an inf or a NaN")
+    return cutoff
 
 
 def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
@@ -130,6 +134,7 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
     total = comb(n, r)
     if total > EXACT_GUARD:
         raise EnumerationTooLarge(f"binomial({n},{r}) = {total} > {EXACT_GUARD}")
+    cutoff = _zero_cutoff(mat)
     best = np.inf
     best_support: tuple[int, ...] = ()
     for block, stack in support_chunks(mat, r):
@@ -140,7 +145,7 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
             best = low
             best_support = tuple(block[sigmas.index(low)].tolist())
     witness = None
-    if best < _zero_cutoff(a.a):
+    if best < cutoff:
         _, direction = smallest_singular_pair(mat[:, list(best_support)])
         witness = np.zeros(n)
         witness[list(best_support)] = direction
@@ -164,6 +169,7 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
     total = comb(n, r)
     if trials >= total and total <= EXACT_GUARD:
         return gamma_exact(a, r)
+    _zero_cutoff(mat)  # refuses an inf or NaN, as gamma_exact does
     best = np.inf
     for t in range(trials):
         support = stream.split(t).choose_without_replacement(n, r)
@@ -207,17 +213,17 @@ def geometry_report(a: EffectiveSensing, r: int, stream=None) -> GeometryReport:
     gamma_r is exact when C(n, r) <= EXACT_GUARD; past the guard it is the
     upper bound from SAMPLED_SUPPORTS supports drawn from `stream`.
     """
-    lower = gamma_lower_coherence(a, r)
     n = a.a.shape[1]
     if comb(n, r) <= EXACT_GUARD:
         exact, witness, examined = gamma_exact(a, r, with_witness=True)
         upper = exact
-        lower = min(lower, exact)  # the r = 2 Gershgorin bound is tight; absorb last-ulp rounding
+        lower = min(gamma_lower_coherence(a, r), exact)  # absorb the tight r = 2 bound's rounding
         injective = "no" if witness is not None else "yes"
     else:
         exact = witness = None
         examined = SAMPLED_SUPPORTS
         upper = gamma_sampled(a, r, SAMPLED_SUPPORTS, stream)
+        lower = gamma_lower_coherence(a, r)
         injective = "no" if upper < _zero_cutoff(a.a) else "unknown"  # gamma_exact's test
     return GeometryReport(
         r=r,

@@ -11,15 +11,15 @@ CPU dispatch (with NPY_DISABLE_CPU_FEATURES=X86_V4, np.log gives other
 bits), so they are bit-identical on one host and numpy build. No
 platform RNG is used anywhere in the package.
 
-Draws of at most SMALL_DRAW words compute splitmix64 on Python ints,
-which is cheaper than the numpy uint64 path at that size; both paths
-do the same integer arithmetic mod 2^64 and the same exact float
-scaling, so a draw gives the same bits whichever path makes it.
-
-A draw of at most PAIR_DRAW normals runs pair by pair on Python floats
-too (timeit puts the array path ahead only above about a dozen): 1 - u,
--2 * log, the square root, 2 * pi * u and the products are correctly
-rounded, so Python floats give the array path's bits.
+The small draws are module functions of a stream's 64-bit base:
+`base_uniforms` runs splitmix64 on Python ints, `base_gaussians` the
+Box-Muller transform pair by pair on Python floats, and `fisher_yates`
+picks a sorted support from uniforms. `sparsity.plant` draws from the
+bases `RandomStream.split_bases` gives, building no stream; the methods
+use these functions for draws of at most SMALL_DRAW words and PAIR_DRAW
+normals, below which the numpy path costs more. Both paths do the same
+integer arithmetic mod 2^64 and exact scaling, and 1 - u, -2 * log, sqrt,
+2 * pi * u and the products are correctly rounded: the bits are the same.
 log, cos and sin are not exact, and numpy's float64 loops (SIMD ones on
 hosts that have them) need not agree with the C library behind `math`:
 on an AVX-512 Xeon, `math` gave other bits than numpy for 323 of 200 000
@@ -106,23 +106,22 @@ class RandomStream:
         child = mix64(mix64(self.stream_index) + (n + 1) * GAMMA)
         return RandomStream(self.master_seed, child)
 
+    def split_bases(self, count: int) -> list[int]:
+        """The bases (as_seed) of split(0) ... split(count - 1), without the streams."""
+        seed, index = _seed_hash(self.master_seed), mix64(self.stream_index)
+        return [mix64(seed ^ mix64((mix64(index + (i + 1) * GAMMA) + 1) * GAMMA))
+                for i in range(count)]
+
     def _words(self, count: int) -> np.ndarray:
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= _UGAMMA
         z += np.uint64(self._base)
         return _mix64_in_place(z)
 
-    def _small_uniforms(self, count: int) -> list[float]:
-        # the first count uniforms, for count <= SMALL_DRAW, as Python floats
-        base = self._base
-        return [(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53 for i in range(1, count + 1)]
-
     def uniforms(self, count: int) -> np.ndarray:
         """count i.i.d. uniforms in [0, 1), 53-bit resolution."""
-        if count == 0:
-            return np.zeros(0)
         if count <= SMALL_DRAW:
-            return np.array(self._small_uniforms(count))
+            return np.array(base_uniforms(self._base, count))
         words = self._words(count)
         words >>= _U11
         return words * 2.0 ** -53
@@ -133,18 +132,8 @@ class RandomStream:
         Regenerates from the stream head, so repeated calls with equal
         arguments return identical values.
         """
-        if count == 0:
-            return np.zeros(0)
         if count <= PAIR_DRAW:
-            u = self._small_uniforms(count + count % 2)
-            out = []
-            for i in range(0, count, 2):
-                r = sqrt(-2.0 * float(np.log(1.0 - u[i])))
-                theta = 2.0 * pi * u[i + 1]
-                out.append(r * float(np.cos(theta)))
-                if i + 1 < count:
-                    out.append(r * float(np.sin(theta)))
-            return np.array(out)
+            return np.array(base_gaussians(self._base, count))
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
         r = np.subtract(1.0, u[0::2])  # (0, 1]: keeps log finite
@@ -166,14 +155,33 @@ class RandomStream:
         return np.minimum((u * bounds).astype(np.int64), bounds - 1)
 
     def choose_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), uniform, via partial Fisher-Yates.
+        """k distinct indices from range(n), uniform, via partial Fisher-Yates."""
+        draws = base_uniforms(self._base, k) if k <= SMALL_DRAW else self.uniforms(k).tolist()
+        return np.array(fisher_yates(n, draws), dtype=np.int64)
 
-        Swap i draws from the n - i positions left, as integers_below does.
-        """
-        pool = list(range(n))
-        draws = self._small_uniforms(k) if k <= SMALL_DRAW else self.uniforms(k).tolist()
-        for i, u in enumerate(draws):
-            j = i + min(int(u * (n - i)), n - i - 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.array(sorted(pool[:k]), dtype=np.int64)
 
+def base_uniforms(base: int, count: int) -> list[float]:
+    """The first count uniforms of the stream with this base, as Python floats."""
+    return [(mix64(base + i * GAMMA) >> 11) * 2.0 ** -53 for i in range(1, count + 1)]
+
+
+def base_gaussians(base: int, count: int) -> list[float]:
+    """The first count normals of the stream with this base, pair by pair on floats."""
+    u = base_uniforms(base, count + count % 2)
+    out = []
+    for i in range(0, count, 2):
+        r = sqrt(-2.0 * float(np.log(1.0 - u[i])))
+        theta = 2.0 * pi * u[i + 1]
+        out.append(r * float(np.cos(theta)))
+        if i + 1 < count:
+            out.append(r * float(np.sin(theta)))
+    return out
+
+
+def fisher_yates(n: int, draws: list[float]) -> list[int]:
+    """Sorted indices of range(n): swap i takes draws[i] to one of the n - i left."""
+    pool = list(range(n))
+    for i, u in enumerate(draws):
+        j = i + min(int(u * (n - i)), n - i - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:len(draws)])

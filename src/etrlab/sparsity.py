@@ -17,7 +17,7 @@ from .errors import (
 from .geometry import BLOCK_CACHE, CHUNK_BYTES, chunk_count, chunk_rows, support_chunk
 # least_squares stays importable from here: bench/tracing.py patches sparsity.least_squares
 from .numerics import TOL, least_squares, stack_coefficients, stack_fit, vector_norm  # noqa: F401
-from .rng import RandomStream
+from .rng import RandomStream, base_gaussians, base_uniforms, fisher_yates
 
 ENUMERATION_GUARD = 2 ** 24
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
@@ -166,17 +166,16 @@ def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
 
 def plant(psi: np.ndarray, k: int, stream: RandomStream) -> PlantedInstance:
     """k-sparse coefficients in the columns of psi with magnitudes >= 0.1,
-    deterministic per stream."""
+    deterministic per stream: support, signs and magnitudes come as Python values
+    from the bases of stream.split(0), split(1) and split(2), each entry with the bits
+    of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5."""
     n = psi.shape[1]
     if not 1 <= k <= n:
         raise InvalidSparsity(f"k={k} outside 1..{n}")
-    support = stream.split(0).choose_without_replacement(n, k).tolist()
-    signs = stream.split(1).uniforms(k).tolist()
-    magnitudes = stream.split(2).gaussians(k).tolist()
-    # entries computed on Python floats, k being small: each has the bits of
-    # the array form, sign * (MIN_COEFF + |g|) with the sign -1.0 where u < 0.5
+    support_base, sign_base, magnitude_base = stream.split_bases(3)
     alpha = np.zeros(n)
-    for i, u, g in zip(support, signs, magnitudes):
+    for i, u, g in zip(fisher_yates(n, base_uniforms(support_base, k)),
+                       base_uniforms(sign_base, k), base_gaussians(magnitude_base, k)):
         alpha[i] = (-1.0 if u < 0.5 else 1.0) * (MIN_COEFF + abs(g))
     return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from etrlab import geometry
 from etrlab.dictionaries import EffectiveSensing, build_sensing, normalize_columns
-from etrlab.errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity
+from etrlab.errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix
 from etrlab.geometry import (
     colex_supports,
     gamma_exact,
@@ -359,13 +359,15 @@ def test_gamma_exact_minimum_at_a_chunk_boundary(monkeypatch, position):
 
 @pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 1, 8 * 4 * 2 * 5, 8 * 4 * 2 * 2])
 def test_gamma_exact_never_takes_a_nan_sigma(monkeypatch, chunk_bytes):
-    # an inf in column 0 makes sigma NaN on every support holding column 0, so
-    # chunks lead with NaN; (1, 2) is a parallel pair, colex index 2, behind two NaNs
+    # sigma is NaN on every support holding column 0, marked by the value 7.0 at
+    # [0, 0], so chunks lead with NaN; (1, 2) is a parallel pair, colex index 2,
+    # behind two NaNs. A matrix holding an inf or NaN is refused before the
+    # enumeration, so the NaN sigmas are injected into finite matrices.
     monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
     sigmas = []
 
     def recorded(sub):
-        sigmas.append(smallest_singular_value(sub))
+        sigmas.append(np.nan if sub[0, 0] == 7.0 else smallest_singular_value(sub))
         return sigmas[-1]
 
     monkeypatch.setattr(geometry, "smallest_singular_value", recorded)
@@ -373,11 +375,11 @@ def test_gamma_exact_never_takes_a_nan_sigma(monkeypatch, chunk_bytes):
     mats = []
     for trial in range(6):
         mat = gen.normal(size=(4, 8))
-        mat[trial % 4, 0] = np.inf
+        mat[0, 0] = 7.0
         if trial % 2 == 0:
             mat[:, 2] = -3.0 * mat[:, 1]
         mats.append(mat)
-    mats.append(np.vstack([np.full((1, 3), np.inf), np.eye(3)]))  # every support NaN
+    mats.append(np.vstack([np.full((1, 3), 7.0), np.eye(3)]))  # every support NaN
     for mat in mats:
         for r in range(1, min(mat.shape) + 1):  # tall or square: wide supports skip the SVD
             sigmas.clear()
@@ -387,8 +389,38 @@ def test_gamma_exact_never_takes_a_nan_sigma(monkeypatch, chunk_bytes):
             assert g == (min(finite) if finite else np.inf)
             if witness is not None:
                 assert witness[0] == 0.0
-            _assert_gamma_matches_old_loop(mat, r)
     assert g == np.inf and witness is None
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_gamma_refuses_a_non_finite_matrix_before_any_svd(monkeypatch, entry):
+    # an inf made the witness SVD hang, and a NaN hid every support holding it
+    def hangs(sub):
+        raise AssertionError("the witness SVD ran on a non-finite matrix")
+
+    monkeypatch.setattr(geometry, "smallest_singular_pair", hangs)
+    mat = np.random.default_rng(31).normal(size=(4, 8))
+    mat[0, 0] = entry
+    a = EffectiveSensing(mat)
+    for r in (1, 2, 4, 8):
+        with pytest.raises(NonFiniteMatrix, match="not finite"):
+            gamma_exact(a, r)
+        with pytest.raises(NonFiniteMatrix, match="not finite"):
+            geometry_report(a, r)
+    with pytest.raises(NonFiniteMatrix, match="not finite"):
+        gamma_sampled(a, 2, 5, RandomStream(1))
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 0)  # the sampled branch
+    with pytest.raises(NonFiniteMatrix, match="not finite"):
+        geometry_report(a, 2, RandomStream(1))
+
+
+def test_gamma_keeps_a_finite_matrix_whose_squares_overflow():
+    # the cutoff is inf, but every entry is finite: the enumeration runs as before
+    mat = np.random.default_rng(37).normal(size=(4, 8)) * 1e160
+    mat[:, 5] = mat[:, 3]
+    with np.errstate(over="ignore"):
+        g, witness, _ = _assert_gamma_matches_old_loop(mat, 2)
+    assert witness is not None
 
 
 def _old_zero_cutoff(a):

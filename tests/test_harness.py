@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import geometry, solvers
+from etrlab import geometry, harness, solvers
 from etrlab.config import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig, dump_config, load_config
 from etrlab.errors import ConfigError, IoFailure, NoFeasibleSolution
 from etrlab.harness import (
@@ -152,7 +152,7 @@ def test_dump_config_round_trips_every_field(tmp_path):
     from etrlab.etr import RegimeThresholds
 
     values = dict(
-        d=12, n=12, k=5, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 9),
+        d=12, n=12, k=5, k_sweep=(1, 5), m_sweep=(3,), m=7, d_sweep=(2, 8),
         epsilon=0.1 + 0.2, trials_per_cell=7, recovery_trials=4, master_seed=2 ** 64 - 1,
         basis="dct", sensing="bernoulli", solvers=("omp", "l0-exhaustive"), max_iterations=17,
         output_dir="out/100%/x",
@@ -266,6 +266,7 @@ BUILD_REJECTS = [
     ("[phase]\nd = 1\nk = 1\nbasis = dct\nm_sweep = 1\n", "dct needs d"),
     ("[perturbation]\nsensing = identity\n", "identity needs d = n"),
     ("[perturbation]\nd = 9\nsensing = row-subsample\n", "row-subsample needs d <= n"),
+    ("[uncertainty-principle]\nd_sweep = 4,12\n", "d_sweep needs powers of 2"),
 ]
 
 
@@ -281,7 +282,8 @@ def test_config_accepts_the_builders_edge_values(tmp_path):
                  "[perturbation]\nd = 8\nsensing = identity\n",
                  "[mismatch]\nm = 1\nmax_iterations = 1\n",
                  "[phase]\nd = 2\nk = 1\nbasis = dct\nm_sweep = 2\n",
-                 "[regime-map]\nd = 8\nbasis = hadamard\nm_sweep = 4,8\n"):
+                 "[regime-map]\nd = 8\nbasis = hadamard\nm_sweep = 4,8\n",
+                 "[uncertainty-principle]\nd_sweep = 1,2,4\n"):
         load_config(_write(tmp_path, text))
 
 
@@ -487,6 +489,25 @@ def test_colex_caches_hold_no_run_state(tmp_path, monkeypatch):
     block, _ = next(geometry.support_chunks(np.ones((6, 8)), 2))
     with pytest.raises(ValueError):
         block[0, 0] = 1
+
+
+def test_perturbation_makes_the_calls_the_benchmark_cross_checks(tmp_path, monkeypatch):
+    # the benchmark's traced runs expect, per perturbation trial, one sensing build,
+    # one exact gamma over C(n, 2k) supports and two plants unless gamma is degenerate
+    calls = {}
+    for owner, name in ((harness, "build_sensing"), (harness, "gamma_exact"),
+                        (harness, "plant"), (geometry, "smallest_singular_value")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    cfg = load_config(os.path.join(CONFIGS, "perturbation.cfg"))
+    bundle = run_experiment(dataclasses.replace(cfg, trials_per_cell=200, output_dir=str(tmp_path)))
+    with open(bundle.records_csv) as fh:
+        valid = sum(row["degenerate"] == "0" for row in csv.DictReader(fh))
+    assert calls == {"build_sensing": 200, "gamma_exact": 200, "plant": 2 * valid,
+                     "smallest_singular_value": 200 * math.comb(cfg.n, min(2 * cfg.k, cfg.n))}
 
 
 def _tiny_phase(tmp_path, seed=7):

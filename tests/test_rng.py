@@ -219,6 +219,14 @@ def test_gaussians_match_array_box_muller_on_many_streams(count):
         _same_bytes(new, old)
 
 
+def test_split_bases_are_the_child_seeds():
+    # on the edge streams and 2000 children of a master stream, at several counts
+    streams = STREAMS + [RandomStream(2028, 3).split(t) for t in range(2000)]
+    for i, s in enumerate(streams):
+        count = (0, 1, 3, 17)[i % 4]
+        assert s.split_bases(count) == [s.split(c).as_seed() for c in range(count)]
+
+
 def test_streams_hold_no_instance_dict():
     s = RandomStream(1, 2)
     assert not hasattr(s, "__dict__")

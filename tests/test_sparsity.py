@@ -155,11 +155,18 @@ def _old_plant(psi, k, stream):
     return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 20])
-def test_plant_matches_array_form_on_many_streams(k):
-    psi = build_dictionary("random-orthonormal", 24, seed=k)
+# k = 1, 2, 3 and 20 on 10^4 streams each; then k across PAIR_DRAW = 12 and
+# SMALL_DRAW = 16, where the stream methods change path, and n = 64, on fewer
+PLANT_SHAPES = [pytest.param(24, k, 10_000, id=str(k)) for k in (1, 2, 3, 20)]
+PLANT_SHAPES += [pytest.param(24, k, 2_500, id=str(k)) for k in (12, 13, 16, 17)]
+PLANT_SHAPES += [pytest.param(64, 33, 2_500, id="n64-33")]
+
+
+@pytest.mark.parametrize("n, k, streams", PLANT_SHAPES)
+def test_plant_matches_array_form_on_many_streams(n, k, streams):
+    psi = build_dictionary("random-orthonormal", n, seed=k)
     base = RandomStream(31, k)
-    for t in range(10_000):
+    for t in range(streams):
         s = base.split(t)
         new, old = plant(psi, k, s), _old_plant(psi, k, s)
         assert np.array_equal(new.alpha_star, old.alpha_star), t
