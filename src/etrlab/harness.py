@@ -12,7 +12,10 @@ share a stream whatever the sweep lengths and trial counts:
   `split(2).split(t)`;
 - uncertainty principle: trial t at dimension index di is
   `split(di).split(t)`;
-- perturbation: trial t is `split(t)`.
+- perturbation: trial t is `split(t)`, which draws its sensing from
+  `split(0)` and its two plants from `split(1)` and `split(2)`; their
+  bases come from uint64 array passes, a block of trials at a time
+  (`perturbation_bases`).
 
 Trials run one after another in a fixed order, so reruns of a config are
 bit-identical on one host and numpy build. Each run writes
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import os
 import shlex
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +40,15 @@ from .errors import IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
 from .geometry import gamma_exact, geometry_report, perturbation_check
 from .numerics import TOL, detected_support, vector_norm
-from .rng import RandomStream
+from .rng import RandomStream, split_indices, stream_bases
 from .solvers import SOLVER_NAMES, SolverConfig, run_battery, solve
 from .sparsity import effective_sparsity, plant, observe, representation_complexity
 
 SUCCESS_REL_ERROR = 1e-4
+# perturbation trials whose bases are computed at once. Every array of a block stays
+# under glibc's 128 KiB mmap threshold, so blocks reuse heap memory: the benchmark's
+# perturbation peak_rss_mb read 46.3-46.6 MB with one (10^4, 7) pass, 45.7 MB in blocks
+BASES_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
     def one_trial(ci, m, t):
         stream = base.split(ci).split(t)
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=stream.split(0).as_seed())
-        inst = plant(psi, cfg.k, stream.split(1))
+        inst = plant(psi, cfg.k, stream.split(1).split_bases(3))
         y = observe(inst.x, phi, cfg.epsilon, stream.split(2))
         a = compose(phi, psi)
         rows = []
@@ -212,7 +220,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
     def draw(stream):
         # psi* from split(0) and the instance from split(1); recovery goes on at split(2)
         psi_star = build_dictionary("random-orthonormal", d, seed=stream.split(0).as_seed())
-        inst = plant(psi_star, k, stream.split(1))
+        inst = plant(psi_star, k, stream.split(1).split_bases(3))
         return psi_star, inst, effective_sparsity(inst.x, identity)
 
     def census_trial(t):
@@ -322,28 +330,40 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
+def perturbation_bases(master_seed: int, trials: int) -> Iterator[np.ndarray]:
+    """For t in range(trials), a uint64 row of 7 bases: for stream =
+    RandomStream(master_seed).split(t), stream.split(0).as_seed(), the sensing seed,
+    then stream.split(1).split_bases(3) and stream.split(2).split_bases(3), the bases
+    of the two plants. Rows are computed BASES_BLOCK trials at a time on uint64 arrays."""
+    roles = np.arange(3, dtype=np.uint64)
+    for first in range(0, trials, BASES_BLOCK):
+        block = np.arange(first, min(first + BASES_BLOCK, trials), dtype=np.uint64)
+        children = split_indices(split_indices(0, block)[:, None], roles)
+        plants = split_indices(children[:, 1:, None], roles).reshape(len(block), 6)
+        yield from stream_bases(master_seed, np.concatenate([children[:, :1], plants], axis=1))
+
+
 def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
     d, n, k = cfg.d, cfg.n, cfg.k
-    base = RandomStream(cfg.master_seed)
     psi = build_dictionary("identity", n)
     violations, slacks = [], []
 
-    def one(t):
-        stream = base.split(t)
-        a = EffectiveSensing(build_sensing(cfg.sensing, d, n, seed=stream.split(0).as_seed()))
+    def one(t, words):
+        a = EffectiveSensing(build_sensing(cfg.sensing, d, n, seed=words[0]))
         g = gamma_exact(a, min(2 * k, n))
         row = {"experiment": "perturbation", "trial": t, "m": d, "n": n, "k": k,
                "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": False}
         if g <= TOL.gamma_zero:
             row["degenerate"] = True
             return row
-        z1 = plant(psi, k, stream.split(1)).alpha_star
-        z2 = plant(psi, k, stream.split(2)).alpha_star
+        z1 = plant(psi, k, words[1:4]).alpha_star
+        z2 = plant(psi, k, words[4:]).alpha_star
         holds, slack = perturbation_check(a, z1, z2, g)
         row["holds"], row["slack"] = holds, slack
         return row
 
-    records = [one(t) for t in range(cfg.trials_per_cell)]
+    records = [one(t, row.tolist())
+               for t, row in enumerate(perturbation_bases(cfg.master_seed, cfg.trials_per_cell))]
     for row in records:
         if not row["degenerate"]:
             slacks.append(row["slack"])
@@ -387,7 +407,7 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         successes = {name: 0 for name in SOLVER_NAMES}
         for t in range(cfg.trials_per_cell):
             ts = cell.split(2).split(t)
-            inst = plant(psi, k, ts.split(0))
+            inst = plant(psi, k, ts.split(0).split_bases(3))
             y = observe(inst.x, phi, cfg.epsilon, ts.split(1))
             for entry in run_battery(a, y, scfg):
                 if entry.result is None:

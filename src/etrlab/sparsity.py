@@ -164,15 +164,16 @@ def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
     return int(np.sum(np.abs(psi.T @ x) > TOL.zero_tau * xnorm))
 
 
-def plant(psi: np.ndarray, k: int, stream: RandomStream) -> PlantedInstance:
+def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     """k-sparse coefficients in the columns of psi with magnitudes >= 0.1,
-    deterministic per stream: support, signs and magnitudes come as Python values
-    from the bases of stream.split(0), split(1) and split(2), each entry with the bits
-    of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5."""
+    deterministic per bases: the three 64-bit stream bases the caller passes, for a
+    stream s `s.split_bases(3)` (the bases of s.split(0), split(1) and split(2)).
+    Support, signs and magnitudes come as Python values from those bases, each entry
+    with the bits of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5."""
     n = psi.shape[1]
     if not 1 <= k <= n:
         raise InvalidSparsity(f"k={k} outside 1..{n}")
-    support_base, sign_base, magnitude_base = stream.split_bases(3)
+    support_base, sign_base, magnitude_base = bases
     alpha = np.zeros(n)
     for i, u, g in zip(fisher_yates(n, base_uniforms(support_base, k)),
                        base_uniforms(sign_base, k), base_gaussians(magnitude_base, k)):

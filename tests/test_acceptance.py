@@ -65,7 +65,7 @@ def test_criterion_1_uncertainty_principle():
                     continue
             else:
                 k = 1 + int(ts.split(0).integers_below(np.array([d]))[0])
-                x = plant(identity, min(k, d), ts.split(1)).x
+                x = plant(identity, min(k, d), ts.split(1).split_bases(3)).x
             k1 = representation_complexity(x, identity).k_psi
             k2 = representation_complexity(x, hadamard).k_psi
             checked += 1
@@ -123,8 +123,8 @@ def test_criterion_3_perturbation_amplification():
         g = gamma_exact(a, 2 * k)
         if g <= 1e-10:
             continue
-        z1 = plant(psi, k, stream.split(1)).x
-        z2 = plant(psi, k, stream.split(2)).x
+        z1 = plant(psi, k, stream.split(1).split_bases(3)).x
+        z2 = plant(psi, k, stream.split(2).split_bases(3)).x
         holds, _ = perturbation_check(a, z1, z2, g)
         violations += not holds
     elapsed = time.monotonic() - t0
@@ -189,7 +189,7 @@ def test_criterion_6_oracle_equivalence():
     coeff = build_dictionary("identity", 32)
     agree = 0
     for t in range(500):
-        inst = plant(coeff, k, RandomStream(606, t))
+        inst = plant(coeff, k, RandomStream(606, t).split_bases(3))
         y = a.a @ inst.alpha_star
         s0 = solve_l0(a, y, SolverConfig(max_sparsity=k)).support
         so = solve_omp(a, y, SolverConfig(max_sparsity=2 * k)).support
@@ -221,7 +221,7 @@ def test_criterion_7_functional_and_cost_ordering():
     for t in range(20):
         stream = RandomStream(707, t)
         phi = build_sensing("gaussian", 16, 32, seed=stream.split(0).as_seed())
-        inst = plant(psi, 3, stream.split(1))
+        inst = plant(psi, 3, stream.split(1).split_bases(3))
         y = observe(inst.x, phi, 0.0, stream.split(2))
         a = compose(phi, psi)
         for e in run_battery(a, y, SolverConfig(max_sparsity=3)):
@@ -251,7 +251,7 @@ def test_criterion_8_regime_classifier(tmp_path):
     succ = {"l0-exhaustive": 0, "omp": 0, "basis-pursuit": 0}
     for t in range(20):
         stream = RandomStream(808, t)
-        inst = plant(psi, 1, stream)
+        inst = plant(psi, 1, stream.split_bases(3))
         for entry in run_battery(a, inst.x, SolverConfig(max_sparsity=1)):
             ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)
             succ[entry.solver] += ok

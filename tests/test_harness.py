@@ -510,6 +510,34 @@ def test_perturbation_makes_the_calls_the_benchmark_cross_checks(tmp_path, monke
                      "smallest_singular_value": 200 * math.comb(cfg.n, min(2 * cfg.k, cfg.n))}
 
 
+def test_phase_makes_the_calls_the_benchmark_cross_checks(tmp_path, monkeypatch):
+    # the benchmark's traced runs expect, per phase trial, one sensing build, one plant
+    # and one solve of each configured solver, dispatched through solvers._SOLVE
+    calls = {}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("build_sensing", "plant"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    for name, original in list(solvers._SOLVE.items()):
+        monkeypatch.setitem(solvers._SOLVE, name, counting(name, original))
+    cfg = load_config(os.path.join(CONFIGS, "phase.cfg"))
+    cfg = dataclasses.replace(cfg, d=16, n=16, m_sweep=(4, 8, 12), trials_per_cell=3,
+                              solvers=solvers.SOLVER_NAMES, output_dir=str(tmp_path))
+    bundle = run_experiment(cfg)
+    with open(bundle.records_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    trials = len(cfg.m_sweep) * cfg.trials_per_cell
+    assert len(rows) == trials * len(cfg.solvers)
+    assert calls == {"build_sensing": trials, "plant": trials,
+                     **{s: sum(row["solver"] == s for row in rows) for s in cfg.solvers}}
+    assert all(calls[s] == trials for s in cfg.solvers)
+
+
 def _tiny_phase(tmp_path, seed=7):
     return ExperimentConfig(
         experiment="phase", d=8, k=1, m_sweep=(2, 4, 8), trials_per_cell=4,

@@ -1,8 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab.rng import GAMMA, MASK64, PAIR_DRAW, SMALL_DRAW, RandomStream, mix64
+from etrlab.config import load_config
+from etrlab.errors import InvalidSparsity
+from etrlab.harness import perturbation_bases
+from etrlab.rng import (
+    GAMMA,
+    MASK64,
+    PAIR_DRAW,
+    SMALL_DRAW,
+    RandomStream,
+    fisher_yates,
+    mix64,
+    split_indices,
+    stream_bases,
+)
 
 SEEDS = st.integers(min_value=0, max_value=MASK64)
 
@@ -62,6 +77,15 @@ def test_choose_without_replacement():
         picks = RandomStream(3, k).choose_without_replacement(10, k)
         assert len(set(picks.tolist())) == k
         assert all(0 <= p < 10 for p in picks)
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (0, 1), (4, -1), (0, -1), (2, 40)])
+def test_choose_rejects_k_outside_0_to_n(n, k):
+    with pytest.raises(InvalidSparsity):
+        RandomStream(3).choose_without_replacement(n, k)
+    if k >= 0:
+        with pytest.raises(InvalidSparsity):
+            fisher_yates(n, [0.5] * k)
 
 
 def test_choose_covers_all_positions():
@@ -225,6 +249,41 @@ def test_split_bases_are_the_child_seeds():
     for i, s in enumerate(streams):
         count = (0, 1, 3, 17)[i % 4]
         assert s.split_bases(count) == [s.split(c).as_seed() for c in range(count)]
+
+
+# the edge streams plus stream index 2^64 - 1 and negative or huge master seeds
+FAMILY_STREAMS = STREAMS + [RandomStream(seed, idx) for seed in (-1, -(2 ** 70), 2 ** 80 + 3, 7)
+                            for idx in (0, 5, MASK64)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("count", [0, 1, 3, 17])
+def test_family_helpers_match_the_scalar_chains(count):
+    children = np.arange(count)
+    for s in FAMILY_STREAMS:
+        assert stream_bases(s.master_seed, [s.stream_index]).tolist() == [s.as_seed()]
+        index = split_indices(s.stream_index, children)
+        assert index.dtype == np.uint64
+        assert index.tolist() == [s.split(c).stream_index for c in range(count)]
+        assert stream_bases(s.master_seed, index).tolist() == [s.split(c).as_seed()
+                                                               for c in range(count)]
+    # both broadcast: every stream index of one master seed against every child
+    indices = np.array([s.stream_index for s in STREAMS[:5]], dtype=np.uint64)
+    grid = split_indices(indices[:, None], children)
+    assert grid.tolist() == [[s.split(c).stream_index for c in range(count)] for s in STREAMS[:5]]
+    assert stream_bases(0, grid).tolist() == [s.split_bases(count) for s in STREAMS[:5]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_perturbation_family_is_the_scalar_chains():
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "perturbation.cfg"))
+    bases = np.array(list(perturbation_bases(cfg.master_seed, cfg.trials_per_cell)))
+    assert bases.shape == (cfg.trials_per_cell, 7) and bases.dtype == np.uint64
+    root = RandomStream(cfg.master_seed)
+    for t, row in enumerate(bases.tolist()):
+        trial = root.split(t)
+        assert row == [trial.split(0).as_seed(),
+                       *(trial.split(p).split(j).as_seed() for p in (1, 2) for j in range(3))], t
 
 
 def test_streams_hold_no_instance_dict():

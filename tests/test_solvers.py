@@ -44,7 +44,7 @@ def _planted(m, n, k, seed, epsilon=0.0, basis="identity"):
     s = RandomStream(seed)
     psi = build_dictionary(basis, n, seed=s.split(0).as_seed())
     phi = build_sensing("gaussian", m, n, seed=s.split(1).as_seed())
-    inst = plant(psi, k, s.split(2))
+    inst = plant(psi, k, s.split(2).split_bases(3))
     y = observe(inst.x, phi, epsilon, s.split(3))
     return compose(phi, psi), inst, y
 
@@ -472,7 +472,7 @@ def test_omp_coherence_regime_matches_l0():
     a = EffectiveSensing(np.hstack([np.eye(16), h]))
     coeff_basis = build_dictionary("identity", 32)
     for t in range(25):
-        inst = plant(coeff_basis, 2, RandomStream(31, t))
+        inst = plant(coeff_basis, 2, RandomStream(31, t).split_bases(3))
         y = a.a @ inst.alpha_star
         r0 = solve_l0(a, y, SolverConfig(max_sparsity=2))
         ro = solve_omp(a, y, SolverConfig(max_sparsity=4))
@@ -561,7 +561,7 @@ def test_bp_degenerate_ensembles_are_certified_or_say_so(sensing, basis, epsilon
     for t in range(32):
         s = RandomStream(91, m).split(t)
         phi = build_sensing(sensing, m, d, seed=s.split(0).as_seed())
-        inst = plant(psi, k, s.split(1))
+        inst = plant(psi, k, s.split(1).split_bases(3))
         y = observe(inst.x, phi, epsilon, s.split(2))
         a = compose(phi, psi)
         res, again = solve_bp(a, y, cfg), solve_bp(a, y, cfg)
@@ -738,7 +738,7 @@ def _bp_reference_instances():
                 for t in range(6):
                     s = RandomStream(91, m).split(t)
                     phi = build_sensing(sensing, m, 32, seed=s.split(0).as_seed())
-                    inst = plant(psi, 3, s.split(1))
+                    inst = plant(psi, 3, s.split(1).split_bases(3))
                     yield phi @ psi, observe(inst.x, phi, epsilon, s.split(2)), epsilon, 4000
     gen = np.random.default_rng(29)
     for trial in range(480):
@@ -822,7 +822,7 @@ def test_cost_counters_deterministic():
 
 def test_battery_identity_all_agree():
     psi = build_dictionary("identity", 4)
-    inst = plant(psi, 1, RandomStream(44))
+    inst = plant(psi, 1, RandomStream(44).split_bases(3))
     a = EffectiveSensing(np.eye(4))
     entries = run_battery(a, inst.x)
     assert [e.solver for e in entries] == ["l0-exhaustive", "omp", "basis-pursuit"]

@@ -69,7 +69,7 @@ def test_complexity_general_matrix_enumerates():
 
 def test_effective_sparsity_matched_basis():
     psi = build_dictionary("random-orthonormal", 16, seed=4)
-    inst = plant(psi, 3, RandomStream(8))
+    inst = plant(psi, 3, RandomStream(8).split_bases(3))
     assert effective_sparsity(inst.x, psi) == 3
 
 
@@ -85,7 +85,7 @@ def test_effective_sparsity_generic_mismatch_is_dense():
     for t in range(200):
         s = RandomStream(1234, t)
         psi = build_dictionary("random-orthonormal", 32, seed=s.split(0).as_seed())
-        inst = plant(psi, 4, s.split(1))
+        inst = plant(psi, 4, s.split(1).split_bases(3))
         dense += effective_sparsity(inst.x, ident) == 32
     assert dense >= 198  # >= 99% of draws
 
@@ -122,7 +122,7 @@ def test_subgroup_extremal_equality_d16():
 
 def test_plant_basics():
     psi = build_dictionary("identity", 4)
-    inst = plant(psi, 1, RandomStream(0, 1))
+    inst = plant(psi, 1, RandomStream(0, 1).split_bases(3))
     assert np.sum(inst.alpha_star != 0) == 1
     assert np.sum(inst.x != 0) == 1
     validate_instance(psi, inst)
@@ -130,15 +130,15 @@ def test_plant_basics():
 
 def test_plant_full_density_boundary():
     psi = build_dictionary("identity", 6)
-    inst = plant(psi, 6, RandomStream(9))
+    inst = plant(psi, 6, RandomStream(9).split_bases(3))
     assert np.all(inst.alpha_star != 0)
     assert np.min(np.abs(inst.alpha_star)) >= 0.1
 
 
 def test_plant_deterministic():
     psi = build_dictionary("random-orthonormal", 8, seed=3)
-    a = plant(psi, 3, RandomStream(5, 2))
-    b = plant(psi, 3, RandomStream(5, 2))
+    a = plant(psi, 3, RandomStream(5, 2).split_bases(3))
+    b = plant(psi, 3, RandomStream(5, 2).split_bases(3))
     np.testing.assert_array_equal(a.alpha_star, b.alpha_star)
 
 
@@ -168,7 +168,7 @@ def test_plant_matches_array_form_on_many_streams(n, k, streams):
     base = RandomStream(31, k)
     for t in range(streams):
         s = base.split(t)
-        new, old = plant(psi, k, s), _old_plant(psi, k, s)
+        new, old = plant(psi, k, s.split_bases(3)), _old_plant(psi, k, s)
         assert np.array_equal(new.alpha_star, old.alpha_star), t
         assert new.alpha_star.tobytes() == old.alpha_star.tobytes()
         assert new.x.tobytes() == old.x.tobytes()
@@ -178,9 +178,9 @@ def test_plant_matches_array_form_on_many_streams(n, k, streams):
 def test_plant_invalid_k():
     psi = build_dictionary("identity", 4)
     with pytest.raises(InvalidSparsity):
-        plant(psi, 0, RandomStream(1))
+        plant(psi, 0, RandomStream(1).split_bases(3))
     with pytest.raises(InvalidSparsity):
-        plant(psi, 5, RandomStream(1))
+        plant(psi, 5, RandomStream(1).split_bases(3))
 
 
 def test_observe_noiseless():
@@ -210,7 +210,7 @@ def test_plant_observe_recover_via_l0():
     psi = build_dictionary("random-orthonormal", 10, seed=6)
     for t in range(10):
         s = RandomStream(60, t)
-        inst = plant(psi, 2, s.split(0))
+        inst = plant(psi, 2, s.split(0).split_bases(3))
         phi = build_sensing("gaussian", 6, 10, seed=s.split(1).as_seed())
         y = observe(inst.x, phi, 0.0, s.split(2))
         res = solve_l0(compose(phi, psi), y, SolverConfig(max_sparsity=3))
