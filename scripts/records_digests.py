@@ -12,7 +12,8 @@ the output to see whether a change altered any record byte.
 A verification suite that reports violations still writes its records,
 so its digest is printed with a note. With --check, the digests are
 compared with a pinned table in the same format; the script exits 1 if
-any config's digest differs from its pinned line or has none.
+any config's digest differs from its pinned line or has none, or if the
+table pins a name that configs/ does not hold (after a rename, say).
 """
 import argparse
 import glob
@@ -57,8 +58,12 @@ def main(argv=None) -> int:
             mismatches += 1
             note += f"  MISMATCH, pinned {pinned.get(path.name)}"
         print(f"{path.name}  {digest}{note}", flush=True)
+    missing = sorted(pinned.keys() - {path.name for path in configs})
+    for name in missing:
+        print(f"{name}  MISMATCH, pinned {pinned[name]} but configs/ holds no {name}")
+    mismatches += len(missing)
     if args.check:
-        print(f"{mismatches} of {len(configs)} configs differ from {args.check}")
+        print(f"{mismatches} of {len(configs) + len(missing)} configs differ from {args.check}")
     return 1 if mismatches else 0
 
 

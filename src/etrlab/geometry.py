@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isfinite, sqrt
+from math import comb, frexp, isfinite, ldexp, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -110,13 +110,24 @@ def _colex_block(n: int, size: int, rows: int, chunk: int) -> np.ndarray:
     return block
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2^-e, e), e putting the largest |entry| in [1/2, 1): exact unless an entry
+    falls to a subnormal, so norms and ratios of the result are a's, shifted by e."""
+    e = frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
 def _zero_cutoff(a: np.ndarray) -> float:
     # TOL.gamma_zero times the largest np.linalg.norm(a, axis=0), whose formula this
     # is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits.
-    # Only a cutoff that is not finite pays the scan that refuses an inf or NaN entry
+    # Only a cutoff that is 0 or not finite pays the scan that refuses an inf or NaN
+    # entry; a finite matrix whose squares overflow, or underflow to 0, is then scaled
     cutoff = TOL.gamma_zero * sqrt((a * a).sum(axis=0).max())
-    if not isfinite(cutoff) and not np.isfinite(a).all():
-        raise NonFiniteMatrix("the matrix is not finite: it holds an inf or a NaN")
+    if cutoff == 0.0 or not isfinite(cutoff):
+        if not np.isfinite(a).all():
+            raise NonFiniteMatrix("the matrix is not finite: it holds an inf or a NaN")
+        scaled, e = _unit_scaled(a)
+        cutoff = ldexp(TOL.gamma_zero * sqrt((scaled * scaled).sum(axis=0).max()), e)
     return cutoff
 
 
@@ -182,14 +193,16 @@ def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
     coherence of A with normalized columns; 0.0 when A has a zero column.
 
     sigma_min(A_S) >= min_{j in S} ||a_j|| sigma_min of the normalized A_S, so
-    the bound holds for any column norms.
+    the bound holds for any column norms; `_unit_scaled` keeps their squares
+    from overflowing or underflowing.
     """
-    norms = np.linalg.norm(a.a, axis=0)
+    scaled, e = _unit_scaled(a.a)
+    norms = np.linalg.norm(scaled, axis=0)
     smallest = float(np.min(norms))
     if smallest == 0.0:
         return 0.0
-    mu = self_coherence(EffectiveSensing(a.a / norms))
-    return smallest * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu)))
+    mu = self_coherence(EffectiveSensing(scaled / norms))
+    return ldexp(smallest * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu))), e)
 
 
 def perturbation_check(

@@ -2,7 +2,10 @@
 
 Matrices and vectors are plain float64 numpy arrays throughout the
 package; all functions here are pure. Numerical policy (every tolerance
-used downstream) lives in a single `Tolerances` record.
+used downstream) lives in a single `Tolerances` record. Least squares
+runs through the normal equations and `solve_gram`: `least_squares` fits
+one (m, c) matrix, and a (B, m, c) stack is fitted in two steps,
+`stack_fit` once per stack and `stack_coefficients` once per y.
 
 The hot calls skip numpy.linalg's Python wrappers. At import the module
 binds numpy's own LAPACK gufuncs from `numpy.linalg._umath_linalg`: `svd`
@@ -194,32 +197,29 @@ class StackFit:
 
 def stack_fit(a_sub: np.ndarray) -> StackFit:
     """The Gram matrices of a (B, m, c) stack and their rank test: the y-independent
-    step of `least_squares` on a stack."""
+    step of least squares on a stack."""
     a_sub = np.asarray(a_sub, dtype=float)
     return StackFit(a_sub, *_full_rank_grams(a_sub.transpose(0, 2, 1) @ a_sub))
 
 
 def stack_coefficients(fit: StackFit, y: np.ndarray) -> np.ndarray:
     """The (B, c) least-squares coefficients of fit.stack @ c ~ y, NaN rows for the
-    rank-deficient members: the y-dependent step of `least_squares` on a stack."""
+    rank-deficient members: the y-dependent step of least squares on a stack. The
+    bytes are those of solve_gram on the Gram stack."""
     rhs = fit.stack.transpose(0, 2, 1) @ np.asarray(y, dtype=float)
     return _solve_full_rank(fit.full_rank, fit.grams, rhs)
 
 
 def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for a_sub @ c ~ y from the normal equations.
+    """Least-squares coefficients for one (m, c) matrix, a_sub @ c ~ y, from the
+    normal equations; raises RankDeficient when `solve_gram` finds the Gram
+    matrix rank deficient.
 
-    a_sub is one (m, c) matrix or a stack (B, m, c) sharing y. When a Gram
-    matrix is rank deficient (`solve_gram`), a single matrix raises
-    RankDeficient and a stack member gets a NaN row in the (B, c) result.
-    A stack runs `stack_fit` and then `stack_coefficients`, which gives the
-    bytes of solve_gram on its Gram stack.
+    A (B, m, c) stack sharing y goes through `stack_fit` and then
+    `stack_coefficients`, which give a rank-deficient member a NaN row.
     """
-    a_sub = np.asarray(a_sub, dtype=float)
-    if a_sub.ndim == 3:
-        return stack_coefficients(stack_fit(a_sub), y)
+    a_sub = np.atleast_2d(np.asarray(a_sub, dtype=float))
     y = np.asarray(y, dtype=float)
-    a_sub = np.atleast_2d(a_sub)
     coef = solve_gram(a_sub.T @ a_sub, a_sub.T @ y)
     if coef[0] != coef[0]:  # NaN: rank deficient
         raise RankDeficient(f"the Gram matrix of {a_sub.shape[1]} columns is rank deficient")

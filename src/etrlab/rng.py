@@ -11,27 +11,27 @@ CPU dispatch (with NPY_DISABLE_CPU_FEATURES=X86_V4, np.log gives other
 bits), so they are bit-identical on one host and numpy build. No
 platform RNG is used anywhere in the package.
 
-The small draws are module functions of a stream's 64-bit base:
-`base_uniforms` runs splitmix64 on Python ints, `base_gaussians` the
-Box-Muller transform pair by pair on Python floats, and `fisher_yates`
-picks a sorted support from uniforms. `sparsity.plant` draws from the
-three bases its caller passes, building no stream; the methods
-use these functions for draws of at most SMALL_DRAW words and PAIR_DRAW
-normals, below which the numpy path costs more. Both paths do the same
-integer arithmetic mod 2^64 and exact scaling, and 1 - u, -2 * log, sqrt,
-2 * pi * u and the products are correctly rounded: the bits are the same.
-log, cos and sin are not exact, and numpy's float64 loops (SIMD ones on
-hosts that have them) need not agree with the C library behind `math`:
-on an AVX-512 Xeon, `math` gave other bits than numpy for 323 of 200 000
-normals. So the pair calls numpy's own `np.log`, `np.cos` and `np.sin`
-on scalars, which run the same loops as the array path; the tests
-compare both paths with `np.array_equal` on 10^4 streams per count.
+The stream methods draw arrays: the uint64 words are mixed and shifted in
+place inside the one array that `np.arange` makes, and the Box-Muller
+transform writes into two buffers and the output array. The one other
+path is `gaussians`' pair path for at most PAIR_DRAW normals, below
+which the arrays cost more: `base_gaussians` runs the transform pair by
+pair on Python floats, from the Python-int uniforms of `base_uniforms`.
+`sparsity.plant` draws Python values from the three bases its caller
+passes, building no stream: `base_uniforms`, `base_gaussians` and
+`fisher_yates`, which picks a sorted support from uniforms and which
+`choose_without_replacement` runs too.
 
-Larger draws work in place: the words are mixed and shifted inside the
-one uint64 array that `np.arange` makes, and the Box-Muller transform
-writes into two buffers and the output array. log, cos and sin still read
-and write contiguous arrays, so they run the same loops as before; every
-other step is correctly rounded wherever it writes.
+Both paths do the same integer arithmetic mod 2^64 and exact scaling, and
+1 - u, -2 * log, sqrt, 2 * pi * u and the products are correctly rounded:
+the bits are the same. log, cos and sin are not exact, and numpy's
+float64 loops (SIMD ones on hosts that have them) need not agree with the
+C library behind `math`: on an AVX-512 Xeon, `math` gave other bits than
+numpy for 323 of 200 000 normals. So the pair calls numpy's own `np.log`,
+`np.cos` and `np.sin` on scalars, which run the same loops as the array
+path, and the array path's log, cos and sin read and write contiguous
+arrays; the tests compare both paths with `np.array_equal` on 10^4
+streams per count.
 
 A stream's base and its children's indices are pure functions of
 (master_seed, stream_index), so a whole family of them is computed on
@@ -41,17 +41,13 @@ broadcasting and mixing in place with the same wrapping arithmetic as
 `mix64`. `RandomStream.split_bases` computes the same on Python ints,
 which costs less for a plant's three bases. The perturbation suite takes
 its trials' sensing seeds and plant bases from such passes, a block of
-trials at a time.
-
-The uint64 constants of the numpy path are built once, at import, and
-mix64(master_seed), which every stream of a run shares, is kept for the
-last SEED_CACHE master seeds; neither changes a bit of any draw.
+trials at a time. The uint64 constants of the numpy path are built once,
+at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
@@ -63,9 +59,7 @@ GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
-SMALL_DRAW = 16  # uniforms draws of at most this many words run on Python ints
 PAIR_DRAW = 12  # gaussians draws of at most this many normals run pair by pair on floats
-SEED_CACHE = 16  # hashed master seeds kept for reuse
 
 
 def mix64(z: int) -> int:
@@ -74,11 +68,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _M1) & MASK64
     z = ((z ^ (z >> 27)) * _M2) & MASK64
     return z ^ (z >> 31)
-
-
-@lru_cache(maxsize=SEED_CACHE)
-def _seed_hash(master_seed: int) -> int:
-    return mix64(master_seed)
 
 
 _U1, _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (1, 11, 27, 30, 31))
@@ -107,7 +96,7 @@ class RandomStream:
 
     @property
     def _base(self) -> int:
-        return mix64(_seed_hash(self.master_seed) ^ mix64((self.stream_index + 1) * GAMMA))
+        return mix64(mix64(self.master_seed) ^ mix64((self.stream_index + 1) * GAMMA))
 
     def as_seed(self) -> int:
         """64-bit seed for builders that take an integer seed."""
@@ -125,7 +114,7 @@ class RandomStream:
         Python ints: for the three bases of a plant this takes 5 us where the arrays
         take 25 us (timeit), and the array form made phase run_s slower in 4 of 5 pairs.
         """
-        seed, index = _seed_hash(self.master_seed), mix64(self.stream_index)
+        seed, index = mix64(self.master_seed), mix64(self.stream_index)
         return [mix64(seed ^ mix64((mix64(index + (i + 1) * GAMMA) + 1) * GAMMA))
                 for i in range(count)]
 
@@ -137,8 +126,6 @@ class RandomStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """count i.i.d. uniforms in [0, 1), 53-bit resolution."""
-        if count <= SMALL_DRAW:
-            return np.array(base_uniforms(self._base, count))
         words = self._words(count)
         words >>= _U11
         return words * 2.0 ** -53
@@ -165,18 +152,11 @@ class RandomStream:
         np.multiply(r, sin, out=out[1::2])
         return out[:count]
 
-    def integers_below(self, bounds) -> np.ndarray:
-        """One integer in [0, b) for each b in bounds (floor of a uniform)."""
-        bounds = np.asarray(bounds, dtype=np.int64)
-        u = self.uniforms(len(bounds))
-        return np.minimum((u * bounds).astype(np.int64), bounds - 1)
-
     def choose_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), uniform, via partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise InvalidSparsity(f"cannot choose {k} of {n}")
-        draws = base_uniforms(self._base, k) if k <= SMALL_DRAW else self.uniforms(k).tolist()
-        return np.array(fisher_yates(n, draws), dtype=np.int64)
+        return np.array(fisher_yates(n, base_uniforms(self._base, k)), dtype=np.int64)
 
 
 def split_indices(indices, n) -> np.ndarray:
@@ -202,7 +182,7 @@ def stream_bases(master_seed: int, indices) -> np.ndarray:
     z += _U1
     z *= _UGAMMA
     _mix64_in_place(z)
-    z ^= np.uint64(_seed_hash(master_seed))
+    z ^= np.uint64(mix64(master_seed))
     return _mix64_in_place(z)
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_uncertainty_principle():
                 if not np.any(x):
                     continue
             else:
-                k = 1 + int(ts.split(0).integers_below(np.array([d]))[0])
+                k = 1 + min(int(ts.split(0).uniforms(1)[0] * d), d - 1)
                 x = plant(identity, min(k, d), ts.split(1).split_bases(3)).x
             k1 = representation_complexity(x, identity).k_psi
             k2 = representation_complexity(x, hadamard).k_psi

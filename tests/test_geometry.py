@@ -1,4 +1,5 @@
 import itertools
+import math
 from math import comb
 
 import numpy as np
@@ -427,6 +428,13 @@ def _old_zero_cutoff(a):
     return TOL.gamma_zero * float(np.max(np.linalg.norm(a, axis=0)))
 
 
+def _rescaled_zero_cutoff(a):
+    # _old_zero_cutoff of a scaled by the power of two that brings its largest entry
+    # into [1/2, 1), scaled back
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    return math.ldexp(_old_zero_cutoff(np.ldexp(a, -e)), e)
+
+
 def test_zero_cutoff_has_the_bits_of_the_largest_linalg_norm():
     gen = np.random.default_rng(29)
     mats = [np.zeros((0, 3)), np.zeros((4, 5)), np.ones((1, 1))]
@@ -438,18 +446,43 @@ def test_zero_cutoff_has_the_bits_of_the_largest_linalg_norm():
         mats.append(mat)
     for scale in (1e150, 1e-150, 1e160, 1e-160, 1e-170):  # 1e160 squared overflows to inf
         mats += [mat * scale for mat in mats[3:60]]
-    overflow = 0
+    overflow = underflow = 0
     for mat in mats:
         with np.errstate(over="ignore"):
             got = geometry._zero_cutoff(mat)
-            assert type(got) is float
-            assert got == _old_zero_cutoff(mat)
-        overflow += got == np.inf
-        if got == np.inf:  # both warn of the overflow alike where warnings are errors
+            old = _old_zero_cutoff(mat)
+        assert type(got) is float
+        # squares that overflow to inf, or underflow to 0 in a nonzero matrix, are
+        # rescaled by a power of two; every other matrix keeps the old bits
+        if old == np.inf or (old == 0.0 and mat.any()):
+            assert 0.0 < got == _rescaled_zero_cutoff(mat) < np.inf
+        else:
+            assert got == old
+        overflow += old == np.inf
+        underflow += old == 0.0 and mat.any()
+        if old == np.inf:  # both warn of the overflow alike where warnings are errors
             for cutoff in (geometry._zero_cutoff, _old_zero_cutoff):
                 with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
                     cutoff(mat)
-    assert overflow > 50
+    assert overflow > 50 and underflow > 20
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_report_rescales_a_matrix_whose_squares_overflow_or_underflow(scale):
+    # 1e160 squared overflows to inf and 1e-170 squared underflows to 0: the zero
+    # cutoff and the coherence bound see them through a power-of-two scaling
+    mat = np.random.default_rng(41).normal(size=(6, 8)) * scale
+    for r in (2, 3):
+        with np.errstate(over="ignore"):
+            rep = geometry_report(EffectiveSensing(mat), r)
+        assert rep.witness is None and rep.injective_on_r_sparse == "yes"
+        if r == 2:
+            assert 0.0 < rep.gamma_lower <= rep.gamma_exact
+    mat[:, 5] = mat[:, 2]
+    with np.errstate(over="ignore"):
+        rep = geometry_report(EffectiveSensing(mat), 2)
+    assert rep.witness is not None and rep.injective_on_r_sparse == "no"
+    assert np.count_nonzero(rep.witness) == 2
 
 
 def test_gamma_exact_calls_smallest_singular_value_once_per_support(monkeypatch):

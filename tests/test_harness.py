@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import os
 
@@ -440,6 +441,30 @@ def test_shipped_records_digest_is_pinned(tmp_path, config):
     with open(bundle.records_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == pinned[config]
+
+
+def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch, capsys):
+    # scripts/records_digests.py on a checkout holding one tiny config: a pinned name
+    # with no config (a renamed or deleted one) is a mismatch, not a silent pass
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.py")
+    spec = importlib.util.spec_from_file_location("records_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "tiny.cfg").write_text(
+        "[uncertainty-principle]\nd_sweep = 4\ntrials_per_cell = 3\n")
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    assert script.main([]) == 0
+    line = capsys.readouterr().out
+    table = tmp_path / "table.txt"
+    table.write_text(line)
+    assert script.main(["--check", str(table)]) == 0
+    assert capsys.readouterr().out.endswith(f"0 of 1 configs differ from {table}\n")
+    table.write_text(line + "gone.cfg  " + "0" * 64 + "\n")
+    assert script.main(["--check", str(table)]) == 1
+    out = capsys.readouterr().out
+    assert "gone.cfg  MISMATCH" in out
+    assert out.endswith(f"1 of 2 configs differ from {table}\n")
 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP

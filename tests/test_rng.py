@@ -11,8 +11,8 @@ from etrlab.rng import (
     GAMMA,
     MASK64,
     PAIR_DRAW,
-    SMALL_DRAW,
     RandomStream,
+    base_uniforms,
     fisher_yates,
     mix64,
     split_indices,
@@ -114,10 +114,10 @@ def test_known_reference_values():
     )
 
 
-# ------------------------------------------------ small draws on Python ints
-# Verbatim copies of the numpy-only draws that predate the Python-int path
-# for small counts and the in-place array path; the current draws must
-# match them byte for byte.
+# ------------------------------------------------ draws on Python ints and arrays
+# Verbatim copies of the numpy-only draws that predate the Python-int paths
+# and the in-place array path; the current draws must match them byte for
+# byte.
 
 
 def _mix64_array(z):
@@ -182,12 +182,10 @@ STREAMS = [RandomStream(seed, idx) for seed in (0, 42, MASK64)
 
 @pytest.mark.parametrize("stream", STREAMS, ids=lambda s: f"{s.master_seed}-{s.stream_index}")
 def test_draws_match_numpy_only_path(stream):
-    for count in range(41):  # across SMALL_DRAW
+    for count in range(41):  # across PAIR_DRAW
         _same_bytes(stream.uniforms(count), _old_uniforms(stream, count))
+        _same_bytes(np.array(base_uniforms(stream.as_seed(), count)), _old_uniforms(stream, count))
         _same_bytes(stream.gaussians(count), _old_gaussians(stream, count))
-        bounds = np.arange(count, 0, -1) * 3 + 1
-        _same_bytes(stream.integers_below(bounds), _old_integers_below(stream, bounds))
-    assert SMALL_DRAW < 40
 
 
 @given(SEEDS, st.integers(min_value=0, max_value=2 ** 63), st.data())
@@ -215,7 +213,6 @@ def test_array_draws_match_numpy_only_path_at_shipped_sizes(count):
         _same_bytes(s.gaussians(count), _old_gaussians(s, count))
     for s in STREAMS:
         _same_bytes(s.gaussians(count), _old_gaussians(s, count))
-    assert count > SMALL_DRAW
 
 
 def test_choose_matches_numpy_only_path_at_every_size():

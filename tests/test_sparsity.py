@@ -155,8 +155,8 @@ def _old_plant(psi, k, stream):
     return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
 
 
-# k = 1, 2, 3 and 20 on 10^4 streams each; then k across PAIR_DRAW = 12 and
-# SMALL_DRAW = 16, where the stream methods change path, and n = 64, on fewer
+# k = 1, 2, 3 and 20 on 10^4 streams each; then k = 12 and 13, across PAIR_DRAW,
+# where `gaussians` changes path, k = 16 and 17, and n = 64, on fewer
 PLANT_SHAPES = [pytest.param(24, k, 10_000, id=str(k)) for k in (1, 2, 3, 20)]
 PLANT_SHAPES += [pytest.param(24, k, 2_500, id=str(k)) for k in (12, 13, 16, 17)]
 PLANT_SHAPES += [pytest.param(64, 33, 2_500, id="n64-33")]
