@@ -14,6 +14,9 @@ so its digest is printed with a note. With --check, the digests are
 compared with a pinned table in the same format; the script exits 1 if
 any config's digest differs from its pinned line or has none, or if the
 table pins a name that configs/ does not hold (after a rename, say).
+Before its summary line, --check prints a `host:` line: the numpy version,
+the SIMD extensions numpy found on this CPU and OPENBLAS_CORETYPE when set,
+since some record bits depend on them.
 """
 import argparse
 import glob
@@ -23,12 +26,22 @@ import pathlib
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from etrlab.config import load_config  # noqa: E402
 from etrlab.errors import SuiteFailure  # noqa: E402
 from etrlab.harness import run_experiment  # noqa: E402
+
+
+def host_line() -> str:
+    """numpy's version and found SIMD extensions, and OPENBLAS_CORETYPE if set."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    line = f"host: numpy {np.__version__}, SIMD found {' '.join(found)}"
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    return line + (f", OPENBLAS_CORETYPE={coretype}" if coretype else "")
 
 
 def main(argv=None) -> int:
@@ -63,6 +76,7 @@ def main(argv=None) -> int:
         print(f"{name}  MISMATCH, pinned {pinned[name]} but configs/ holds no {name}")
     mismatches += len(missing)
     if args.check:
+        print(host_line())
         print(f"{mismatches} of {len(configs) + len(missing)} configs differ from {args.check}")
     return 1 if mismatches else 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dictionaries import EffectiveSensing, self_coherence
 from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix
-from .numerics import TOL, smallest_singular_pair, smallest_singular_value
+from .numerics import TOL, smallest_singular_pair, smallest_singular_value, vector_norm
 
 EXACT_GUARD = 10 ** 6
 SAMPLED_SUPPORTS = 200  # supports geometry_report samples past EXACT_GUARD
@@ -118,11 +118,16 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _zero_cutoff(a: np.ndarray) -> float:
-    # TOL.gamma_zero times the largest np.linalg.norm(a, axis=0), whose formula this
-    # is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits.
-    # Only a cutoff that is 0 or not finite pays the scan that refuses an inf or NaN
-    # entry; a finite matrix whose squares overflow, or underflow to 0, is then scaled
-    cutoff = TOL.gamma_zero * sqrt((a * a).sum(axis=0).max())
+    """TOL.gamma_zero times the largest np.linalg.norm(a, axis=0), whose formula this
+    is; a correctly rounded sqrt is monotone, so one sqrt of the max gives its bits.
+    Only a cutoff that is 0 or not finite (an overflow warning raised as an error
+    counts as inf) pays the scan that refuses an inf or NaN entry; a finite matrix
+    whose squares overflow, or underflow to 0, is then scaled by a power of two. In
+    numpy's default warning mode, numpy still prints its overflow warning once."""
+    try:
+        cutoff = TOL.gamma_zero * sqrt((a * a).sum(axis=0).max())
+    except RuntimeWarning:
+        cutoff = np.inf
     if cutoff == 0.0 or not isfinite(cutoff):
         if not np.isfinite(a).all():
             raise NonFiniteMatrix("the matrix is not finite: it holds an inf or a NaN")
@@ -212,10 +217,8 @@ def perturbation_check(
     if gamma_2k <= TOL.gamma_zero:
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
     h = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
-    ah = a.a @ h
-    # sqrt(v . v) is np.linalg.norm's own formula for a real vector, same bits
-    lhs = sqrt(h.dot(h))
-    rhs = sqrt(ah.dot(ah)) / gamma_2k
+    lhs = vector_norm(h)
+    rhs = vector_norm(a.a @ h) / gamma_2k
     slack = rhs - lhs
     return slack >= -TOL.bound_slack * max(lhs, 1.0), slack
 

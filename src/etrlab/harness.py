@@ -91,14 +91,19 @@ def _fmt_value(v) -> str:
 
 
 def write_records_csv(path, records: list[dict]) -> None:
-    """One header line and one line per record; values are not quoted, so a
-    value holding a comma or a newline is rejected before anything is written."""
+    """One header line, the first record's keys, and one line per record; values are
+    not quoted, so a value holding a comma or a newline, or a record whose keys
+    differ from the header's, is rejected before anything is written."""
     if not records:
         raise IoFailure("no records to write")
-    columns = list(records[0].keys())
+    keys = records[0].keys()
+    columns = list(keys)
     separators = len(columns) - 1
     lines = [",".join(columns)]
-    for rec in records:
+    for index, rec in enumerate(records):
+        if rec.keys() != keys:
+            raise IoFailure(f"record {index}: keys {sorted(rec.keys() - keys)} are not in the "
+                            f"header, header keys {sorted(keys - rec.keys())} are missing")
         line = ",".join([_fmt_value(rec[c]) for c in columns])
         # a line with an extra comma or a newline has a value holding one
         if line.count(",") > separators or "\n" in line:

@@ -3,9 +3,10 @@
 Matrices and vectors are plain float64 numpy arrays throughout the
 package; all functions here are pure. Numerical policy (every tolerance
 used downstream) lives in a single `Tolerances` record. Least squares
-runs through the normal equations and `solve_gram`: `least_squares` fits
-one (m, c) matrix, and a (B, m, c) stack is fitted in two steps,
-`stack_fit` once per stack and `stack_coefficients` once per y.
+runs through the normal equations, one routine per shape: `solve_gram`
+solves one (c, c) Gram matrix, which `least_squares` forms for one (m, c)
+matrix, and a (B, m, c) stack is fitted in two steps, `stack_fit` once
+per stack and `stack_coefficients` once per y.
 
 The hot calls skip numpy.linalg's Python wrappers. At import the module
 binds numpy's own LAPACK gufuncs from `numpy.linalg._umath_linalg`: `svd`
@@ -142,48 +143,29 @@ def _lu_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions c of gram @ c = rhs for one (c, c) Gram matrix and a (c,) rhs,
-    or a stack (B, c, c) of them and a (B, c) rhs, all float64.
+    """The solution c of gram @ c = rhs for one (c, c) float64 Gram matrix and a
+    (c,) rhs; all NaN when the Gram matrix is rank deficient: singular to the LU
+    solve, or its smallest eigenvalue not positive or below rank_rel^2 times the
+    largest.
 
-    A Gram matrix is rank deficient when it is singular to the LU solve, or
-    its smallest eigenvalue is not positive or below rank_rel^2 times the
-    largest; its row of the (B, c) result, or the whole (c,) result, is NaN.
-
-    One matrix, every homotopy step and every OMP fit, runs the bound
-    `eigvalsh_lo` gufunc with no errstate (`_eigvalsh`) and the rank test on
-    Python floats (`_full_rank_one`); a stack runs np.linalg.eigvalsh, the
-    same gufunc call, and the array test (`_full_rank`). Both run the same
-    `solve1` LU solve (`_lu_solve`), so one matrix and a stack of one give the
-    same bytes.
+    Every homotopy step and every OMP fit runs it: the bound `eigvalsh_lo`
+    gufunc with no errstate (`_eigvalsh`), the rank test on Python floats
+    (`_full_rank_one`) and the `solve1` LU solve (`_lu_solve`), the same
+    LAPACK calls `stack_coefficients` makes on a stack of one.
     """
-    if gram.ndim == 2:
-        lam = _eigvalsh(gram)
-        if _full_rank_one(lam.item(0), lam.item(-1)):
-            return _lu_solve(gram, rhs)
-        return np.full(rhs.shape, np.nan)
-    return _solve_full_rank(*_full_rank_grams(gram), rhs)
-
-
-def _full_rank_grams(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mask of the full-rank members of a (B, c, c) stack, those members)."""
-    lam = np.linalg.eigvalsh(gram)
-    ok = _full_rank(lam[:, 0], lam[:, -1])
-    return ok, gram[ok]
-
-
-def _solve_full_rank(ok: np.ndarray, grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The (B, c) solutions: grams^-1 rhs[ok] on the ok rows, NaN on the others."""
-    coef = np.full(rhs.shape, np.nan)
-    coef[ok] = _lu_solve(grams, rhs[ok])
-    return coef
+    lam = _eigvalsh(gram)
+    if _full_rank_one(lam.item(0), lam.item(-1)):
+        return _lu_solve(gram, rhs)
+    return np.full(rhs.shape, np.nan)
 
 
 @dataclass(frozen=True, slots=True)
 class StackFit:
     """The half of least squares on a (B, m, c) stack that does not depend on y.
 
-    full_rank marks the members whose Gram matrix passes solve_gram's rank
-    test, and grams holds those Gram matrices in stack order.
+    full_rank marks the members whose Gram matrix passes the rank test of
+    `solve_gram`, run on arrays (`_full_rank` of the stacked np.linalg.eigvalsh),
+    and grams holds those Gram matrices in stack order.
     """
 
     stack: np.ndarray
@@ -199,15 +181,20 @@ def stack_fit(a_sub: np.ndarray) -> StackFit:
     """The Gram matrices of a (B, m, c) stack and their rank test: the y-independent
     step of least squares on a stack."""
     a_sub = np.asarray(a_sub, dtype=float)
-    return StackFit(a_sub, *_full_rank_grams(a_sub.transpose(0, 2, 1) @ a_sub))
+    gram = a_sub.transpose(0, 2, 1) @ a_sub
+    lam = np.linalg.eigvalsh(gram)
+    ok = _full_rank(lam[:, 0], lam[:, -1])
+    return StackFit(a_sub, ok, gram[ok])
 
 
 def stack_coefficients(fit: StackFit, y: np.ndarray) -> np.ndarray:
     """The (B, c) least-squares coefficients of fit.stack @ c ~ y, NaN rows for the
-    rank-deficient members: the y-dependent step of least squares on a stack. The
-    bytes are those of solve_gram on the Gram stack."""
+    rank-deficient members: the y-dependent step of least squares on a stack. Each
+    row has the bytes of solve_gram on its member's Gram matrix."""
     rhs = fit.stack.transpose(0, 2, 1) @ np.asarray(y, dtype=float)
-    return _solve_full_rank(fit.full_rank, fit.grams, rhs)
+    coef = np.full(rhs.shape, np.nan)
+    coef[fit.full_rank] = _lu_solve(fit.grams, rhs[fit.full_rank])
+    return coef
 
 
 def least_squares(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from .errors import (
 from .numerics import TOL, detected_support, least_squares, solve_gram, vector_norm
 from .sparsity import minimal_support
 
-L0_SUPPORT_GUARD = 10 ** 7
 SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
 
 
@@ -125,7 +124,7 @@ def solve_l0(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
     cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
     if vector_norm(y) <= feas:
         return _finish(a, np.zeros(n), y, cost, True)
-    support, coef, tallies = minimal_support(mat, y, feas, kmax, L0_SUPPORT_GUARD)
+    support, coef, tallies = minimal_support(mat, y, feas, kmax)
     for size, examined, nonsingular in tallies:  # a residual and a comparison per non-singular fit
         cost.charge_least_squares(m, size, examined)
         cost.charge_residual(m, size, nonsingular)
@@ -304,7 +303,7 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
             # dual certificate: ||A^T nu||_inf <= 1 and no gap to the dual value
             nu = (y - mat @ x) / lam if stop else u
             l1 = float(np.abs(x).sum())
-            gap = l1 - (nu.dot(y) - eps * sqrt(nu.dot(nu)))
+            gap = l1 - (nu.dot(y) - eps * vector_norm(nu))
             converged = bool(np.abs(mat.T @ nu).max() <= 1.0 + TOL.bound_slack
                              and gap <= TOL.bound_slack * max(l1, 1.0))
             break

@@ -19,7 +19,7 @@ from .geometry import BLOCK_CACHE, CHUNK_BYTES, chunk_count, chunk_rows, support
 from .numerics import TOL, least_squares, stack_coefficients, stack_fit, vector_norm  # noqa: F401
 from .rng import RandomStream, base_gaussians, base_uniforms, fisher_yates
 
-ENUMERATION_GUARD = 2 ** 24
+SUPPORT_GUARD = 10 ** 7  # cumulative supports minimal_support may examine
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 FIT_MEMO_BYTES = BLOCK_CACHE * CHUNK_BYTES  # 4 MiB, the bound of the colex block cache
 
@@ -45,11 +45,11 @@ def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
     """Minimal support size expressing x in psi to within TOL.zero_tau * ||x||.
 
     Orthonormal bases use the analysis transform directly; a general
-    matrix argument falls back to support enumeration in increasing size
-    (guarded at 2^24 candidate supports).
+    matrix argument falls back to `minimal_support`'s enumeration in
+    increasing size, under its SUPPORT_GUARD.
     """
     x = np.asarray(x, dtype=float)
-    xnorm = float(np.linalg.norm(x))
+    xnorm = vector_norm(x)
     if xnorm == 0.0:
         raise ZeroSignal("representation complexity of the zero signal is undefined")
     mat = np.atleast_2d(np.asarray(psi, dtype=float))
@@ -60,7 +60,7 @@ def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
         coeffs = mat.T @ x
         support = np.flatnonzero(np.abs(coeffs) > tol)
         return SparsityReport(k_psi=len(support), support=tuple(support))
-    support, _, _ = minimal_support(mat, x, tol, mat.shape[1], ENUMERATION_GUARD)
+    support, _, _ = minimal_support(mat, x, tol, mat.shape[1])
     if support is None:
         raise ZeroSignal("x is not in the column span of psi")  # unreachable for spanning psi
     return SparsityReport(k_psi=len(support), support=support)
@@ -109,15 +109,17 @@ def _fits_for(mat: np.ndarray) -> _ChunkFits:
     return _chunk_fits
 
 
-def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, guard: int):
+def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int):
     """Smallest support S whose least-squares fit has ||mat[:, S] c - y|| <= tol.
 
     Sizes 1..max_size in increasing order, colex order within a size,
     one least-squares stack per geometry.support_chunks chunk; the first fit
     in that order is returned. Raises EnumerationTooLarge before a size
-    that takes the cumulative support count past guard. Returns (support,
-    coef, tallies), support and coef None when nothing fits; tallies holds
-    (size, supports examined, non-singular ones) for each size walked.
+    that takes the cumulative support count past SUPPORT_GUARD, the one
+    guard of solve_l0 and representation_complexity alike. Returns
+    (support, coef, tallies), support and coef None when nothing fits;
+    tallies holds (size, supports examined, non-singular ones) for each
+    size walked.
 
     The y-independent half of each chunk's fit (`numerics.stack_fit`: the
     gathered stack, its Gram matrices and their rank test) is kept for the
@@ -132,8 +134,8 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
     fits = _fits_for(mat)
     tallies = []
     for size in range(1, max_size + 1):
-        if sum(comb(n, s) for s in range(1, size + 1)) > guard:
-            raise EnumerationTooLarge(f"cumulative supports exceed {guard}")
+        if sum(comb(n, s) for s in range(1, size + 1)) > SUPPORT_GUARD:
+            raise EnumerationTooLarge(f"cumulative supports exceed {SUPPORT_GUARD}")
         examined = nonsingular = 0
         rows = chunk_rows(m, size)
         for chunk in range(chunk_count(n, size, rows)):
@@ -156,7 +158,7 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int, g
 def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
     """Nonzero count of the analysis coefficients of x in an orthonormal basis."""
     x = np.asarray(x, dtype=float)
-    xnorm = float(np.linalg.norm(x))
+    xnorm = vector_norm(x)
     if xnorm == 0.0:
         raise ZeroSignal("effective sparsity of the zero signal is undefined")
     if not is_orthonormal(psi):

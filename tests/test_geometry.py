@@ -460,27 +460,26 @@ def test_zero_cutoff_has_the_bits_of_the_largest_linalg_norm():
             assert got == old
         overflow += old == np.inf
         underflow += old == 0.0 and mat.any()
-        if old == np.inf:  # both warn of the overflow alike where warnings are errors
-            for cutoff in (geometry._zero_cutoff, _old_zero_cutoff):
-                with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
-                    cutoff(mat)
+        if old == np.inf:  # where warnings are errors the old form raises, the new rescales
+            with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                _old_zero_cutoff(mat)
+            assert geometry._zero_cutoff(mat) == _rescaled_zero_cutoff(mat)
     assert overflow > 50 and underflow > 20
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_report_rescales_a_matrix_whose_squares_overflow_or_underflow(scale):
     # 1e160 squared overflows to inf and 1e-170 squared underflows to 0: the zero
-    # cutoff and the coherence bound see them through a power-of-two scaling
+    # cutoff and the coherence bound see them through a power-of-two scaling, with
+    # no overflow warning raised where warnings are errors
     mat = np.random.default_rng(41).normal(size=(6, 8)) * scale
     for r in (2, 3):
-        with np.errstate(over="ignore"):
-            rep = geometry_report(EffectiveSensing(mat), r)
+        rep = geometry_report(EffectiveSensing(mat), r)
         assert rep.witness is None and rep.injective_on_r_sparse == "yes"
         if r == 2:
             assert 0.0 < rep.gamma_lower <= rep.gamma_exact
     mat[:, 5] = mat[:, 2]
-    with np.errstate(over="ignore"):
-        rep = geometry_report(EffectiveSensing(mat), 2)
+    rep = geometry_report(EffectiveSensing(mat), 2)
     assert rep.witness is not None and rep.injective_on_r_sparse == "no"
     assert np.count_nonzero(rep.witness) == 2
 

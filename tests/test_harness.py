@@ -116,6 +116,21 @@ def test_write_records_csv_names_the_column_whatever_its_place(tmp_path, column)
         assert not path.exists()
 
 
+def test_write_records_csv_rejects_a_record_whose_keys_differ(tmp_path):
+    # an extra key would be dropped from its line, a missing one has no value;
+    # keys in another order still write under the header's columns
+    path = tmp_path / "r.csv"
+    first = {"a": 1, "b": 2}
+    for index, bad, message in ((1, {"a": 3, "b": 4, "c": 5}, r"\['c'\] are not in the header, "
+                                 r"header keys \[\] are missing"),
+                                (2, {"a": 3}, r"\[\] are not in the header, header keys \['b'\]")):
+        with pytest.raises(IoFailure, match=f"record {index}: keys " + message):
+            write_records_csv(path, [first] * index + [bad])
+        assert not path.exists()
+    write_records_csv(path, [first, {"b": 4, "a": 3}])
+    assert path.read_text() == "a,b\n1,2\n3,4\n"
+
+
 # ------------------------------------------------------ config files
 
 
@@ -443,9 +458,8 @@ def test_shipped_records_digest_is_pinned(tmp_path, config):
     assert digest == pinned[config]
 
 
-def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch, capsys):
-    # scripts/records_digests.py on a checkout holding one tiny config: a pinned name
-    # with no config (a renamed or deleted one) is a mismatch, not a silent pass
+def _digest_script(tmp_path, monkeypatch):
+    """scripts/records_digests.py, run on a checkout at tmp_path holding one tiny config."""
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.py")
     spec = importlib.util.spec_from_file_location("records_digests", path)
     script = importlib.util.module_from_spec(spec)
@@ -454,6 +468,13 @@ def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch
     (tmp_path / "configs" / "tiny.cfg").write_text(
         "[uncertainty-principle]\nd_sweep = 4\ntrials_per_cell = 3\n")
     monkeypatch.setattr(script, "ROOT", tmp_path)
+    return script
+
+
+def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch, capsys):
+    # a pinned name with no config (a renamed or deleted one) is a mismatch, not a
+    # silent pass
+    script = _digest_script(tmp_path, monkeypatch)
     assert script.main([]) == 0
     line = capsys.readouterr().out
     table = tmp_path / "table.txt"
@@ -465,6 +486,25 @@ def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert "gone.cfg  MISMATCH" in out
     assert out.endswith(f"1 of 2 configs differ from {table}\n")
+
+
+def test_digest_check_prints_the_host_before_its_summary(tmp_path, monkeypatch, capsys):
+    # the numpy version, the SIMD extensions numpy found and OPENBLAS_CORETYPE when
+    # set: what record bits can differ by between two hosts
+    script = _digest_script(tmp_path, monkeypatch)
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    assert script.main([]) == 0
+    line = capsys.readouterr().out
+    assert "host:" not in line
+    table = tmp_path / "table.txt"
+    table.write_text(line)
+    found = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    host = f"host: numpy {np.__version__}, SIMD found {found}"
+    assert script.main(["--check", str(table)]) == 0
+    assert capsys.readouterr().out == f"{line}{host}\n0 of 1 configs differ from {table}\n"
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert script.main(["--check", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == f"{host}, OPENBLAS_CORETYPE=Haswell"
 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP

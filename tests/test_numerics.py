@@ -76,21 +76,13 @@ def test_least_squares_stack_marks_singular_members_only():
 def test_solve_gram_one_matrix_matches_a_stack_of_one():
     # one (c, c) Gram matrix runs the stack's eigvalsh, rank test and LU solve: the
     # same bytes, and the same all-NaN answer when the Gram matrix is rank deficient
-    gen = np.random.default_rng(3)
     seen = set()
-    for trial in range(400):
-        m, c = int(gen.integers(2, 8)), int(gen.integers(1, 6))
-        mat = gen.normal(size=(m, c))
-        if trial % 4 == 1 and c > 1:  # a copy or a multiple of a column
-            mat[:, -1] = mat[:, 0] * (1.0 if trial % 8 else 2.0)
-        if trial % 4 == 2 and c > 1:  # a copy up to rounding-sized noise
-            mat[:, -1] = mat[:, 0] + 1e-13 * gen.normal(size=m)
-        if trial % 4 == 3:
-            mat[:, 0] = 0.0
-        gram, rhs = mat.T @ mat, mat.T @ gen.normal(size=m)
+    for mat, y in _ls_problems():
+        c = mat.shape[1]
+        gram, rhs = mat.T @ mat, mat.T @ y
         one = solve_gram(gram, rhs)
         assert one.shape == (c,)
-        assert one.tobytes() == solve_gram(gram[None], rhs[None])[0].tobytes()
+        assert one.tobytes() == stack_coefficients(stack_fit(mat[None]), y)[0].tobytes()
         lam = np.linalg.eigvalsh(gram)
         passes = bool(lam[0] > 0 and lam[0] >= TOL.rank_rel ** 2 * max(lam[-1], 1e-300))
         try:
@@ -110,7 +102,7 @@ def test_solve_gram_one_matrix_matches_a_stack_of_one():
     for gram, passes in _rank_test_edges():
         rhs = np.arange(1.0, len(gram) + 1.0)
         one = solve_gram(gram, rhs)
-        assert one.tobytes() == solve_gram(gram[None], rhs[None])[0].tobytes()
+        assert one.tobytes() == _solve_gram_before(gram[None], rhs[None])[0].tobytes()
         if passes is not None:
             assert bool(np.all(np.isfinite(one))) is passes, gram
 
@@ -390,11 +382,10 @@ def _solve_gram_before(gram, rhs):
     return coef
 
 
-def _gram_problems():
-    # the generator of test_solve_gram_one_matrix_matches_a_stack_of_one, grouped
-    # by size into stacks; every fourth stack member is singular only to LU
+def _ls_problems():
+    """400 (A, y) pairs, A m x c with 2 <= m < 8 and 1 <= c < 6; every fourth A has
+    a column copied, multiplied or copied up to rounding-sized noise, or zeroed."""
     gen = np.random.default_rng(3)
-    by_size = {}
     for trial in range(400):
         m, c = int(gen.integers(2, 8)), int(gen.integers(1, 6))
         mat = gen.normal(size=(m, c))
@@ -404,18 +395,45 @@ def _gram_problems():
             mat[:, -1] = mat[:, 0] + 1e-13 * gen.normal(size=m)
         if trial % 4 == 3:
             mat[:, 0] = 0.0
-        gram, rhs = mat.T @ mat, mat.T @ gen.normal(size=m)
-        by_size.setdefault(c, []).append((gram, rhs))
-        yield gram, rhs
-    for pairs in by_size.values():
-        yield np.stack([g for g, _ in pairs]), np.stack([r for _, r in pairs])
+        yield mat, gen.normal(size=m)
+
+
+def _gram_problems():
+    # the (gram, rhs) of each of _ls_problems
+    for mat, y in _ls_problems():
+        yield mat.T @ mat, mat.T @ y
+
+
+def _stack_problems():
+    # _ls_problems grouped by shape into (B, m, c) stacks, each with its members' ys;
+    # the copied and multiplied columns make some members singular only to LU
+    by_shape = {}
+    for mat, y in _ls_problems():
+        by_shape.setdefault(mat.shape, []).append((mat, y))
+    for pairs in by_shape.values():
+        yield np.stack([mat for mat, _ in pairs]), [y for _, y in pairs]
+
+
+def _stack_outcomes():
+    """The outcome of stack_coefficients on each stack of _stack_problems and each
+    of its members' ys, with that of _solve_gram_before on the Gram stack."""
+    for stack, ys in _stack_problems():
+        a_t = stack.transpose(0, 2, 1)
+        fit = stack_fit(stack)
+        for y in ys:
+            yield (_outcome(stack_coefficients, fit, y),
+                   _outcome(_solve_gram_before, a_t @ stack, a_t @ y))
 
 
 def test_solve_gram_has_the_bytes_of_its_np_linalg_form():
     problems = list(_gram_problems())
-    assert len(problems) == 405
+    assert len(problems) == 400
     for gram, rhs in problems:
         assert solve_gram(gram, rhs).tobytes() == _solve_gram_before(gram, rhs).tobytes()
+    stacked = list(_stack_outcomes())
+    assert len(stacked) == 400
+    for got, want in stacked:
+        assert got == want
     outcomes = set()
     for gram in _non_finite((3, 3)):
         got = _outcome(solve_gram, gram, np.ones(3))
@@ -431,7 +449,8 @@ def test_np_linalg_fallbacks_give_the_same_bytes(monkeypatch):
 
     def outcomes():
         return ([_outcome(smallest_singular_value, sub) for sub in subs],
-                [_outcome(solve_gram, gram, rhs) for gram, rhs in problems])
+                [_outcome(solve_gram, gram, rhs) for gram, rhs in problems],
+                [got for got, _ in _stack_outcomes()])
 
     bound = outcomes()
     for name in ("_SVD", "_EIGVALSH", "_SOLVE1"):

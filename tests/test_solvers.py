@@ -11,6 +11,7 @@ from etrlab.dictionaries import (
     build_dictionary,
     build_sensing,
     compose,
+    is_orthonormal,
     normalize_columns,
 )
 from etrlab.errors import (
@@ -18,10 +19,9 @@ from etrlab.errors import (
     RankDeficient, Stalled,
 )
 from etrlab.geometry import colex_supports, gamma_exact
-from etrlab.numerics import TOL, least_squares, solve_gram, stack_fit
+from etrlab.numerics import TOL, least_squares, stack_fit
 from etrlab.rng import RandomStream
 from etrlab.solvers import (
-    L0_SUPPORT_GUARD,
     SOLVER_NAMES,
     CostCounter,
     RecoveryResult,
@@ -32,7 +32,9 @@ from etrlab.solvers import (
     solve_l0,
     solve_omp,
 )
-from etrlab.sparsity import minimal_support, observe, plant
+from etrlab.sparsity import (
+    SUPPORT_GUARD, minimal_support, observe, plant, representation_complexity,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -102,6 +104,26 @@ def test_l0_enumeration_guard():
         solve_l0(a, np.ones(8), SolverConfig(max_sparsity=8))
 
 
+def test_one_support_guard_stops_l0_and_k_psi_before_the_same_size(monkeypatch):
+    # C(10, 1) + C(10, 2) = 55 supports reach size 2; a guard one lower stops both
+    # searches before it, and a guard of 55 stops both before size 3
+    psi = np.random.default_rng(6).normal(size=(6, 10))
+    assert not is_orthonormal(psi)
+    two = psi[:, [2, 5]] @ np.array([1.0, -2.0])
+    three = psi[:, [1, 4, 8]] @ np.array([1.0, -2.0, 0.5])
+    searches = (lambda y: representation_complexity(y, psi).support,
+                lambda y: solve_l0(EffectiveSensing(psi), y, SolverConfig()).support)
+    monkeypatch.setattr(sparsity, "SUPPORT_GUARD", 55)
+    for search in searches:
+        assert search(two) == (2, 5)
+        with pytest.raises(EnumerationTooLarge, match="exceed 55"):
+            search(three)
+    monkeypatch.setattr(sparsity, "SUPPORT_GUARD", 54)
+    for search in searches:
+        with pytest.raises(EnumerationTooLarge, match="exceed 54"):
+            search(two)
+
+
 def test_l0_noise_tolerance():
     a, inst, y = _planted(8, 10, 2, seed=5, epsilon=1e-2)
     res = solve_l0(a, y, SolverConfig(epsilon=1e-2, max_sparsity=3))
@@ -156,8 +178,8 @@ def _solve_l0_one_at_a_time(a, y, cfg):
     examined = 0
     for size in range(1, kmax + 1):
         examined += comb(n, size)
-        if examined > L0_SUPPORT_GUARD:
-            raise EnumerationTooLarge(f"cumulative supports exceed {L0_SUPPORT_GUARD}")
+        if examined > SUPPORT_GUARD:
+            raise EnumerationTooLarge(f"cumulative supports exceed {SUPPORT_GUARD}")
         for support in colex_supports(n, size):
             cols = mat[:, list(support)]
             cost.charge_least_squares(m, size, 1)
@@ -226,7 +248,8 @@ def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
 
 def _minimal_support_before(mat, y, tol, max_size, guard):
     """sparsity.minimal_support as it was before it kept fits per matrix, verbatim
-    but for numerics.least_squares' stack path written out."""
+    but for numerics.least_squares' stack path written out, through the stack-only
+    solve_gram of _solve_gram_stacked."""
     n = mat.shape[1]
     tallies = []
     for size in range(1, max_size + 1):
@@ -235,7 +258,7 @@ def _minimal_support_before(mat, y, tol, max_size, guard):
         examined = nonsingular = 0
         for block, stack in geometry.support_chunks(mat, size):
             a_t = stack.transpose(0, 2, 1)
-            coef = solve_gram(a_t @ stack, a_t @ y)
+            coef = _solve_gram_stacked(a_t @ stack, a_t @ y)
             resid = (stack @ coef[:, :, None])[:, :, 0] - y
             norms = np.sqrt(resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
             hits = np.flatnonzero(norms <= tol)
@@ -279,10 +302,10 @@ def test_l0_fit_memo_cold_and_warm_match_the_search_without_it(monkeypatch, fits
     for mat, k, eps, ys in _l0_problems(100, ys_per_matrix=3):
         tol = eps + TOL.feasibility_slack
         for y in ys:  # the first search is cold, later ones meet kept fits
-            want = _minimal_support_before(mat, y, tol, k, L0_SUPPORT_GUARD)
-            _assert_same_search(minimal_support(mat, y, tol, k, L0_SUPPORT_GUARD), want)
+            want = _minimal_support_before(mat, y, tol, k, SUPPORT_GUARD)
+            _assert_same_search(minimal_support(mat, y, tol, k), want)
             made = fits_made[0]
-            _assert_same_search(minimal_support(mat, y, tol, k, L0_SUPPORT_GUARD), want)
+            _assert_same_search(minimal_support(mat, y, tol, k), want)
             assert fits_made[0] == made  # every chunk that search walked is kept
             hits += want[0] is not None
     assert hits > 250
@@ -294,8 +317,8 @@ def test_l0_fit_memo_serves_no_stale_fit(fits_made, monkeypatch):
     tol = TOL.feasibility_slack
 
     def search():
-        got = minimal_support(mat, y, tol, 3, L0_SUPPORT_GUARD)
-        _assert_same_search(got, _minimal_support_before(mat, y, tol, 3, L0_SUPPORT_GUARD))
+        got = minimal_support(mat, y, tol, 3)
+        _assert_same_search(got, _minimal_support_before(mat, y, tol, 3, SUPPORT_GUARD))
         return got[0]
 
     assert search() == (2, 4, 7)
@@ -312,17 +335,17 @@ def test_l0_fit_memo_holds_at_most_its_bound(fits_made):
     # sizes 1..3 of 40 columns at m = 16 gather about 4.7 MiB of fits
     gen = np.random.default_rng(4)
     mat, y = gen.normal(size=(16, 40)), gen.normal(size=16)
-    want = _minimal_support_before(mat, y, 1e-10, 3, L0_SUPPORT_GUARD)
+    want = _minimal_support_before(mat, y, 1e-10, 3, SUPPORT_GUARD)
     assert want[0] is None  # no fit: every chunk is walked
     chunks = sum(geometry.chunk_count(40, size, geometry.chunk_rows(16, size))
                  for size in (1, 2, 3))
-    _assert_same_search(minimal_support(mat, y, 1e-10, 3, L0_SUPPORT_GUARD), want)
+    _assert_same_search(minimal_support(mat, y, 1e-10, 3), want)
     memo = sparsity._chunk_fits
     held = sum(block.nbytes + fit.nbytes for block, fit in memo.fits.values())
     assert held == memo.nbytes <= sparsity.FIT_MEMO_BYTES
     assert fits_made[0] == chunks > len(memo.fits)
     # the kept chunks are served, the others fitted again and still not kept
-    _assert_same_search(minimal_support(mat, y, 1e-10, 3, L0_SUPPORT_GUARD), want)
+    _assert_same_search(minimal_support(mat, y, 1e-10, 3), want)
     assert fits_made[0] == 2 * chunks - len(memo.fits)
     assert sparsity._chunk_fits is memo and memo.nbytes == held
 
