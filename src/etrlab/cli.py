@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 verification-suite violation, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -96,11 +97,12 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
             raise EtrLabError(f"config experiment {cfg.experiment!r} does not match {given!r}")
     else:
         cfg = ExperimentConfig(experiment=expected[0])
+    overrides = {}
     if args.seed is not None:
-        cfg.master_seed = args.seed
+        overrides["master_seed"] = args.seed
     if args.out:
-        cfg.output_dir = args.out
-    return cfg
+        overrides["output_dir"] = args.out
+    return dataclasses.replace(cfg, **overrides)  # reruns the config's checks
 
 
 def _cmd_geometry(args) -> int:

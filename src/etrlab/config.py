@@ -6,10 +6,10 @@ Config files use INI sections, one section named after the experiment
 section. `EXPERIMENTS` lists the keys each experiment reads and their
 defaults. Unknown sections or keys are errors, and so is a key the
 experiment does not read; silent typos are worse than loud ones. A
-setting the dictionary or sensing builders or the solvers would reject
-(an unknown basis or sensing name, a budget m the sensing kind cannot
-draw, a hadamard d that is not a power of 2, max_iterations < 1) is an
-error at load time too, before any trial runs.
+setting the module that uses it would reject is an error at load time
+too, before any trial runs: config runs that module's own data-free check
+(`check_dictionary`, `check_sensing`, `SolverConfig`, `RegimeThresholds`)
+and re-raises its rejection as a ConfigError naming the keys and values.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import dataclasses
 from dataclasses import dataclass
 from math import comb
 
-from .dictionaries import DICTIONARY_KINDS, SENSING_KINDS
-from .errors import ConfigError
+from .dictionaries import check_dictionary, check_sensing
+from .errors import ConfigError, InvalidSparsity, UnsupportedDimension
 from .etr import RegimeThresholds
 from .geometry import EXACT_GUARD
-from .solvers import SOLVER_NAMES
+from .solvers import SOLVER_NAMES, SolverConfig
 
 # each experiment and the `etr-lab` arguments that run it
 EXPERIMENT_COMMANDS = {
@@ -55,6 +55,14 @@ SHARED_FIELDS = ("experiment", "master_seed", "output_dir", "workers")
 # budgets m and the key holding the width d (perturbation's are d x n)
 SENSING_SHAPES = {"phase": ("m_sweep", "d"), "mismatch": ("m", "d"),
                   "perturbation": ("d", "n"), "regime-map": ("m_sweep", "d")}
+
+
+def _owned(keys: str, check, *args, **kwargs):
+    """`check(*args, **kwargs)`, its owner's rejection re-raised naming the config keys."""
+    try:
+        return check(*args, **kwargs)
+    except (InvalidSparsity, UnsupportedDimension) as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
 
 
 @dataclass
@@ -96,16 +104,19 @@ class ExperimentConfig:
         if self.experiment in ("phase", "regime-map") and self.n != self.d:
             raise ConfigError(f"{self.experiment} builds a d x d dictionary: n must equal d "
                               f"(n = {self.n}, d = {self.d})")
+        if not 0 <= self.master_seed < 2**64:  # the streams mix it modulo 2**64
+            raise ConfigError(f"master_seed must be a u64 (0..2**64-1), got {self.master_seed}")
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
-        if self.epsilon is not None and not self.epsilon >= 0.0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.epsilon is not None:  # read with max_iterations by the experiments that solve
+            _owned(f"epsilon = {self.epsilon!r}, max_iterations = {self.max_iterations}",
+                   SolverConfig, epsilon=self.epsilon, max_iterations=self.max_iterations)
         for name in [key for key in ("k_sweep", "m_sweep", "d_sweep") if key in reads]:
             sweep = getattr(self, name)
-            if not sweep or not all(isinstance(v, int) and v >= 1 for v in sweep):
-                raise ConfigError(f"{name} must hold positive integers and not be empty")
+            if not sweep or not all(isinstance(v, int) for v in sweep):
+                raise ConfigError(f"{name} must hold integers and not be empty, got {sweep}")
             # the isotonic 50% crossing and the heat-map axes read sweeps in order
             if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
                 raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
@@ -130,39 +141,20 @@ class ExperimentConfig:
         unknown = [v for v in self.solvers or () if v not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         self._check_builds()
 
     def _check_builds(self):
-        # what build_dictionary and build_sensing would reject at run time
-        if self.experiment == "uncertainty-principle" and any(d & (d - 1) for d in self.d_sweep):
-            raise ConfigError(f"uncertainty-principle builds hadamard bases: d_sweep needs "
-                              f"powers of 2, got d_sweep = {self.d_sweep}")
+        # the checks build_dictionary and build_sensing run first, without drawing
+        for d in self.d_sweep or ():  # uncertainty-principle builds hadamard bases
+            _owned(f"d_sweep = {self.d_sweep}", check_dictionary, "hadamard", d)
         if self.basis is not None:
-            if self.basis not in DICTIONARY_KINDS:
-                raise ConfigError(f"unknown basis {self.basis!r}; known: "
-                                  f"{', '.join(DICTIONARY_KINDS)}")
-            if self.basis == "hadamard" and self.d & (self.d - 1):
-                raise ConfigError(f"basis = hadamard needs d a power of 2, got d = {self.d}")
-            if self.basis == "dct" and self.d < 2:
-                raise ConfigError(f"basis = dct needs d >= 2, got d = {self.d}")
-        if self.sensing is None:
-            return
-        if self.sensing not in SENSING_KINDS:
-            raise ConfigError(f"unknown sensing {self.sensing!r}; known: "
-                              f"{', '.join(SENSING_KINDS)}")
-        key, width_key = SENSING_SHAPES[self.experiment]
-        value, width = getattr(self, key), getattr(self, width_key)
-        budgets = value if isinstance(value, tuple) else (value,)
-        if any(m < 1 for m in budgets):
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-        if self.sensing == "row-subsample" and any(m > width for m in budgets):
-            raise ConfigError(f"sensing = row-subsample needs {key} <= {width_key} = {width}, "
-                              f"got {key} = {value}")
-        if self.sensing == "identity" and any(m != width for m in budgets):
-            raise ConfigError(f"sensing = identity needs {key} = {width_key} = {width}, "
-                              f"got {key} = {value}")
+            _owned(f"basis = {self.basis}, d = {self.d}", check_dictionary, self.basis, self.d)
+        if self.sensing is not None:
+            key, width_key = SENSING_SHAPES[self.experiment]
+            value, width = getattr(self, key), getattr(self, width_key)
+            for m in value if isinstance(value, tuple) else (value,):
+                _owned(f"{key} = {value}, {width_key} = {width}",
+                       check_sensing, self.sensing, m, width)
 
 
 def _parse_sweep(text: str) -> tuple:
@@ -176,10 +168,7 @@ def _parse_sweep(text: str) -> tuple:
             lo, hi, step = parts
         else:
             raise ConfigError(f"bad sweep {text!r}")
-        sweep = tuple(range(lo, hi + 1, step))
-        if not sweep:
-            raise ConfigError(f"empty sweep {text!r}")
-        return sweep
+        return tuple(range(lo, hi + 1, step))
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
@@ -233,7 +222,7 @@ def load_config(path) -> ExperimentConfig:
                 tkw[key] = _THRESHOLD_FIELDS[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        kwargs["thresholds"] = RegimeThresholds(**tkw)
+        kwargs["thresholds"] = _owned("[thresholds]", RegimeThresholds, **tkw)
 
     return ExperimentConfig(**kwargs)
 

@@ -43,21 +43,38 @@ def _dct2(d: int) -> np.ndarray:
     return psi
 
 
+def check_dictionary(kind: str, d: int) -> None:
+    """Raise UnsupportedDimension where `build_dictionary(kind, d)` would; draws nothing."""
+    if kind not in DICTIONARY_KINDS:
+        raise UnsupportedDimension(f"unknown basis {kind!r}; known: {', '.join(DICTIONARY_KINDS)}")
+    if d < 1:
+        raise UnsupportedDimension(f"d must be >= 1, got d = {d}")
+    if kind == "hadamard" and d & (d - 1):
+        raise UnsupportedDimension(f"hadamard needs d a power of 2, got d = {d}")
+    if kind == "dct" and d < 2:
+        raise UnsupportedDimension(f"dct needs d >= 2, got d = {d}")
+
+
+def check_sensing(kind: str, m: int, d: int) -> None:
+    """Raise UnsupportedDimension where `build_sensing(kind, m, d)` would; draws nothing."""
+    if kind not in SENSING_KINDS:
+        raise UnsupportedDimension(f"unknown sensing {kind!r}; known: {', '.join(SENSING_KINDS)}")
+    if m < 1 or d < 1:
+        raise UnsupportedDimension(f"m must be >= 1 and d >= 1, got m = {m}, d = {d}")
+    if kind == "row-subsample" and m > d:
+        raise UnsupportedDimension(f"row-subsample needs m <= d, got m = {m} > d = {d}")
+    if kind == "identity" and m != d:
+        raise UnsupportedDimension(f"identity needs m = d, got m = {m}, d = {d}")
+
+
 def build_dictionary(kind: str, d: int, seed: int = 0) -> np.ndarray:
     """Orthonormal basis of R^d; deterministic in (kind, d, seed)."""
-    if kind not in DICTIONARY_KINDS:
-        raise UnsupportedDimension(f"unknown dictionary kind {kind!r}")
-    if d < 1:
-        raise UnsupportedDimension("d must be positive")
+    check_dictionary(kind, d)
     if kind == "identity":
         return np.eye(d)
     if kind == "hadamard":
-        if d & (d - 1) != 0:
-            raise UnsupportedDimension(f"hadamard needs d a power of 2, got {d}")
         return _hadamard(d)
     if kind == "dct":
-        if d < 2:
-            raise UnsupportedDimension("dct needs d >= 2")
         return _dct2(d)
     # random-orthonormal
     g = RandomStream(seed).split(0).gaussians(d * d).reshape(d, d)
@@ -67,12 +84,7 @@ def build_dictionary(kind: str, d: int, seed: int = 0) -> np.ndarray:
 
 def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> np.ndarray:
     """Sensing ensemble draw; deterministic in (kind, m, d, seed)."""
-    if kind not in SENSING_KINDS:
-        raise UnsupportedDimension(f"unknown sensing kind {kind!r}")
-    if m < 1 or d < 1:
-        raise UnsupportedDimension("m and d must be positive")
-    if kind in ("row-subsample", "identity") and m > d:
-        raise UnsupportedDimension(f"{kind} needs m <= d, got m={m} > d={d}")
+    check_sensing(kind, m, d)
     stream = RandomStream(seed).split(1)
     if kind == "gaussian":
         phi = stream.gaussians(m * d).reshape(m, d)
@@ -84,8 +96,6 @@ def build_sensing(kind: str, m: int, d: int, seed: int = 0) -> np.ndarray:
     if kind == "row-subsample":
         return np.eye(d)[stream.choose_without_replacement(d, m)]
     # identity
-    if m != d:
-        raise UnsupportedDimension("identity sensing needs m == d")
     return np.eye(d)
 
 

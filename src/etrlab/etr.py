@@ -27,7 +27,9 @@ class RegimeThresholds:
 
     def __post_init__(self):
         if not 0.0 < self.battery_fail_max < self.battery_success_min <= 1.0:
-            raise InvalidSparsity("need 0 < battery_fail_max < battery_success_min <= 1")
+            raise InvalidSparsity(f"need 0 < battery_fail_max < battery_success_min <= 1, got "
+                                  f"battery_fail_max = {self.battery_fail_max}, "
+                                  f"battery_success_min = {self.battery_success_min}")
 
 
 @dataclass(frozen=True)

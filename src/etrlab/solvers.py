@@ -17,7 +17,7 @@ and certificate checks are never charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -39,12 +39,12 @@ class SolverConfig:
     max_iterations: int = 4000  # basis pursuit's path-step cap
 
     def __post_init__(self):
-        if not self.epsilon >= 0.0:
-            raise InvalidSparsity(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < inf:  # NaN fails too
+            raise InvalidSparsity(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_sparsity < 0:
             raise InvalidSparsity(f"max_sparsity must be >= 0, got {self.max_sparsity}")
         if self.max_iterations < 1:
-            raise InvalidSparsity("max_iterations must be >= 1")
+            raise InvalidSparsity(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass

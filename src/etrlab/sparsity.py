@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -189,8 +189,8 @@ def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream
     m, d = phi.shape
     if d != x.shape[0]:
         raise DimensionMismatch(f"phi has {d} columns, len(x)={x.shape[0]}")
-    if epsilon < 0:
-        raise InvalidSparsity("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < inf:  # NaN fails too
+        raise InvalidSparsity(f"epsilon must be finite and >= 0, got {epsilon}")
     clean = phi @ x
     if epsilon == 0.0:
         noise = np.zeros(m)

@@ -166,6 +166,16 @@ def test_config_experiment_mismatch_is_error(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_seed_flag_is_checked_like_a_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[phase]\nd = 8\nk = 1\nm_sweep = 2,8\ntrials_per_cell = 1\n")
+    out = tmp_path / "out"
+    rc = main(["phase", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "ConfigError: master_seed must be a u64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suite_failure_exit_code_2(monkeypatch, capsys):
     def boom(cfg):
         raise SuiteFailure(["case 17: product below floor"])

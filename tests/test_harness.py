@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from etrlab import geometry, harness, solvers
 from etrlab.config import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig, dump_config, load_config
-from etrlab.errors import ConfigError, IoFailure, NoFeasibleSolution
+from etrlab.dictionaries import build_dictionary, build_sensing
+from etrlab.errors import (
+    ConfigError,
+    InvalidSparsity,
+    IoFailure,
+    NoFeasibleSolution,
+    UnsupportedDimension,
+)
 from etrlab.harness import (
     isotonic_fit,
     recovery_success,
@@ -268,28 +276,47 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
         ExperimentConfig(experiment="phase", recovery_trials=0)
 
 
-# settings the dictionary and sensing builders would reject only at run time,
-# some after other trials ran; each must fail to load, naming its key
+# settings the dictionary and sensing builders or the solvers would reject only at
+# run time, some after other trials ran: (file text, what the load error must name,
+# the owner's call that rejects the same setting)
 BUILD_REJECTS = [
-    ("[mismatch]\nm = 0\n", "m must be >= 1"),
-    ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,32\n", "row-subsample needs m_sweep"),
-    ("[regime-map]\nd = 8\nsensing = identity\nm_sweep = 4,9\n", "identity needs m_sweep"),
-    ("[phase]\nmax_iterations = 0\n", "max_iterations"),
-    ("[mismatch]\nmax_iterations = 0\n", "max_iterations"),
-    ("[perturbation]\nsensing = gausian\n", "unknown sensing 'gausian'"),
-    ("[phase]\nbasis = haar\n", "unknown basis 'haar'"),
-    ("[regime-map]\nd = 12\nbasis = hadamard\nm_sweep = 4,8\n", "hadamard needs d"),
-    ("[phase]\nd = 1\nk = 1\nbasis = dct\nm_sweep = 1\n", "dct needs d"),
-    ("[perturbation]\nsensing = identity\n", "identity needs d = n"),
-    ("[perturbation]\nd = 9\nsensing = row-subsample\n", "row-subsample needs d <= n"),
-    ("[uncertainty-principle]\nd_sweep = 4,12\n", "d_sweep needs powers of 2"),
+    ("[mismatch]\nm = 0\n", "m must be >= 1", lambda: build_sensing("gaussian", 0, 32)),
+    ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,32\n",
+     "m_sweep = (8, 32), d = 16: row-subsample needs m <= d",
+     lambda: build_sensing("row-subsample", 32, 16)),
+    ("[regime-map]\nd = 8\nsensing = identity\nm_sweep = 4,9\n",
+     "m_sweep = (4, 9), d = 8: identity needs m = d", lambda: build_sensing("identity", 4, 8)),
+    ("[phase]\nmax_iterations = 0\n", "max_iterations",
+     lambda: solvers.SolverConfig(epsilon=0.0, max_iterations=0)),
+    ("[mismatch]\nmax_iterations = 0\n", "max_iterations",
+     lambda: solvers.SolverConfig(epsilon=0.0, max_iterations=0)),
+    ("[perturbation]\nsensing = gausian\n", "unknown sensing 'gausian'",
+     lambda: build_sensing("gausian", 6, 8)),
+    ("[phase]\nbasis = haar\n", "unknown basis 'haar'", lambda: build_dictionary("haar", 64)),
+    ("[regime-map]\nd = 12\nbasis = hadamard\nm_sweep = 4,8\n", "hadamard needs d",
+     lambda: build_dictionary("hadamard", 12)),
+    ("[phase]\nd = 1\nk = 1\nbasis = dct\nm_sweep = 1\n", "dct needs d",
+     lambda: build_dictionary("dct", 1)),
+    ("[perturbation]\nsensing = identity\n", "d = 6, n = 8: identity needs m = d",
+     lambda: build_sensing("identity", 6, 8)),
+    ("[perturbation]\nd = 9\nsensing = row-subsample\n",
+     "d = 9, n = 8: row-subsample needs m <= d", lambda: build_sensing("row-subsample", 9, 8)),
+    ("[uncertainty-principle]\nd_sweep = 4,12\n",
+     "d_sweep = (4, 12): hadamard needs d a power of 2",
+     lambda: build_dictionary("hadamard", 12)),
 ]
 
 
-@pytest.mark.parametrize("text, message", BUILD_REJECTS, ids=[f"{t[1:t.index(']')]}: {m}" for t, m in BUILD_REJECTS])
-def test_config_rejects_what_the_builders_would_reject(tmp_path, text, message):
-    with pytest.raises(ConfigError, match=message):
+@pytest.mark.parametrize("text, message, owner", BUILD_REJECTS,
+                         ids=[f"{t[1:t.index(']')]}: {m}" for t, m, _ in BUILD_REJECTS])
+def test_config_rejects_what_the_builders_would_reject(tmp_path, text, message, owner):
+    # the owner rejects the setting, and the load error names the keys around the
+    # owner's own message, so the two cannot drift apart
+    with pytest.raises((InvalidSparsity, UnsupportedDimension)) as rejected:
+        owner()
+    with pytest.raises(ConfigError, match=re.escape(message)) as loaded:
         load_config(_write(tmp_path, text))
+    assert str(loaded.value).endswith(f": {rejected.value}")
 
 
 def test_config_accepts_the_builders_edge_values(tmp_path):
@@ -373,6 +400,36 @@ def test_config_rejects_negative_epsilon(tmp_path):
         ExperimentConfig(epsilon=-0.01)
     with pytest.raises(ConfigError, match="epsilon"):
         load_config(_write(tmp_path, "[phase]\nepsilon = -0.01\n"))
+
+
+def test_config_rejects_an_infinite_epsilon(tmp_path):
+    # phase would draw noise of infinite norm, so no measurement y is finite
+    with pytest.raises(ConfigError, match="epsilon = inf"):
+        ExperimentConfig(epsilon=math.inf)
+    with pytest.raises(ConfigError, match="epsilon = inf"):
+        load_config(_write(tmp_path, "[regime-map]\nepsilon = inf\n"))
+
+
+@pytest.mark.parametrize("seed, alias", [(2**64 + 1, 1), (-5, 2**64 - 5)])
+def test_config_rejects_master_seeds_outside_u64(tmp_path, seed, alias):
+    # the streams mix the seed modulo 2**64, so seed would draw what alias draws
+    with pytest.raises(ConfigError, match=f"master_seed must be a u64.*got {seed}"):
+        ExperimentConfig(master_seed=seed)
+    with pytest.raises(ConfigError, match="master_seed"):
+        load_config(_write(tmp_path, f"[mismatch]\nmaster_seed = {seed}\n"))
+    with pytest.raises(ConfigError, match="master_seed"):
+        dataclasses.replace(ExperimentConfig(master_seed=alias), master_seed=seed)
+    for edge in (0, 2**64 - 1):
+        cfg = load_config(_write(tmp_path, f"[phase]\nmaster_seed = {edge}\n"))
+        assert cfg.master_seed == edge
+
+
+def test_config_names_the_thresholds_regime_thresholds_rejects(tmp_path):
+    # the classifier's own rule, raised as a ConfigError naming both keys it compares
+    text = "[regime-map]\n[thresholds]\nbattery_fail_max = 0.95\n"
+    with pytest.raises(ConfigError, match="thresholds.*battery_fail_max = 0.95, "
+                                          "battery_success_min = 0.9"):
+        load_config(_write(tmp_path, text))
 
 
 @pytest.mark.parametrize("key", ["m_sweep", "k_sweep", "d_sweep"])

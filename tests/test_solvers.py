@@ -829,6 +829,12 @@ def test_solver_config_rejects_negative_settings(setting):
         SolverConfig(**setting)
 
 
+def test_solver_config_rejects_an_infinite_epsilon():
+    # the noise drawn on an infinite sphere is not finite, nor is any residual bound
+    with pytest.raises(InvalidSparsity, match="epsilon must be finite"):
+        SolverConfig(epsilon=float("inf"))
+
+
 # ------------------------------------------------------------- battery
 
 

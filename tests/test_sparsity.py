@@ -199,6 +199,13 @@ def test_observe_noise_attains_bound():
     assert np.linalg.norm(y - phi @ x) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+def test_observe_rejects_a_non_finite_epsilon(epsilon):
+    phi = build_sensing("gaussian", 6, 8, seed=2)
+    with pytest.raises(InvalidSparsity, match="epsilon must be finite"):
+        observe(RandomStream(3).gaussians(8), phi, epsilon, RandomStream(4))
+
+
 def test_observe_dimension_mismatch():
     phi = build_sensing("gaussian", 3, 5, seed=0)
     with pytest.raises(DimensionMismatch):
