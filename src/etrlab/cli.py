@@ -27,7 +27,7 @@ from .etr import build_uncertainty_report
 from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
 from .numerics import load_matrix, load_vector
-from .rng import RandomStream
+from .rng import RandomStream, check_seed
 from .solvers import SolverConfig, solve
 from .sparsity import PlantedInstance, validate_instance
 
@@ -106,6 +106,7 @@ def _experiment_config(args, command: str) -> ExperimentConfig:
 
 
 def _cmd_geometry(args) -> int:
+    check_seed(args.seed)
     d = args.d
     m = args.m or d
     psi = build_dictionary(args.dict_kind, d, seed=args.seed)

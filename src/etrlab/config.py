@@ -8,8 +8,8 @@ defaults. Unknown sections or keys are errors, and so is a key the
 experiment does not read; silent typos are worse than loud ones. A
 setting the module that uses it would reject is an error at load time
 too, before any trial runs: config runs that module's own data-free check
-(`check_dictionary`, `check_sensing`, `SolverConfig`, `RegimeThresholds`)
-and re-raises its rejection as a ConfigError naming the keys and values.
+(see `ExperimentConfig._check_owners`) and re-raises its rejection as a
+ConfigError naming the keys and values.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from dataclasses import dataclass
-from math import comb
 
 from .dictionaries import check_dictionary, check_sensing
-from .errors import ConfigError, InvalidSparsity, UnsupportedDimension
+from .errors import ConfigError, EtrLabError
 from .etr import RegimeThresholds
-from .geometry import EXACT_GUARD
-from .solvers import SOLVER_NAMES, SolverConfig
+from .geometry import check_exact
+from .rng import check_seed
+from .solvers import SolverConfig, check_solvers
+from .sparsity import check_sparsity
 
 # each experiment and the `etr-lab` arguments that run it
 EXPERIMENT_COMMANDS = {
@@ -61,7 +62,7 @@ def _owned(keys: str, check, *args, **kwargs):
     """`check(*args, **kwargs)`, its owner's rejection re-raised naming the config keys."""
     try:
         return check(*args, **kwargs)
-    except (InvalidSparsity, UnsupportedDimension) as exc:
+    except EtrLabError as exc:
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
@@ -104,8 +105,7 @@ class ExperimentConfig:
         if self.experiment in ("phase", "regime-map") and self.n != self.d:
             raise ConfigError(f"{self.experiment} builds a d x d dictionary: n must equal d "
                               f"(n = {self.n}, d = {self.d})")
-        if not 0 <= self.master_seed < 2**64:  # the streams mix it modulo 2**64
-            raise ConfigError(f"master_seed must be a u64 (0..2**64-1), got {self.master_seed}")
+        _owned(f"master_seed = {self.master_seed}", check_seed, self.master_seed)
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (trials run sequentially), got {self.workers}")
         if self.trials_per_cell < 1:
@@ -120,31 +120,24 @@ class ExperimentConfig:
             # the isotonic 50% crossing and the heat-map axes read sweeps in order
             if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
                 raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
-        # every planted signal is k-sparse in n columns (d columns in mismatch)
-        if self.experiment != "uncertainty-principle":
-            ks = self.k_sweep if self.experiment == "regime-map" else (self.k,)
-            dim = "d" if self.experiment == "mismatch" else "n"
-            if not all(1 <= k <= getattr(self, dim) for k in ks):
-                raise ConfigError(f"{self.experiment} needs 1 <= k <= {dim} for each k in {ks}, "
-                                  f"{dim} = {getattr(self, dim)}")
-        if self.experiment == "perturbation":
-            r = min(2 * self.k, self.n)  # its exact gamma_2k enumerates C(n, r) supports
-            if comb(self.n, r) > EXACT_GUARD:
-                raise ConfigError(f"perturbation enumerates binomial({self.n},{r}) supports, "
-                                  f"more than {EXACT_GUARD}")
         if self.experiment == "mismatch" and self.recovery_trials < 1:
             raise ConfigError("mismatch needs recovery_trials >= 1")
-        if self.experiment == "regime-map" and self.trials_per_cell < self.thresholds.trials:
-            raise ConfigError(f"regime-map classifies a cell from at least thresholds.trials = "
-                              f"{self.thresholds.trials} trials, got trials_per_cell = "
-                              f"{self.trials_per_cell}")
-        unknown = [v for v in self.solvers or () if v not in SOLVER_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
-        self._check_builds()
+        self._check_owners()
 
-    def _check_builds(self):
-        # the checks build_dictionary and build_sensing run first, without drawing
+    def _check_owners(self):
+        # the data-free checks the modules that use these settings run first
+        if self.experiment != "uncertainty-principle":  # plant k of n columns (d in mismatch)
+            key = "k_sweep" if self.experiment == "regime-map" else "k"
+            dim = "d" if self.experiment == "mismatch" else "n"
+            ks, width = getattr(self, key), getattr(self, dim)
+            for k in ks if isinstance(ks, tuple) else (ks,):
+                _owned(f"{key} = {ks}, {dim} = {width}", check_sparsity, k, width)
+        if self.experiment == "perturbation":  # its exact gamma_2k runs at r = min(2k, n)
+            _owned(f"k = {self.k}, n = {self.n}", check_exact, self.n, min(2 * self.k, self.n))
+        if self.experiment == "regime-map":
+            _owned(f"trials_per_cell = {self.trials_per_cell}", self.thresholds.check_evidence,
+                   self.trials_per_cell)
+        _owned(f"solvers = {self.solvers}", check_solvers, self.solvers or ())
         for d in self.d_sweep or ():  # uncertainty-principle builds hadamard bases
             _owned(f"d_sweep = {self.d_sweep}", check_dictionary, "hadamard", d)
         if self.basis is not None:

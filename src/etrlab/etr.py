@@ -15,6 +15,7 @@ from typing import Optional
 from .errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
 from .geometry import GeometryReport
 from .numerics import TOL
+from .sparsity import check_sparsity
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,20 @@ class RegimeThresholds:
     trials: int = 20
 
     def __post_init__(self):
+        for name in ("stable_c", "sample_c0"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise InvalidSparsity(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.trials < 1:
+            raise InvalidSparsity(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.battery_fail_max < self.battery_success_min <= 1.0:
             raise InvalidSparsity(f"need 0 < battery_fail_max < battery_success_min <= 1, got "
                                   f"battery_fail_max = {self.battery_fail_max}, "
                                   f"battery_success_min = {self.battery_success_min}")
+
+    def check_evidence(self, trials: int) -> None:
+        """Raise InsufficientEvidence where `classify_regime` would on this many trials."""
+        if trials < self.trials:
+            raise InsufficientEvidence(f"a verdict needs trials >= {self.trials}, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,7 @@ def inflation_ratio(k: int, k_eff: int, d: int) -> float:
 
 def sample_threshold(k: int, n: int, c0: float = 1.0) -> int:
     """ceil(c0 * k * (ln(n/k) + 1)) measurements for k-sparse recovery in R^n."""
-    if not 1 <= k <= n:
-        raise InvalidSparsity(f"need 1 <= k <= n, got ({k}, {n})")
+    check_sparsity(k, n)
     return math.ceil(c0 * k * (math.log(n / k) + 1.0))
 
 
@@ -134,10 +144,7 @@ def classify_regime(
     lower bound the stable test, so neither verdict can overclaim.
     """
     th = thresholds or RegimeThresholds()
-    if battery_stats.trials < th.trials:
-        raise InsufficientEvidence(
-            f"{battery_stats.trials} trials < required {th.trials}"
-        )
+    th.check_evidence(battery_stats.trials)
     if geom.gamma_exact is not None:
         gamma_for_nonunique = gamma_for_stable = geom.gamma_exact
         gamma_desc = f"gamma_2k = {geom.gamma_exact:.6g} (exact)"

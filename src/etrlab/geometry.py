@@ -136,6 +136,16 @@ def _zero_cutoff(a: np.ndarray) -> float:
     return cutoff
 
 
+def check_exact(n: int, r: int) -> int:
+    """C(n, r), the supports `gamma_exact` on n columns enumerates; raises where it would."""
+    if not 1 <= r <= n:
+        raise InvalidSparsity(f"r={r} outside 1..{n}")
+    total = comb(n, r)
+    if total > EXACT_GUARD:
+        raise EnumerationTooLarge(f"binomial({n},{r}) = {total} > {EXACT_GUARD}")
+    return total
+
+
 def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
     """min sigma_min(A_S) over all |S| = r; 0 iff A loses injectivity at r.
 
@@ -145,11 +155,7 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
     """
     mat = a.a
     n = mat.shape[1]
-    if not 1 <= r <= n:
-        raise InvalidSparsity(f"r={r} outside 1..{n}")
-    total = comb(n, r)
-    if total > EXACT_GUARD:
-        raise EnumerationTooLarge(f"binomial({n},{r}) = {total} > {EXACT_GUARD}")
+    total = check_exact(n, r)
     cutoff = _zero_cutoff(mat)
     best = np.inf
     best_support: tuple[int, ...] = ()

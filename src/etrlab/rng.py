@@ -62,6 +62,12 @@ _M2 = 0x94D049BB133111EB
 PAIR_DRAW = 12  # gaussians draws of at most this many normals run pair by pair on floats
 
 
+def check_seed(seed: int) -> None:
+    """Raise InvalidSparsity for a master seed outside 0..2^64-1, which mix64 would alias."""
+    if not 0 <= seed <= MASK64:
+        raise InvalidSparsity(f"seed must be a u64 (0..2**64-1), got {seed}")
+
+
 def mix64(z: int) -> int:
     """splitmix64 finalizer on a Python int, reduced mod 2^64."""
     z &= MASK64

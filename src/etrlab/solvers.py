@@ -29,8 +29,6 @@ from .errors import (
 from .numerics import TOL, detected_support, least_squares, solve_gram, vector_norm
 from .sparsity import minimal_support
 
-SOLVER_NAMES = ("l0-exhaustive", "omp", "basis-pursuit")
-
 
 @dataclass(kw_only=True)
 class SolverConfig:
@@ -320,12 +318,19 @@ def solve_bp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> RecoveryR
 
 
 _SOLVE = {"l0-exhaustive": solve_l0, "omp": solve_omp, "basis-pursuit": solve_bp}
+SOLVER_NAMES = tuple(_SOLVE)  # the order run_battery runs them in by default
+
+
+def check_solvers(names) -> None:
+    """Raise InvalidSparsity for a name `solve` does not know."""
+    unknown = [name for name in names if name not in SOLVER_NAMES]
+    if unknown:
+        raise InvalidSparsity(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
 
 
 def solve(name: str, a, y, cfg) -> RecoveryResult:
     """Dispatch to one solver by name."""
-    if name not in _SOLVE:
-        raise InvalidSparsity(f"unknown solver {name!r}")
+    check_solvers((name,))
     return _SOLVE[name](a, y, cfg)
 
 
@@ -335,9 +340,10 @@ def run_battery(
     cfg: Optional[SolverConfig] = None,
     names: tuple[str, ...] = SOLVER_NAMES,
 ) -> list[BatteryEntry]:
-    """Run the named solvers in order with one config; a lab error or
-    LinAlgError in one solver becomes its entry's error instead of aborting the
-    battery. Any other exception is a bug and propagates."""
+    """Run the named solvers in order with one config; a lab error or LinAlgError in one
+    solver becomes its entry's error instead of aborting the battery. An unknown name
+    raises before any solver runs; any other exception is a bug and propagates."""
+    check_solvers(names)
     cfg = cfg or SolverConfig()
     entries = []
     for name in names:

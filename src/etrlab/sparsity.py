@@ -166,6 +166,12 @@ def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
     return int(np.sum(np.abs(psi.T @ x) > TOL.zero_tau * xnorm))
 
 
+def check_sparsity(k: int, n: int) -> None:
+    """Raise InvalidSparsity where `plant` of k coefficients in n columns would."""
+    if not 1 <= k <= n:
+        raise InvalidSparsity(f"need 1 <= k <= n, got k = {k}, n = {n}")
+
+
 def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     """k-sparse coefficients in the columns of psi with magnitudes >= 0.1,
     deterministic per bases: the three 64-bit stream bases the caller passes, for a
@@ -173,8 +179,7 @@ def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     Support, signs and magnitudes come as Python values from those bases, each entry
     with the bits of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5."""
     n = psi.shape[1]
-    if not 1 <= k <= n:
-        raise InvalidSparsity(f"k={k} outside 1..{n}")
+    check_sparsity(k, n)
     support_base, sign_base, magnitude_base = bases
     alpha = np.zeros(n)
     for i, u, g in zip(fisher_yates(n, base_uniforms(support_base, k)),

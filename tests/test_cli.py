@@ -41,6 +41,16 @@ def test_geometry_sampled_mode(capsys, monkeypatch):
     assert "sampled" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_geometry_rejects_a_seed_outside_u64(capsys, seed):
+    # the streams read the seed modulo 2**64, so -1 would print the row of 2**64 - 1
+    args = ["geometry", "--dict", "random-orthonormal", "--d", "8", "--sensing", "gaussian",
+            "--m", "4", "--seed"]
+    assert main([*args, str(seed)]) == 1
+    assert f"seed must be a u64 (0..2**64-1), got {seed}" in capsys.readouterr().err
+    assert main([*args, str(2**64 - 1)]) == 0
+
+
 def test_recover_matrix_y(tmp_path, capsys):
     save_matrix(tmp_path / "a.csv", np.eye(4))
     save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
@@ -172,7 +182,7 @@ def test_seed_flag_is_checked_like_a_config_seed(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["phase", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
     assert rc == 1
-    assert "ConfigError: master_seed must be a u64" in capsys.readouterr().err
+    assert "ConfigError: master_seed = -1: seed must be a u64" in capsys.readouterr().err
     assert not out.exists()
 
 

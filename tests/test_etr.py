@@ -231,6 +231,18 @@ def test_thresholds_validation():
         RegimeThresholds(battery_success_min=0.4, battery_fail_max=0.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stable_c", math.nan), ("stable_c", math.inf), ("stable_c", 0.0), ("stable_c", -0.1),
+    ("sample_c0", math.nan), ("sample_c0", math.inf), ("sample_c0", 0.0), ("sample_c0", -1.0),
+    ("trials", 0), ("trials", -1)])
+def test_thresholds_reject_values_no_verdict_can_use(field, value):
+    # a NaN stable_c labels no cell stable, and a non-positive c0 makes every m meet
+    # the budget; an infinite c0 overflows sample_threshold after every trial ran
+    with pytest.raises(InvalidSparsity, match=f"{field} must be"):
+        RegimeThresholds(**{field: value})
+    assert RegimeThresholds(stable_c=1e-9, sample_c0=1e-9, trials=1).trials == 1
+
+
 def test_battery_stats_properties():
     s = _stats(l0=0.9, omp=0.2, bp=0.7)
     assert s.oracle_rate == 0.9

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import geometry, harness, solvers
+from etrlab import etr, geometry, harness, rng, solvers, sparsity
 from etrlab.config import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig, dump_config, load_config
-from etrlab.dictionaries import build_dictionary, build_sensing
+from etrlab.dictionaries import EffectiveSensing, build_dictionary, build_sensing
 from etrlab.errors import (
     ConfigError,
+    EtrLabError,
     InvalidSparsity,
     IoFailure,
     NoFeasibleSolution,
@@ -276,9 +277,9 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
         ExperimentConfig(experiment="phase", recovery_trials=0)
 
 
-# settings the dictionary and sensing builders or the solvers would reject only at
-# run time, some after other trials ran: (file text, what the load error must name,
-# the owner's call that rejects the same setting)
+# settings the module that uses them would reject only at run time, some after other
+# trials ran: (file text, what the load error must name, the owner's call that
+# rejects the same setting)
 BUILD_REJECTS = [
     ("[mismatch]\nm = 0\n", "m must be >= 1", lambda: build_sensing("gaussian", 0, 32)),
     ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,32\n",
@@ -304,6 +305,31 @@ BUILD_REJECTS = [
     ("[uncertainty-principle]\nd_sweep = 4,12\n",
      "d_sweep = (4, 12): hadamard needs d a power of 2",
      lambda: build_dictionary("hadamard", 12)),
+    ("[perturbation]\nk = 9\n", "k = 9, n = 8: need 1 <= k <= n",
+     lambda: sparsity.plant(np.eye(8), 9, (1, 2, 3))),
+    ("[mismatch]\nd = 8\nk = 0\n", "k = 0, d = 8: need 1 <= k <= n",
+     lambda: sparsity.plant(np.eye(8), 0, (1, 2, 3))),
+    ("[regime-map]\nd = 8\nk_sweep = 1,9\n", "k_sweep = (1, 9), n = 8: need 1 <= k <= n",
+     lambda: sparsity.plant(np.eye(8), 9, (1, 2, 3))),
+    ("[perturbation]\nd = 6\nn = 40\nk = 4\n", "k = 4, n = 40: binomial(40,8) = ",
+     lambda: geometry.gamma_exact(EffectiveSensing(np.ones((6, 40))), 8)),
+    ("[phase]\nsolvers = omp,lasso\n", "solvers = ('omp', 'lasso'): unknown solvers ['lasso']",
+     lambda: solvers.solve("lasso", None, None, solvers.SolverConfig())),
+    ("[regime-map]\ntrials_per_cell = 19\n",
+     "trials_per_cell = 19: a verdict needs trials >= 20, got 19",
+     lambda: etr.classify_regime(None, 8, 16, 1, etr.BatteryStats(trials=19))),
+    ("[mismatch]\nmaster_seed = -1\n", "master_seed = -1: seed must be a u64",
+     lambda: rng.check_seed(-1)),
+    ("[phase]\nmaster_seed = 18446744073709551616\n",
+     "master_seed = 18446744073709551616: seed must be a u64", lambda: rng.check_seed(2**64)),
+    ("[phase]\n[thresholds]\nsample_c0 = inf\n", "[thresholds]: sample_c0 must be finite",
+     lambda: etr.RegimeThresholds(sample_c0=math.inf)),
+    ("[regime-map]\n[thresholds]\nstable_c = nan\n", "[thresholds]: stable_c must be finite",
+     lambda: etr.RegimeThresholds(stable_c=math.nan)),
+    ("[regime-map]\n[thresholds]\nsample_c0 = -1\n", "[thresholds]: sample_c0 must be finite "
+     "and > 0, got -1.0", lambda: etr.RegimeThresholds(sample_c0=-1.0)),
+    ("[regime-map]\n[thresholds]\ntrials = 0\n", "[thresholds]: trials must be >= 1, got 0",
+     lambda: etr.RegimeThresholds(trials=0)),
 ]
 
 
@@ -312,7 +338,7 @@ BUILD_REJECTS = [
 def test_config_rejects_what_the_builders_would_reject(tmp_path, text, message, owner):
     # the owner rejects the setting, and the load error names the keys around the
     # owner's own message, so the two cannot drift apart
-    with pytest.raises((InvalidSparsity, UnsupportedDimension)) as rejected:
+    with pytest.raises(EtrLabError) as rejected:
         owner()
     with pytest.raises(ConfigError, match=re.escape(message)) as loaded:
         load_config(_write(tmp_path, text))
@@ -413,7 +439,7 @@ def test_config_rejects_an_infinite_epsilon(tmp_path):
 @pytest.mark.parametrize("seed, alias", [(2**64 + 1, 1), (-5, 2**64 - 5)])
 def test_config_rejects_master_seeds_outside_u64(tmp_path, seed, alias):
     # the streams mix the seed modulo 2**64, so seed would draw what alias draws
-    with pytest.raises(ConfigError, match=f"master_seed must be a u64.*got {seed}"):
+    with pytest.raises(ConfigError, match=f"master_seed = {seed}: seed must be a u64.*got {seed}"):
         ExperimentConfig(master_seed=seed)
     with pytest.raises(ConfigError, match="master_seed"):
         load_config(_write(tmp_path, f"[mismatch]\nmaster_seed = {seed}\n"))
@@ -449,9 +475,9 @@ def test_config_rejects_sweeps_that_cannot_run_as_written(tmp_path, key):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[phase]\nd = 8\nk = 9\n", "phase needs 1 <= k <= n"),
-    ("[mismatch]\nd = 8\nk = 9\n", "mismatch needs 1 <= k <= d"),
-    ("[regime-map]\nd = 8\nk_sweep = 1,9\n", "regime-map needs 1 <= k <= n"),
+    ("[phase]\nd = 8\nk = 9\n", "k = 9, n = 8: need 1 <= k <= n"),
+    ("[mismatch]\nd = 8\nk = 9\n", "k = 9, d = 8: need 1 <= k <= n"),
+    ("[regime-map]\nd = 8\nk_sweep = 1,9\n", "k_sweep = \\(1, 9\\), n = 8: need 1 <= k <= n"),
 ], ids=["phase", "mismatch", "regime-map"])
 def test_config_rejects_sparsity_past_the_dictionary(tmp_path, text, message):
     # at load time, not at the first plant's InvalidSparsity after earlier cells ran

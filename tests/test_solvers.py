@@ -886,6 +886,16 @@ def test_battery_lets_programming_errors_crash(monkeypatch):
         run_battery(a, y)
 
 
+def test_battery_raises_on_an_unknown_solver_before_any_runs(monkeypatch):
+    # a misspelt name is a programming error, not a failed-trial row beside OMP's
+    ran = []
+    monkeypatch.setitem(solvers._SOLVE, "omp", lambda *args: ran.append(args))
+    a, inst, y = _planted(8, 16, 1, seed=5)
+    with pytest.raises(InvalidSparsity, match=r"unknown solvers \['lasso'\]"):
+        run_battery(a, y, SolverConfig(), ("omp", "lasso"))
+    assert not ran
+
+
 def test_l0_stability_bound_with_exact_support():
     # ||x_hat - x|| <= 2 eps / gamma_2k for the oracle with support size <= k
     for t in range(10):
