@@ -28,7 +28,7 @@ from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
 from .numerics import load_matrix, load_vector
 from .rng import RandomStream, check_seed
-from .solvers import SolverConfig, solve
+from .solvers import SOLVER_NAMES, SolverConfig, solve
 from .sparsity import PlantedInstance, validate_instance
 
 
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="run one solver on (A, y) or a planted instance")
     r.add_argument("--solver", default="basis-pursuit",
-                   choices=("l0", "omp", "bp", "l0-exhaustive", "basis-pursuit"))
+                   choices=(*_SOLVER_ALIAS, *SOLVER_NAMES))
     r.add_argument("--epsilon", type=float, default=0.0)
     r.add_argument("--matrix", help="A in lab CSV format")
     r.add_argument("--y", help="observation vector in lab CSV format")

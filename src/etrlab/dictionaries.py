@@ -106,11 +106,16 @@ def compose(phi: np.ndarray, psi: np.ndarray) -> EffectiveSensing:
     return EffectiveSensing(phi @ psi)
 
 
-def normalize_columns(a: np.ndarray) -> np.ndarray:
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=0); raises NotNormalized if a column is zero."""
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
         raise NotNormalized("zero column cannot be normalized")
-    return a / norms
+    return norms
+
+
+def normalize_columns(a: np.ndarray) -> np.ndarray:
+    return a / column_norms(a)
 
 
 def is_orthonormal(psi: np.ndarray) -> bool:

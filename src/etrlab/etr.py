@@ -79,32 +79,38 @@ class UncertaintyReport:
     regime: str
 
 
+def _check_gamma(gamma_2k: float) -> None:
+    """Raise InvalidSparsity for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
+    if not math.isfinite(gamma_2k):
+        raise InvalidSparsity(f"gamma_2k must be finite, got {gamma_2k}")
+    if gamma_2k <= TOL.gamma_zero:
+        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+
+
 def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
     if k_psi < 1 or cost < 1:
         raise InvalidSparsity("k_psi and cost must be >= 1")
-    if gamma_2k <= TOL.gamma_zero:
-        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+    _check_gamma(gamma_2k)
     return k_psi * (1.0 / gamma_2k) * math.log1p(cost)
 
 
 def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     """(k_psi / gamma_2k) * ln 2; a floor under every uncertainty value."""
-    if gamma_2k <= TOL.gamma_zero:
-        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+    _check_gamma(gamma_2k)
     return k_psi / gamma_2k * math.log(2.0)
 
 
-def build_uncertainty_report(k: int, k_psi: int, gamma_2k: float, cost: int,
-                             regime: str = "indeterminate") -> UncertaintyReport:
-    """Report constructor; a degenerate gamma yields infinity plus non-unique."""
+def build_uncertainty_report(k: int, k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
+    """Report constructor, regime indeterminate; a degenerate gamma yields infinity plus
+    non-unique, and a gamma that is not finite raises InvalidSparsity."""
     try:
         value = uncertainty_functional(k_psi, gamma_2k, cost)
         bound = nonvanishing_bound(k_psi, gamma_2k)
     except DegenerateGamma:
         return UncertaintyReport(k, k_psi, gamma_2k, cost,
                                  math.inf, math.inf, "non-unique")
-    return UncertaintyReport(k, k_psi, gamma_2k, cost, value, bound, regime)
+    return UncertaintyReport(k, k_psi, gamma_2k, cost, value, bound, "indeterminate")
 
 
 def inflation_ratio(k: int, k_eff: int, d: int) -> float:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, frexp, isfinite, ldexp, sqrt
+from math import comb, frexp, inf, isfinite, ldexp, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .dictionaries import EffectiveSensing, self_coherence
-from .errors import DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix
+from .dictionaries import EffectiveSensing, column_norms, self_coherence
+from .errors import (DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix,
+                     NotNormalized)
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value, vector_norm
 
 EXACT_GUARD = 10 ** 6
@@ -136,6 +137,11 @@ def _zero_cutoff(a: np.ndarray) -> float:
     return cutoff
 
 
+def _is_zero(sigma: float, cutoff: float) -> bool:
+    """The zero-gamma test: sigma below its _zero_cutoff, or 0.0 whatever the cutoff."""
+    return sigma < cutoff or sigma <= 0.0
+
+
 def check_exact(n: int, r: int) -> int:
     """C(n, r), the supports `gamma_exact` on n columns enumerates; raises where it would."""
     if not 1 <= r <= n:
@@ -167,11 +173,10 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
             best = low
             best_support = tuple(block[sigmas.index(low)].tolist())
     witness = None
-    if best < cutoff:
+    if _is_zero(best, cutoff):
         _, direction = smallest_singular_pair(mat[:, list(best_support)])
         witness = np.zeros(n)
         witness[list(best_support)] = direction
-        best = max(best, 0.0)
     if with_witness:
         return best, witness, total
     return best
@@ -184,12 +189,13 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
     """
     mat = a.a
     n = mat.shape[1]
-    if not 1 <= r <= n:
-        raise InvalidSparsity(f"r={r} outside 1..{n}")
     if trials < 1:
         raise InvalidSparsity("trials must be >= 1")
-    total = comb(n, r)
-    if trials >= total and total <= EXACT_GUARD:
+    try:
+        total = check_exact(n, r)
+    except EnumerationTooLarge:
+        total = inf
+    if trials >= total:
         return gamma_exact(a, r)
     _zero_cutoff(mat)  # refuses an inf or NaN, as gamma_exact does
     best = np.inf
@@ -208,12 +214,12 @@ def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
     from overflowing or underflowing.
     """
     scaled, e = _unit_scaled(a.a)
-    norms = np.linalg.norm(scaled, axis=0)
-    smallest = float(np.min(norms))
-    if smallest == 0.0:
+    try:
+        norms = column_norms(scaled)
+    except NotNormalized:
         return 0.0
     mu = self_coherence(EffectiveSensing(scaled / norms))
-    return ldexp(smallest * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu))), e)
+    return ldexp(float(np.min(norms)) * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu))), e)
 
 
 def perturbation_check(
@@ -232,21 +238,22 @@ def perturbation_check(
 def geometry_report(a: EffectiveSensing, r: int, stream=None) -> GeometryReport:
     """Assemble the gamma triple; the method used is always recorded.
 
-    gamma_r is exact when C(n, r) <= EXACT_GUARD; past the guard it is the
-    upper bound from SAMPLED_SUPPORTS supports drawn from `stream`.
+    gamma_r is exact unless `check_exact` finds C(n, r) past EXACT_GUARD; then it
+    is the upper bound from SAMPLED_SUPPORTS supports drawn from `stream`.
     """
-    n = a.a.shape[1]
-    if comb(n, r) <= EXACT_GUARD:
-        exact, witness, examined = gamma_exact(a, r, with_witness=True)
-        upper = exact
-        lower = min(gamma_lower_coherence(a, r), exact)  # absorb the tight r = 2 bound's rounding
-        injective = "no" if witness is not None else "yes"
-    else:
+    try:
+        check_exact(a.a.shape[1], r)
+    except EnumerationTooLarge:
         exact = witness = None
         examined = SAMPLED_SUPPORTS
         upper = gamma_sampled(a, r, SAMPLED_SUPPORTS, stream)
         lower = gamma_lower_coherence(a, r)
-        injective = "no" if upper < _zero_cutoff(a.a) else "unknown"  # gamma_exact's test
+        injective = "no" if _is_zero(upper, _zero_cutoff(a.a)) else "unknown"
+    else:
+        exact, witness, examined = gamma_exact(a, r, with_witness=True)
+        upper = exact
+        lower = min(gamma_lower_coherence(a, r), exact)  # absorb the tight r = 2 bound's rounding
+        injective = "no" if witness is not None else "yes"
     return GeometryReport(
         r=r,
         gamma_exact=exact,

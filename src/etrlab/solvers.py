@@ -17,17 +17,15 @@ and certificate checks are never charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from .dictionaries import EffectiveSensing
-from .errors import (
-    EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized, RankDeficient, Stalled,
-)
+from .dictionaries import EffectiveSensing, column_norms
+from .errors import EtrLabError, InvalidSparsity, NoFeasibleSolution, RankDeficient, Stalled
 from .numerics import TOL, detected_support, least_squares, solve_gram, vector_norm
-from .sparsity import minimal_support
+from .sparsity import check_epsilon, minimal_support
 
 
 @dataclass(kw_only=True)
@@ -37,8 +35,7 @@ class SolverConfig:
     max_iterations: int = 4000  # basis pursuit's path-step cap
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < inf:  # NaN fails too
-            raise InvalidSparsity(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.max_sparsity < 0:
             raise InvalidSparsity(f"max_sparsity must be >= 0, got {self.max_sparsity}")
         if self.max_iterations < 1:
@@ -141,9 +138,7 @@ def solve_omp(a: EffectiveSensing, y: np.ndarray, cfg: SolverConfig) -> Recovery
     alpha_hat holds coefficients of `a` itself.
     """
     y = np.asarray(y, dtype=float)
-    norms = np.linalg.norm(a.a, axis=0)
-    if np.any(norms == 0.0):
-        raise NotNormalized("zero column")
+    norms = column_norms(a.a)
     mat = a.a / norms
     m, n = mat.shape
     kmax = cfg.max_sparsity or min(m, n)
@@ -348,7 +343,7 @@ def run_battery(
     entries = []
     for name in names:
         try:
-            entries.append(BatteryEntry(name, solve(name, a, y, cfg)))
+            entries.append(BatteryEntry(name, _SOLVE[name](a, y, cfg)))
         except (EtrLabError, np.linalg.LinAlgError) as exc:  # recorded, battery continues
             entries.append(BatteryEntry(name, None, error=f"{type(exc).__name__}: {exc}"))
     return entries

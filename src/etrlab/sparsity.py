@@ -172,6 +172,12 @@ def check_sparsity(k: int, n: int) -> None:
         raise InvalidSparsity(f"need 1 <= k <= n, got k = {k}, n = {n}")
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise InvalidSparsity where `observe` and `SolverConfig` would on this noise level."""
+    if not 0.0 <= epsilon < inf:  # NaN fails too
+        raise InvalidSparsity(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     """k-sparse coefficients in the columns of psi with magnitudes >= 0.1,
     deterministic per bases: the three 64-bit stream bases the caller passes, for a
@@ -194,8 +200,7 @@ def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream
     m, d = phi.shape
     if d != x.shape[0]:
         raise DimensionMismatch(f"phi has {d} columns, len(x)={x.shape[0]}")
-    if not 0.0 <= epsilon < inf:  # NaN fails too
-        raise InvalidSparsity(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_epsilon(epsilon)
     clean = phi @ x
     if epsilon == 0.0:
         noise = np.zeros(m)

@@ -51,6 +51,28 @@ def test_geometry_rejects_a_seed_outside_u64(capsys, seed):
     assert main([*args, str(2**64 - 1)]) == 0
 
 
+@pytest.mark.parametrize("r", ["-1", "0", "17"])
+def test_geometry_rejects_an_r_outside_one_to_d(capsys, r):
+    # -1 used to end in math.comb's ValueError traceback instead of an error line
+    assert main(["geometry", "--d", "16", "--r", r]) == 1
+    assert f"error: InvalidSparsity: r={r} outside 1..16" in capsys.readouterr().err
+
+
+def test_recover_accepts_the_three_solvers_and_two_aliases(tmp_path, capsys):
+    parser = cli.build_parser()
+    recover = parser._subparsers._group_actions[0].choices["recover"]
+    (solver,) = [action for action in recover._actions if action.dest == "solver"]
+    names = {"l0": "l0-exhaustive", "bp": "basis-pursuit", "l0-exhaustive": "l0-exhaustive",
+             "omp": "omp", "basis-pursuit": "basis-pursuit"}
+    assert sorted(solver.choices) == sorted(names)
+    save_matrix(tmp_path / "a.csv", np.eye(4))
+    save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
+    for name, full in names.items():
+        assert main(["recover", "--solver", name, "--matrix", str(tmp_path / "a.csv"),
+                     "--y", str(tmp_path / "y.csv")]) == 0
+        assert f"solver: {full}\nsupport: 1\n" in capsys.readouterr().out
+
+
 def test_recover_matrix_y(tmp_path, capsys):
     save_matrix(tmp_path / "a.csv", np.eye(4))
     save_matrix(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 0.0]).reshape(-1, 1))
@@ -155,6 +177,16 @@ def test_functional_degenerate(capsys):
                "--cost", "10"])
     assert rc == 0
     assert "regime: non-unique" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_functional_rejects_a_gamma_that_is_not_finite(capsys, gamma):
+    # nan printed u_value: nan and inf printed u_value: 0, both with exit 0
+    rc = main(["functional", "--k", "2", "--k-psi", "2", f"--gamma={gamma}", "--cost", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: InvalidSparsity: gamma_2k must be finite, got {float(gamma)}" in captured.err
 
 
 def test_phase_with_config(tmp_path, capsys):

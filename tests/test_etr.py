@@ -57,6 +57,15 @@ def test_functional_degenerate_gamma_raises():
         uncertainty_functional(1, 1e-11, 10)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_functional_and_bound_reject_a_gamma_that_is_not_finite(gamma):
+    # NaN and inf both pass the zero test; NaN gave u = nan and inf gave u = 0
+    for call in (lambda: uncertainty_functional(2, gamma, 10), lambda: nonvanishing_bound(2, gamma),
+                 lambda: build_uncertainty_report(2, 2, gamma, 10)):
+        with pytest.raises(InvalidSparsity, match=f"gamma_2k must be finite, got {gamma}"):
+            call()
+
+
 def test_functional_invalid_inputs():
     with pytest.raises(InvalidSparsity):
         uncertainty_functional(0, 1.0, 10)
@@ -108,10 +117,10 @@ def test_build_report_degenerate_is_infinite_nonunique():
 
 
 def test_build_report_regular():
-    rep = build_uncertainty_report(2, 2, 0.5, 100, regime="stable")
+    rep = build_uncertainty_report(2, 2, 0.5, 100)
     assert rep.u_value == pytest.approx(4.0 * math.log(101.0), rel=1e-14)
     assert rep.lower_bound == pytest.approx(4.0 * math.log(2.0), rel=1e-14)
-    assert rep.regime == "stable"
+    assert rep.regime == "indeterminate"
 
 
 # ------------------------------------------------------ inflation / budget

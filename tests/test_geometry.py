@@ -261,6 +261,32 @@ def test_geometry_report_says_no_only_when_gamma_exact_finds_a_witness(monkeypat
     assert rep.injective_on_r_sparse == "no"
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
+def test_a_zero_matrix_is_not_injective(monkeypatch, shape):
+    # the zero cutoff of a zero matrix is 0.0, and sigma_min = 0.0 counts as zero against it
+    a = EffectiveSensing(np.zeros(shape))
+    assert geometry._zero_cutoff(a.a) == 0.0
+    g, witness, _ = gamma_exact(a, 2, with_witness=True)
+    assert g == 0.0 and witness is not None
+    assert np.count_nonzero(witness) <= 2 and np.linalg.norm(witness) == pytest.approx(1.0)
+    assert geometry_report(a, 2).injective_on_r_sparse == "no"
+    monkeypatch.setattr(geometry, "EXACT_GUARD", 0)
+    rep = geometry_report(a, 2, RandomStream(1))
+    assert rep.method == "sampled" and rep.injective_on_r_sparse == "no"
+
+
+@pytest.mark.parametrize("r", [-1, 0, 5])
+def test_report_and_sampled_gamma_raise_the_r_range_error_of_check_exact(r):
+    a = EffectiveSensing(np.eye(4))
+    with pytest.raises(InvalidSparsity) as expected:
+        geometry.check_exact(4, r)
+    for call in (lambda: geometry_report(a, r, RandomStream(1)),
+                 lambda: gamma_sampled(a, r, 10, RandomStream(1))):
+        with pytest.raises(InvalidSparsity) as raised:
+            call()
+        assert str(raised.value) == str(expected.value) == f"r={r} outside 1..4"
+
+
 def test_geometry_report_bounds_unnormalized_columns_and_lets_errors_through(monkeypatch):
     rep = geometry_report(_random_a(8, 12, seed=3), 2)
     assert 0.0 < rep.gamma_lower <= rep.gamma_exact
@@ -289,7 +315,7 @@ def _old_gamma_exact(a, r):
             best = sigma
             best_support = support
     witness = None
-    if best < geometry._zero_cutoff(a.a):
+    if geometry._is_zero(best, geometry._zero_cutoff(a.a)):
         _, direction = smallest_singular_pair(mat[:, list(best_support)])
         witness = np.zeros(n)
         witness[list(best_support)] = direction

@@ -381,10 +381,14 @@ def test_omp_zero_observation():
 
 def test_omp_rejects_a_zero_column():
     a = EffectiveSensing(np.column_stack([E1, np.zeros(2), E2]))
-    with pytest.raises(NotNormalized, match="zero column"):
+    with pytest.raises(NotNormalized, match="zero column") as omp_error:
         solve_omp(a, E1, SolverConfig())
     with pytest.raises(NotNormalized):
         solve("omp", a, E1, SolverConfig())
+    with pytest.raises(NotNormalized) as normalize_error:
+        normalize_columns(a.a)
+    assert str(omp_error.value) == str(normalize_error.value) == "zero column cannot be normalized"
+    assert geometry.gamma_lower_coherence(a, 2) == 0.0
 
 
 def _solve_omp_unit_columns(a, y, cfg):
@@ -894,6 +898,15 @@ def test_battery_raises_on_an_unknown_solver_before_any_runs(monkeypatch):
     with pytest.raises(InvalidSparsity, match=r"unknown solvers \['lasso'\]"):
         run_battery(a, y, SolverConfig(), ("omp", "lasso"))
     assert not ran
+
+
+def test_battery_checks_its_names_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(solvers, "check_solvers", checked.append)
+    a, inst, y = _planted(8, 16, 1, seed=5)
+    entries = run_battery(a, y, SolverConfig(max_sparsity=1))
+    assert [e.solver for e in entries] == list(SOLVER_NAMES)
+    assert checked == [SOLVER_NAMES]
 
 
 def test_l0_stability_bound_with_exact_support():

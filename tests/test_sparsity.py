@@ -206,6 +206,17 @@ def test_observe_rejects_a_non_finite_epsilon(epsilon):
         observe(RandomStream(3).gaussians(8), phi, epsilon, RandomStream(4))
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+def test_observe_and_solver_config_reject_an_epsilon_with_one_message(epsilon):
+    phi = build_sensing("gaussian", 6, 8, seed=2)
+    with pytest.raises(InvalidSparsity) as observed:
+        observe(RandomStream(3).gaussians(8), phi, epsilon, RandomStream(4))
+    with pytest.raises(InvalidSparsity) as configured:
+        SolverConfig(epsilon=epsilon)
+    assert str(observed.value) == str(configured.value) == (
+        f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def test_observe_dimension_mismatch():
     phi = build_sensing("gaussian", 3, 5, seed=0)
     with pytest.raises(DimensionMismatch):
