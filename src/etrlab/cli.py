@@ -1,6 +1,7 @@
 """`etr-lab` command line: direct computations and config-driven experiments.
 
-Exit codes: 0 success, 2 verification-suite violation, 1 any other error.
+Exit codes: 0 success, 2 verification-suite violation, 1 any other error,
+a usage error on the command line included.
 """
 
 from __future__ import annotations
@@ -38,9 +39,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, whose usage errors exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="etr-lab",
-                                     description="sparse-recovery difficulty laboratory")
+    parser = _Parser(prog="etr-lab", description="sparse-recovery difficulty laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("geometry", help="distinguishability report for one matrix")
@@ -66,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("functional", help="evaluate the uncertainty functional")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--k-psi", type=int, required=True)
-    f.add_argument("--gamma", type=float, required=True)
+    f.add_argument("--gamma", type=float, required=True,
+                   help="gamma_2k; give -inf or -nan after '=', as --gamma=-inf")
     f.add_argument("--cost", type=int, required=True)
 
     for name, help_text in (

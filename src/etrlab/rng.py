@@ -11,27 +11,25 @@ CPU dispatch (with NPY_DISABLE_CPU_FEATURES=X86_V4, np.log gives other
 bits), so they are bit-identical on one host and numpy build. No
 platform RNG is used anywhere in the package.
 
-The stream methods draw arrays: the uint64 words are mixed and shifted in
-place inside the one array that `np.arange` makes, and the Box-Muller
-transform writes into two buffers and the output array. The one other
-path is `gaussians`' pair path for at most PAIR_DRAW normals, below
-which the arrays cost more: `base_gaussians` runs the transform pair by
-pair on Python floats, from the Python-int uniforms of `base_uniforms`.
-`sparsity.plant` draws Python values from the three bases its caller
-passes, building no stream: `base_uniforms`, `base_gaussians` and
+The stream methods draw arrays, whatever the count: the uint64 words are
+mixed and shifted in place inside the one array that `np.arange` makes,
+and the Box-Muller transform writes into two buffers and the output
+array. `sparsity.plant` draws Python values from the three bases its
+caller passes, building no stream: `base_uniforms`, `base_gaussians`,
+which runs the transform pair by pair on Python floats, and
 `fisher_yates`, which picks a sorted support from uniforms and which
 `choose_without_replacement` runs too.
 
-Both paths do the same integer arithmetic mod 2^64 and exact scaling, and
-1 - u, -2 * log, sqrt, 2 * pi * u and the products are correctly rounded:
-the bits are the same. log, cos and sin are not exact, and numpy's
-float64 loops (SIMD ones on hosts that have them) need not agree with the
-C library behind `math`: on an AVX-512 Xeon, `math` gave other bits than
-numpy for 323 of 200 000 normals. So the pair calls numpy's own `np.log`,
-`np.cos` and `np.sin` on scalars, which run the same loops as the array
-path, and the array path's log, cos and sin read and write contiguous
-arrays; the tests compare both paths with `np.array_equal` on 10^4
-streams per count.
+The float path and the array path do the same integer arithmetic mod
+2^64 and exact scaling, and 1 - u, -2 * log, sqrt, 2 * pi * u and the
+products are correctly rounded: the bits are the same. log, cos and sin
+are not exact, and numpy's float64 loops (SIMD ones on hosts that have
+them) need not agree with the C library behind `math`: on an AVX-512
+Xeon, `math` gave other bits than numpy for 323 of 200 000 normals. So
+`base_gaussians` calls numpy's own `np.log`, `np.cos` and `np.sin` on
+scalars, which run the same loops as the array path, and the array
+path's log, cos and sin read and write contiguous arrays; the tests
+compare both paths with `np.array_equal` on 10^4 streams per count.
 
 A stream's base and its children's indices are pure functions of
 (master_seed, stream_index), so a whole family of them is computed on
@@ -59,7 +57,6 @@ GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
-PAIR_DRAW = 12  # gaussians draws of at most this many normals run pair by pair on floats
 
 
 def check_seed(seed: int) -> None:
@@ -142,8 +139,6 @@ class RandomStream:
         Regenerates from the stream head, so repeated calls with equal
         arguments return identical values.
         """
-        if count <= PAIR_DRAW:
-            return np.array(base_gaussians(self._base, count))
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
         r = np.subtract(1.0, u[0::2])  # (0, 1]: keeps log finite

@@ -282,13 +282,16 @@ def test_subcommand_without_a_config_writes_the_pinned_records(tmp_path, capsys,
 
 
 def test_workers_flag_rejected():
-    with pytest.raises(SystemExit):
+    # a usage error exits 1; 2 is the suite-violation code
+    with pytest.raises(SystemExit) as exc:
         main(["phase", "--workers", "1"])
+    assert exc.value.code == 1
 
 
 def test_format_flag_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["phase", "--format", "csv"])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize("experiment, figure", [
@@ -306,8 +309,20 @@ def test_experiment_always_draws_its_svg(tmp_path, experiment, figure):
 
 
 def test_unknown_solver_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["recover", "--solver", "magic"])
+    assert exc.value.code == 1
+
+
+def test_gamma_minus_inf_is_a_usage_error_unless_written_after_equals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["functional", "--k", "1", "--k-psi", "1", "--gamma", "-inf", "--cost", "1"])
+    assert exc.value.code == 1
+    assert "argument --gamma: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["functional", "--help"])
+    assert exc.value.code == 0
+    assert "--gamma=-inf" in capsys.readouterr().out
 
 
 def test_reproduce_line_selects_the_same_experiment(tmp_path):

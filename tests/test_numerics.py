@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -304,12 +305,25 @@ def test_sigma_min_has_the_bits_of_np_linalg_svd():
     for sub in _converted_inputs():
         assert _bits(smallest_singular_value(sub)) == _bits(
             _np_linalg_sigma_min(np.asarray(sub, dtype=float)))
-    # one output buffer per width: alternating widths must not read another call's values
+    # alternating widths: each call gets its own matrix's values
     gen = np.random.default_rng(14)
     mats = [gen.normal(size=(8, r)) * 10.0 ** r for r in range(1, 7)]
     expected = [_bits(_np_linalg_sigma_min(mat)) for mat in mats]
     for r in (5, 0, 3, 1, 5, 2, 0, 4, 3, 5, 1, 0, 2):
         assert _bits(smallest_singular_value(mats[r])) == expected[r]
+
+
+def test_sigma_min_is_thread_safe():
+    # two threads, each on its own matrix: every call returns that matrix's sigma_min
+    def wrong_results(mat):
+        expected = _bits(_np_linalg_sigma_min(mat))
+        return sum(_bits(smallest_singular_value(mat)) != expected for _ in range(5000))
+
+    gen = np.random.default_rng(30)
+    mats = [gen.normal(size=(40, 30)), 1e3 * gen.normal(size=(40, 30))]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(wrong_results, mat) for mat in mats]
+        assert [f.result() for f in futures] == [0, 0]
 
 
 def _outcome(func, *args):

@@ -10,8 +10,8 @@ from etrlab.harness import perturbation_bases
 from etrlab.rng import (
     GAMMA,
     MASK64,
-    PAIR_DRAW,
     RandomStream,
+    base_gaussians,
     base_uniforms,
     fisher_yates,
     mix64,
@@ -182,10 +182,12 @@ STREAMS = [RandomStream(seed, idx) for seed in (0, 42, MASK64)
 
 @pytest.mark.parametrize("stream", STREAMS, ids=lambda s: f"{s.master_seed}-{s.stream_index}")
 def test_draws_match_numpy_only_path(stream):
-    for count in range(41):  # across PAIR_DRAW
+    for count in range(41):
         _same_bytes(stream.uniforms(count), _old_uniforms(stream, count))
         _same_bytes(np.array(base_uniforms(stream.as_seed(), count)), _old_uniforms(stream, count))
         _same_bytes(stream.gaussians(count), _old_gaussians(stream, count))
+        _same_bytes(np.array(base_gaussians(stream.as_seed(), count)),
+                    _old_gaussians(stream, count))
 
 
 @given(SEEDS, st.integers(min_value=0, max_value=2 ** 63), st.data())
@@ -225,19 +227,21 @@ def test_choose_matches_numpy_only_path_at_every_size():
 
 
 # ------------------------------------------------ one Box-Muller pair on floats
-# The pair path does log, cos and sin with numpy on scalars; `math` gives
-# other bits on some hosts, so the pair is compared with the array form
-# (_old_gaussians, a verbatim copy) on many streams, not on a handful.
+# base_gaussians, which `plant` draws its magnitudes with, does log, cos and sin
+# with numpy on scalars; `math` gives other bits on some hosts, so both it and
+# `gaussians` are compared with the array form (_old_gaussians, a verbatim copy)
+# on many streams, not on a handful.
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, PAIR_DRAW, PAIR_DRAW + 1, 16])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 12, 13, 16])
 def test_gaussians_match_array_box_muller_on_many_streams(count):
     base = RandomStream(2026, 5)
     for t in range(10_000):
         s = base.split(t)
-        new, old = s.gaussians(count), _old_gaussians(s, count)
-        assert np.array_equal(new, old), (t, new, old)
-        _same_bytes(new, old)
+        old = _old_gaussians(s, count)
+        for new in (s.gaussians(count), np.array(base_gaussians(s.as_seed(), count))):
+            assert np.array_equal(new, old), (t, new, old)
+            _same_bytes(new, old)
 
 
 def test_split_bases_are_the_child_seeds():
