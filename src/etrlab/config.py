@@ -40,15 +40,16 @@ EXPERIMENT_COMMANDS = {
 EXPERIMENTS = {
     "phase": dict(d=64, n=lambda cfg: cfg.d, k=3, m_sweep=tuple(range(4, 49, 4)), epsilon=0.0,
                   trials_per_cell=50, basis="identity", sensing="gaussian",
-                  solvers=("basis-pursuit",), max_iterations=4000,
+                  solvers=("basis-pursuit",), max_iterations=SolverConfig.max_iterations,
                   thresholds=RegimeThresholds()),
     "mismatch": dict(d=32, k=4, m=lambda cfg: cfg.d // 2, epsilon=0.0, trials_per_cell=1000,
-                     recovery_trials=50, sensing="gaussian", max_iterations=4000),
+                     recovery_trials=50, sensing="gaussian",
+                     max_iterations=SolverConfig.max_iterations),
     "uncertainty-principle": dict(d_sweep=(4, 16, 64), trials_per_cell=200),
     "perturbation": dict(d=6, n=8, k=1, trials_per_cell=200, sensing="gaussian"),
     "regime-map": dict(d=16, n=lambda cfg: cfg.d, k_sweep=(1, 2, 3), m_sweep=(2, 4, 6, 8, 12, 16),
                        epsilon=0.0, trials_per_cell=20, basis="identity", sensing="gaussian",
-                       max_iterations=4000, thresholds=RegimeThresholds()),
+                       max_iterations=SolverConfig.max_iterations, thresholds=RegimeThresholds()),
 }
 # fields that every experiment takes; workers accepts only 1
 SHARED_FIELDS = ("experiment", "master_seed", "output_dir", "workers")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
-from .geometry import GeometryReport
+from .geometry import GeometryReport, check_gamma, gamma_is_zero
 from .numerics import TOL
 from .sparsity import check_sparsity
 
@@ -79,25 +79,17 @@ class UncertaintyReport:
     regime: str
 
 
-def _check_gamma(gamma_2k: float) -> None:
-    """Raise InvalidSparsity for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
-    if not math.isfinite(gamma_2k):
-        raise InvalidSparsity(f"gamma_2k must be finite, got {gamma_2k}")
-    if gamma_2k <= TOL.gamma_zero:
-        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
-
-
 def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
     if k_psi < 1 or cost < 1:
         raise InvalidSparsity("k_psi and cost must be >= 1")
-    _check_gamma(gamma_2k)
+    check_gamma(gamma_2k)
     return k_psi * (1.0 / gamma_2k) * math.log1p(cost)
 
 
 def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     """(k_psi / gamma_2k) * ln 2; a floor under every uncertainty value."""
-    _check_gamma(gamma_2k)
+    check_gamma(gamma_2k)
     return k_psi / gamma_2k * math.log(2.0)
 
 
@@ -167,7 +159,7 @@ def classify_regime(
         f"m = {m}, budget = {budget}, oracle rate = {oracle:.2f}, "
         f"best polynomial rate = {poly:.2f}"
     )
-    if gamma_for_nonunique <= TOL.gamma_zero:
+    if gamma_is_zero(gamma_for_nonunique):
         return RegimeLabel("non-unique", f"{gamma_desc} <= {TOL.gamma_zero}; {stats_desc}")
     if gamma_for_stable >= th.stable_c and m >= budget and poly >= th.battery_success_min:
         return RegimeLabel("stable", f"{gamma_desc} >= c = {th.stable_c}; {stats_desc}")

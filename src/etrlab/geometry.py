@@ -139,6 +139,19 @@ def _is_zero(sigma: float, cutoff: float) -> bool:
     return sigma < cutoff or sigma <= 0.0
 
 
+def gamma_is_zero(gamma: float) -> bool:
+    """The zero test on a gamma value whose matrix is not at hand: gamma <= TOL.gamma_zero."""
+    return gamma <= TOL.gamma_zero
+
+
+def check_gamma(gamma_2k: float) -> None:
+    """Raise InvalidSparsity for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
+    if not isfinite(gamma_2k):
+        raise InvalidSparsity(f"gamma_2k must be finite, got {gamma_2k}")
+    if gamma_is_zero(gamma_2k):
+        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+
+
 def check_exact(n: int, r: int) -> int:
     """C(n, r), the supports `gamma_exact` on n columns enumerates; raises where it would."""
     if not 1 <= r <= n:
@@ -222,9 +235,9 @@ def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
 def perturbation_check(
     a: EffectiveSensing, z1: np.ndarray, z2: np.ndarray, gamma_2k: float
 ) -> tuple[bool, float]:
-    """Check ||z1 - z2|| <= ||A (z1 - z2)|| / gamma_2k; returns (holds, slack)."""
-    if gamma_2k <= TOL.gamma_zero:
-        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+    """Check ||z1 - z2|| <= ||A (z1 - z2)|| / gamma_2k; returns (holds, slack). A gamma_2k
+    that is not finite, or is zero, raises as in `check_gamma`."""
+    check_gamma(gamma_2k)
     h = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     lhs = vector_norm(h)
     rhs = vector_norm(a.a @ h) / gamma_2k

@@ -38,11 +38,11 @@ from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
-from .geometry import gamma_exact, geometry_report, perturbation_check
+from .geometry import gamma_exact, gamma_is_zero, geometry_report, perturbation_check
 from .numerics import TOL, detected_support, vector_norm
 from .rng import RandomStream, split_indices, stream_bases
-from .solvers import SOLVER_NAMES, SolverConfig, run_battery, solve
-from .sparsity import effective_sparsity, plant, observe, representation_complexity
+from .solvers import SOLVER_NAMES, BatteryEntry, SolverConfig, run_battery, solve
+from .sparsity import effective_sparsity, plant, observe
 
 SUCCESS_REL_ERROR = 1e-4
 # perturbation trials whose bases are computed at once. Every array of a block stays
@@ -66,6 +66,23 @@ def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[boo
     hat_supp = set(detected_support(alpha_hat))
     match = hat_supp == truth_supp
     return match and rel <= SUCCESS_REL_ERROR, match, rel
+
+
+def solve_outcome(entry: BatteryEntry, alpha_star: np.ndarray) -> dict:
+    """The outcome columns of one battery solve against the planted alpha_star; a
+    solve that raised fails, at infinite error and no cost."""
+    res = entry.result
+    if res is None:
+        return dict(success=False, support_match=False, rel_error=float("inf"),
+                    cost_total=0, converged=False, error=entry.error.replace(",", ";"))
+    ok, match, rel = recovery_success(res.alpha_hat, alpha_star)
+    return dict(success=ok, support_match=match, rel_error=rel,
+                cost_total=res.cost.total, converged=res.converged, error="")
+
+
+def success_rate(rows: list[dict]) -> float:
+    """The share of rows whose success column is set."""
+    return sum(r["success"] for r in rows) / len(rows)
 
 
 def isotonic_fit(values: list[float]) -> list[float]:
@@ -169,21 +186,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         phi = build_sensing(cfg.sensing, m, cfg.d, seed=stream.split(0).as_seed())
         inst = plant(psi, cfg.k, stream.split(1).split_bases(3))
         y = observe(inst.x, phi, cfg.epsilon, stream.split(2))
-        a = compose(phi, psi)
-        rows = []
-        for entry in run_battery(a, y, scfg, cfg.solvers):
-            row = {"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n,
-                   "solver": entry.solver, "trial": t}
-            res = entry.result
-            if res is None:
-                row.update(success=False, support_match=False, rel_error=float("inf"),
-                           cost_total=0, converged=False, error=entry.error.replace(",", ";"))
-            else:
-                ok, match, rel = recovery_success(res.alpha_hat, inst.alpha_star)
-                row.update(success=ok, support_match=match, rel_error=rel,
-                           cost_total=res.cost.total, converged=res.converged, error="")
-            rows.append(row)
-        return rows
+        return [{"experiment": "phase", "m": m, "k": cfg.k, "n": cfg.n, "solver": entry.solver,
+                 "trial": t, **solve_outcome(entry, inst.alpha_star)}
+                for entry in run_battery(compose(phi, psi), y, scfg, cfg.solvers)]
 
     records = [row for ci, m in enumerate(cfg.m_sweep) for t in range(cfg.trials_per_cell)
                for row in one_trial(ci, m, t)]
@@ -194,12 +199,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
     lines.append("|---|--------|--------------|")
     series: dict = {}
     for solver in cfg.solvers:
-        rates = []
-        for m in cfg.m_sweep:
-            cell = [r for r in records if r["solver"] == solver and r["m"] == m]
-            rate = sum(r["success"] for r in cell) / len(cell)
-            rates.append(rate)
-            lines.append(f"| {m} | {solver} | {rate:.3f} |")
+        rates = [success_rate([r for r in records if r["solver"] == solver and r["m"] == m])
+                 for m in cfg.m_sweep]
+        lines += [f"| {m} | {solver} | {rate:.3f} |" for m, rate in zip(cfg.m_sweep, rates)]
         series[solver] = list(zip(cfg.m_sweep, rates))
         smooth = isotonic_fit(rates)
         crossing = next((m for m, r in zip(cfg.m_sweep, smooth) if r >= 0.5), None)
@@ -256,10 +258,8 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
 
     census = [r for r in records if r["phase"] == "census"]
     dense = sum(1 for r in census if r["k_eff"] == d) / len(census)
-    matched = [r for r in records if r["arm"] == "matched"]
-    mismatched = [r for r in records if r["arm"] == "mismatched"]
-    rate_m = sum(r["success"] for r in matched) / len(matched)
-    rate_x = sum(r["success"] for r in mismatched) / len(mismatched)
+    rate_m = success_rate([r for r in records if r["arm"] == "matched"])
+    rate_x = success_rate([r for r in records if r["arm"] == "mismatched"])
     keff_mode = max(set(r["k_eff"] for r in census), key=[r["k_eff"] for r in census].count)
     predicted = inflation_ratio(k, keff_mode, d)
     lines = [
@@ -298,8 +298,8 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
         slacks = []
         for t in range(cfg.trials_per_cell):
             x = base.split(di).split(t).gaussians(d)
-            k1 = representation_complexity(x, ident).k_psi
-            k2 = representation_complexity(x, hada).k_psi
+            k1 = effective_sparsity(x, ident)
+            k2 = effective_sparsity(x, hada)
             product = k1 * k2
             violated = product < floor - TOL.bound_slack
             records.append({
@@ -313,8 +313,8 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
                     f"d={d} trial={t} seed={cfg.master_seed}: {product} < {floor}"
                 )
         x = _subgroup_indicator(d)
-        k1 = representation_complexity(x, ident).k_psi
-        k2 = representation_complexity(x, hada).k_psi
+        k1 = effective_sparsity(x, ident)
+        k2 = effective_sparsity(x, hada)
         records.append({
             "experiment": "uncertainty-principle", "d": d, "trial": -1,
             "case": "subgroup-extremal", "k1": k1, "k2": k2,
@@ -359,7 +359,7 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
         g = gamma_exact(a, min(2 * k, n))
         row = {"experiment": "perturbation", "trial": t, "m": d, "n": n, "k": k,
                "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": False}
-        if g <= TOL.gamma_zero:
+        if gamma_is_zero(g):
             row["degenerate"] = True
             return row
         z1 = plant(psi, k, words[1:4]).alpha_star
@@ -410,20 +410,15 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         a = compose(phi, psi)
         geom = geometry_report(a, min(2 * k, cfg.n), cell.split(1))
         scfg = _solver_config(cfg, k)
-        successes = {name: 0 for name in SOLVER_NAMES}
+        outcomes = {name: [] for name in SOLVER_NAMES}
         for t in range(cfg.trials_per_cell):
             ts = cell.split(2).split(t)
             inst = plant(psi, k, ts.split(0).split_bases(3))
             y = observe(inst.x, phi, cfg.epsilon, ts.split(1))
             for entry in run_battery(a, y, scfg):
-                if entry.result is None:
-                    continue
-                ok, _, _ = recovery_success(entry.result.alpha_hat, inst.alpha_star)
-                successes[entry.solver] += ok
-        stats = BatteryStats(
-            trials=cfg.trials_per_cell,
-            success_rate={s: successes[s] / cfg.trials_per_cell for s in successes},
-        )
+                outcomes[entry.solver].append(solve_outcome(entry, inst.alpha_star))
+        stats = BatteryStats(trials=cfg.trials_per_cell,
+                             success_rate={s: success_rate(rows) for s, rows in outcomes.items()})
         label = classify_regime(geom, m, cfg.n, k, stats, cfg.thresholds)
         return {
             "experiment": "regime-map", "m": m, "k": k, "d": cfg.d, "n": cfg.n,

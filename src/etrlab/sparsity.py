@@ -1,4 +1,4 @@
-"""Representation-complexity oracles, mismatch sparsity, and planted instances."""
+"""Representation complexity K_Psi, the l0 support search, and planted instances."""
 
 from __future__ import annotations
 
@@ -8,12 +8,8 @@ from math import comb, inf
 import numpy as np
 
 from .dictionaries import is_orthonormal
-from .errors import (
-    DimensionMismatch,
-    EnumerationTooLarge,
-    InvalidSparsity,
-    ZeroSignal,
-)
+from .errors import (DimensionMismatch, EnumerationTooLarge, InvalidSparsity, NotOrthonormal,
+                     ZeroSignal)
 from .geometry import BLOCK_CACHE, CHUNK_BYTES, chunk_count, chunk_rows, support_chunk
 # least_squares stays importable from here: bench/tracing.py patches sparsity.least_squares
 from .numerics import TOL, least_squares, stack_coefficients, stack_fit, vector_norm  # noqa: F401
@@ -25,12 +21,6 @@ FIT_MEMO_BYTES = BLOCK_CACHE * CHUNK_BYTES  # 4 MiB, the bound of the colex bloc
 
 
 @dataclass(frozen=True)
-class SparsityReport:
-    k_psi: int
-    support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PlantedInstance:
     alpha_star: np.ndarray
     x: np.ndarray
@@ -39,29 +29,6 @@ class PlantedInstance:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.alpha_star))
-
-
-def representation_complexity(x: np.ndarray, psi: np.ndarray) -> SparsityReport:
-    """Minimal support size expressing x in psi to within TOL.zero_tau * ||x||.
-
-    Orthonormal bases use the analysis transform directly; a general
-    matrix argument falls back to `minimal_support`'s enumeration in
-    increasing size, under its SUPPORT_GUARD.
-    """
-    x = np.asarray(x, dtype=float)
-    xnorm = vector_norm(x)
-    if xnorm == 0.0:
-        raise ZeroSignal("representation complexity of the zero signal is undefined")
-    mat = np.atleast_2d(np.asarray(psi, dtype=float))
-    if mat.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"psi has {mat.shape[0]} rows, x has {x.shape[0]} entries")
-    if is_orthonormal(mat):
-        support = _analysis_support(x, mat, xnorm)
-        return SparsityReport(k_psi=len(support), support=tuple(support))
-    support, _, _ = minimal_support(mat, x, TOL.zero_tau * xnorm, mat.shape[1])
-    if support is None:
-        raise ZeroSignal("x is not in the column span of psi")  # unreachable for spanning psi
-    return SparsityReport(k_psi=len(support), support=support)
 
 
 class _ChunkFits:
@@ -115,10 +82,9 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int):
     one least-squares stack per geometry.support_chunks chunk; the first fit
     in that order is returned. Raises EnumerationTooLarge before a size
     that takes the cumulative support count past SUPPORT_GUARD, the one
-    guard of solve_l0 and representation_complexity alike. Returns
-    (support, coef, tallies), support and coef None when nothing fits;
-    tallies holds (size, supports examined, non-singular ones) for each
-    size walked.
+    guard of solve_l0. Returns (support, coef, tallies), support and coef
+    None when nothing fits; tallies holds (size, supports examined,
+    non-singular ones) for each size walked.
 
     The y-independent half of each chunk's fit (`numerics.stack_fit`: the
     gathered stack, its Gram matrices and their rank test) is kept for the
@@ -155,20 +121,21 @@ def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int):
 
 
 def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
-    """Nonzero count of the analysis coefficients of x in an orthonormal basis."""
+    """K_Psi(x), the minimal support expressing x in the orthonormal basis psi: the
+    count of entries of psi^T x above TOL.zero_tau * ||x||.
+
+    For any other psi, K_Psi(x) is the support size of
+    `solvers.solve_l0(EffectiveSensing(psi), x, SolverConfig(epsilon=TOL.zero_tau * ||x||))`.
+    """
     x = np.asarray(x, dtype=float)
     xnorm = vector_norm(x)
     if xnorm == 0.0:
         raise ZeroSignal("effective sparsity of the zero signal is undefined")
+    if psi.shape[0] != x.shape[0]:
+        raise DimensionMismatch(f"psi has {psi.shape[0]} rows, x has {x.shape[0]} entries")
     if not is_orthonormal(psi):
-        raise InvalidSparsity("effective_sparsity requires an orthonormal basis")
-    return len(_analysis_support(x, psi, xnorm))
-
-
-def _analysis_support(x: np.ndarray, psi: np.ndarray, xnorm: float) -> np.ndarray:
-    """Indices where |psi^T x| > TOL.zero_tau * xnorm, xnorm = ||x||: the support
-    of x in the orthonormal basis psi."""
-    return np.flatnonzero(np.abs(psi.T @ x) > TOL.zero_tau * xnorm)
+        raise NotOrthonormal("effective_sparsity requires an orthonormal basis")
+    return int(np.count_nonzero(np.abs(psi.T @ x) > TOL.zero_tau * xnorm))
 
 
 def check_sparsity(k: int, n: int) -> None:

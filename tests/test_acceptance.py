@@ -32,7 +32,7 @@ from etrlab.geometry import (
 from etrlab.harness import isotonic_fit, recovery_success, run_experiment
 from etrlab.rng import RandomStream
 from etrlab.solvers import SolverConfig, run_battery, solve_bp, solve_l0, solve_omp
-from etrlab.sparsity import observe, plant, representation_complexity
+from etrlab.sparsity import effective_sparsity, observe, plant
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -66,8 +66,8 @@ def test_criterion_1_uncertainty_principle():
             else:
                 k = 1 + min(int(ts.split(0).uniforms(1)[0] * d), d - 1)
                 x = plant(identity, min(k, d), ts.split(1).split_bases(3)).x
-            k1 = representation_complexity(x, identity).k_psi
-            k2 = representation_complexity(x, hadamard).k_psi
+            k1 = effective_sparsity(x, identity)
+            k2 = effective_sparsity(x, hadamard)
             checked += 1
             if k1 * k2 < d:
                 violations += 1
@@ -75,8 +75,8 @@ def test_criterion_1_uncertainty_principle():
         from etrlab.harness import _subgroup_indicator
 
         x = _subgroup_indicator(d)
-        k1 = representation_complexity(x, identity).k_psi
-        k2 = representation_complexity(x, hadamard).k_psi
+        k1 = effective_sparsity(x, identity)
+        k2 = effective_sparsity(x, hadamard)
         assert k1 * k2 == d
     elapsed = time.monotonic() - t0
     assert violations == 0

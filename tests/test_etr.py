@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etrlab.dictionaries import EffectiveSensing
 from etrlab.errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
 from etrlab.etr import (
     BatteryStats,
@@ -15,7 +16,8 @@ from etrlab.etr import (
     sample_threshold,
     uncertainty_functional,
 )
-from etrlab.geometry import GeometryReport
+from etrlab.geometry import GeometryReport, gamma_is_zero, perturbation_check
+from etrlab.numerics import TOL
 
 
 def _geom(exact=None, lower=0.0, upper=1.0, r=2):
@@ -48,6 +50,18 @@ def test_functional_worked_example():
         4.0 * math.log(101.0), rel=1e-14
     )
     assert uncertainty_functional(2, 0.5, 100) == pytest.approx(18.46048206736504, rel=1e-12)
+
+
+def test_one_zero_gamma_test_serves_the_functional_and_the_perturbation_check():
+    assert gamma_is_zero(TOL.gamma_zero) and not gamma_is_zero(math.nextafter(TOL.gamma_zero, 1.0))
+    a = EffectiveSensing(np.eye(2))
+    for gamma in (0.0, TOL.gamma_zero):
+        with pytest.raises(DegenerateGamma) as functional:
+            uncertainty_functional(1, gamma, 10)
+        with pytest.raises(DegenerateGamma) as check:
+            perturbation_check(a, np.ones(2), np.zeros(2), gamma)
+        message = f"gamma_2k = {gamma} is numerically zero"
+        assert str(functional.value) == str(check.value) == message
 
 
 def test_functional_degenerate_gamma_raises():

@@ -25,6 +25,8 @@ from etrlab.harness import (
     isotonic_fit,
     recovery_success,
     run_experiment,
+    solve_outcome,
+    success_rate,
     write_records_csv,
 )
 
@@ -59,6 +61,17 @@ def test_recovery_success_rejects_large_error():
     hat = np.array([0.0, 1.01, 0.0, 0.0])
     ok, match, rel = recovery_success(hat, star)
     assert match and not ok and rel == pytest.approx(0.01)
+
+
+def test_solve_outcome_counts_a_raised_solve_as_a_failure():
+    star = np.array([0.0, 1.0, 0.0])
+    result = solvers.solve_omp(EffectiveSensing(np.eye(3)), star, solvers.SolverConfig())
+    solved = solve_outcome(solvers.BatteryEntry("omp", result), star)
+    raised = solve_outcome(solvers.BatteryEntry("omp", None, error="Stalled: a, b"), star)
+    assert solved["success"] and solved["support_match"] and solved["error"] == ""
+    assert raised == dict(success=False, support_match=False, rel_error=math.inf,
+                          cost_total=0, converged=False, error="Stalled: a; b")
+    assert success_rate([solved, raised]) == 0.5
 
 
 # ------------------------------------------------------ isotonic

@@ -32,9 +32,7 @@ from etrlab.solvers import (
     solve_l0,
     solve_omp,
 )
-from etrlab.sparsity import (
-    SUPPORT_GUARD, minimal_support, observe, plant, representation_complexity,
-)
+from etrlab.sparsity import SUPPORT_GUARD, minimal_support, observe, plant
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -111,8 +109,12 @@ def test_one_support_guard_stops_l0_and_k_psi_before_the_same_size(monkeypatch):
     assert not is_orthonormal(psi)
     two = psi[:, [2, 5]] @ np.array([1.0, -2.0])
     three = psi[:, [1, 4, 8]] @ np.array([1.0, -2.0, 0.5])
-    searches = (lambda y: representation_complexity(y, psi).support,
-                lambda y: solve_l0(EffectiveSensing(psi), y, SolverConfig()).support)
+
+    def k_psi(y):  # the support of y in psi: the l0 search at epsilon = TOL.zero_tau * ||y||
+        return solve_l0(EffectiveSensing(psi), y,
+                        SolverConfig(epsilon=TOL.zero_tau * np.linalg.norm(y))).support
+
+    searches = (k_psi, lambda y: solve_l0(EffectiveSensing(psi), y, SolverConfig()).support)
     monkeypatch.setattr(sparsity, "SUPPORT_GUARD", 55)
     for search in searches:
         assert search(two) == (2, 5)
