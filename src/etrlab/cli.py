@@ -29,7 +29,7 @@ from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
 from .numerics import load_matrix, load_vector
 from .rng import RandomStream, check_seed
-from .solvers import SOLVER_NAMES, SolverConfig, solve
+from .solvers import SOLVER_NAMES, SolverConfig, run_battery
 from .sparsity import PlantedInstance, validate_instance
 
 
@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", help="write the result CSV here")
 
     f = sub.add_parser("functional", help="evaluate the uncertainty functional")
-    f.add_argument("--k", type=int, required=True)
     f.add_argument("--k-psi", type=int, required=True)
     f.add_argument("--gamma", type=float, required=True,
                    help="gamma_2k; give -inf or -nan after '=', as --gamma=-inf")
@@ -164,7 +163,11 @@ def _cmd_recover(args) -> int:
     solver = _SOLVER_ALIAS.get(args.solver, args.solver)
     a, y, instance = _load_recover_inputs(args)
     cfg = SolverConfig(epsilon=args.epsilon, max_sparsity=args.max_sparsity)
-    res = solve(solver, a, y, cfg)
+    (entry,) = run_battery(a, y, cfg, (solver,))
+    res = entry.result
+    if res is None:  # the entry's error reads "{Type}: {message}", as main prints a lab error
+        print(f"error: {entry.error}", file=sys.stderr)
+        return 1
     # an instance is solved with A = Psi and y = x, so ||Psi alpha_hat - x|| is the residual
     ratio = res.residual_norm / args.epsilon if instance and args.epsilon > 0 else ""
     row = {
@@ -187,7 +190,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_functional(args) -> int:
-    report = build_uncertainty_report(args.k, args.k_psi, args.gamma, args.cost)
+    report = build_uncertainty_report(args.k_psi, args.gamma, args.cost)
     print(f"u_value: {report.u_value:.12g}")
     print(f"lower_bound: {report.lower_bound:.12g}")
     print(f"regime: {report.regime}")

@@ -134,14 +134,10 @@ def mutual_coherence(psi1: np.ndarray, psi2: np.ndarray) -> float:
     return float(np.max(np.abs(psi1.T @ psi2)))
 
 
-def self_coherence(a: EffectiveSensing) -> float:
-    """max_{i != j} |<a_i, a_j>| over unit-normalized columns."""
-    mat = a.a
-    norms = np.linalg.norm(mat, axis=0)
-    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
-        raise NotNormalized("self_coherence requires unit-norm columns")
-    if mat.shape[1] == 1:
-        return 0.0
+def self_coherence(mat: np.ndarray) -> float:
+    """max_{i != j} |<a_i, a_j>| over the columns of mat, normalized by
+    `normalize_columns`; raises NotNormalized if a column is zero."""
+    mat = normalize_columns(mat)
     gram = np.abs(mat.T @ mat)
     np.fill_diagonal(gram, 0.0)
     return float(np.max(gram))

@@ -70,7 +70,6 @@ class BatteryStats:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    k: int
     k_psi: int
     gamma_2k: float
     cost: int
@@ -93,16 +92,15 @@ def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     return k_psi / gamma_2k * math.log(2.0)
 
 
-def build_uncertainty_report(k: int, k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
+def build_uncertainty_report(k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
     """Report constructor, regime indeterminate; a degenerate gamma yields infinity plus
     non-unique, and a gamma that is not finite raises InvalidSparsity."""
     try:
         value = uncertainty_functional(k_psi, gamma_2k, cost)
         bound = nonvanishing_bound(k_psi, gamma_2k)
     except DegenerateGamma:
-        return UncertaintyReport(k, k_psi, gamma_2k, cost,
-                                 math.inf, math.inf, "non-unique")
-    return UncertaintyReport(k, k_psi, gamma_2k, cost, value, bound, "indeterminate")
+        return UncertaintyReport(k_psi, gamma_2k, cost, math.inf, math.inf, "non-unique")
+    return UncertaintyReport(k_psi, gamma_2k, cost, value, bound, "indeterminate")
 
 
 def inflation_ratio(k: int, k_eff: int, d: int) -> float:

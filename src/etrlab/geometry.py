@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, frexp, inf, isfinite, ldexp, sqrt
+from math import comb, frexp, isfinite, ldexp, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -152,10 +152,15 @@ def check_gamma(gamma_2k: float) -> None:
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
 
 
-def check_exact(n: int, r: int) -> int:
-    """C(n, r), the supports `gamma_exact` on n columns enumerates; raises where it would."""
+def _check_r(n: int, r: int) -> None:
+    """Raise InvalidSparsity for a support size r outside 1..n."""
     if not 1 <= r <= n:
         raise InvalidSparsity(f"r={r} outside 1..{n}")
+
+
+def check_exact(n: int, r: int) -> int:
+    """C(n, r), the supports `gamma_exact` on n columns enumerates; raises where it would."""
+    _check_r(n, r)
     total = comb(n, r)
     if total > EXACT_GUARD:
         raise EnumerationTooLarge(f"binomial({n},{r}) = {total} > {EXACT_GUARD}")
@@ -193,20 +198,13 @@ def gamma_exact(a: EffectiveSensing, r: int, with_witness: bool = False):
 
 
 def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
-    """Minimum of sigma_min over sampled supports; an upper bound on gamma_r.
-
-    When trials covers the full support count this is gamma_exact itself.
-    """
+    """Minimum of sigma_min over the supports stream.split(t) draws for t < trials, which
+    may repeat: an upper bound on gamma_r, whatever the trials (see `geometry_report`)."""
     mat = a.a
     n = mat.shape[1]
     if trials < 1:
         raise InvalidSparsity("trials must be >= 1")
-    try:
-        total = check_exact(n, r)
-    except EnumerationTooLarge:
-        total = inf
-    if trials >= total:
-        return gamma_exact(a, r)
+    _check_r(n, r)
     _zero_cutoff(mat)  # refuses an inf or NaN, as gamma_exact does
     best = np.inf
     for t in range(trials):
@@ -217,7 +215,7 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
 
 def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
     """Gershgorin bound min_j ||a_j|| sqrt(max(0, 1 - (r-1) mu)), mu the self
-    coherence of A with normalized columns; 0.0 when A has a zero column.
+    coherence of A; 0.0 when A has a zero column.
 
     sigma_min(A_S) >= min_{j in S} ||a_j|| sigma_min of the normalized A_S, so
     the bound holds for any column norms; `_unit_scaled` keeps their squares
@@ -228,7 +226,7 @@ def gamma_lower_coherence(a: EffectiveSensing, r: int) -> float:
         norms = column_norms(scaled)
     except NotNormalized:
         return 0.0
-    mu = self_coherence(EffectiveSensing(scaled / norms))
+    mu = self_coherence(scaled)
     return ldexp(float(np.min(norms)) * float(np.sqrt(max(0.0, 1.0 - (r - 1) * mu))), e)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import shlex
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshol
 from .geometry import gamma_exact, gamma_is_zero, geometry_report, perturbation_check
 from .numerics import TOL, detected_support, vector_norm
 from .rng import RandomStream, split_indices, stream_bases
-from .solvers import SOLVER_NAMES, BatteryEntry, SolverConfig, run_battery, solve
+from .solvers import SOLVER_NAMES, BatteryEntry, SolverConfig, run_battery
 from .sparsity import effective_sparsity, plant, observe
 
 SUCCESS_REL_ERROR = 1e-4
@@ -232,26 +233,22 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
 
     def census_trial(t):
         _, _, keff = draw(base.split(0).split(t))
-        return {
-            "experiment": "mismatch", "phase": "census", "arm": "-", "m": 0,
-            "k": k, "d": d, "trial": t, "k_eff": keff,
-            "success": False, "rel_error": 0.0,
-        }
+        return {"experiment": "mismatch", "phase": "census", "arm": "-", "m": 0, "k": k, "d": d,
+                "trial": t, "k_eff": keff, "success": False, "support_match": False,
+                "rel_error": 0.0, "cost_total": 0, "converged": False, "error": ""}
 
     def recovery_trial(t):
         stream = base.split(1).split(t)
         psi_star, inst, keff = draw(stream)
         phi = build_sensing(cfg.sensing, m, d, seed=stream.split(2).as_seed())
         y = observe(inst.x, phi, cfg.epsilon, stream.split(3))
-        matched = solve("basis-pursuit", compose(phi, psi_star), y, scfg)
-        mism = solve("basis-pursuit", EffectiveSensing(phi), y, scfg)
-        rows = []
-        for arm, res, target in (("matched", matched, inst.alpha_star), ("mismatched", mism, inst.x)):
-            ok, _, rel = recovery_success(res.alpha_hat, target)
-            rows.append({"experiment": "mismatch", "phase": "recovery", "arm": arm,
-                         "m": m, "k": k, "d": d, "trial": t, "k_eff": keff,
-                         "success": ok, "rel_error": rel})
-        return rows
+        arms = (("matched", compose(phi, psi_star), inst.alpha_star),
+                ("mismatched", EffectiveSensing(phi), inst.x))
+        return [{"experiment": "mismatch", "phase": "recovery", "arm": arm,
+                 "m": m, "k": k, "d": d, "trial": t, "k_eff": keff,
+                 **solve_outcome(entry, target)}
+                for arm, a, target in arms
+                for entry in run_battery(a, y, scfg, ("basis-pursuit",))]
 
     records = [census_trial(t) for t in range(cfg.trials_per_cell)]
     records += [row for t in range(cfg.recovery_trials) for row in recovery_trial(t)]
@@ -271,6 +268,12 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         f"reference budgets: matched m* = {sample_threshold(k, d)}, "
         f"mismatched m* = {sample_threshold(keff_mode, d)}",
     ]
+    # a solve that raised is a failed row whose error column names the exception type
+    for arm in ("matched", "mismatched"):
+        raised = Counter(r["error"].split(":")[0] for r in records if r["arm"] == arm and r["error"])
+        by_type = "; ".join(f"{name}: {count}" for name, count in sorted(raised.items()))
+        lines.append(f"{arm} solves that raised: {raised.total()} of {cfg.recovery_trials}"
+                     + (f" ({by_type})" if raised else ""))
     return render_report(records, cfg, "mismatch", lines)
 
 

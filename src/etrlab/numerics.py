@@ -46,7 +46,6 @@ class Tolerances:
     gamma_zero: float = 1e-10      # gamma treated as exactly 0 below this
     feasibility_slack: float = 1e-10
     bound_slack: float = 1e-9      # rounding allowed when checking a proven inequality
-    unit_norm: float = 1e-8        # column norms this close to 1 count as normalized
     omp_stall: float = 1e-12       # OMP stops when no column correlates above this
     reachability: float = 1e-8     # BP: residual off range(A) allowed beyond epsilon
     path_end: float = 1e-9         # BP: the path ends once lambda falls below this times its start

@@ -317,16 +317,10 @@ SOLVER_NAMES = tuple(_SOLVE)  # the order run_battery runs them in by default
 
 
 def check_solvers(names) -> None:
-    """Raise InvalidSparsity for a name `solve` does not know."""
+    """Raise InvalidSparsity for a name `run_battery` does not know."""
     unknown = [name for name in names if name not in SOLVER_NAMES]
     if unknown:
         raise InvalidSparsity(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
-
-
-def solve(name: str, a, y, cfg) -> RecoveryResult:
-    """Dispatch to one solver by name."""
-    check_solvers((name,))
-    return _SOLVE[name](a, y, cfg)
 
 
 def run_battery(

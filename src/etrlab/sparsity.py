@@ -155,7 +155,10 @@ def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     deterministic per bases: the three 64-bit stream bases the caller passes, for a
     stream s `s.split_bases(3)` (the bases of s.split(0), split(1) and split(2)).
     Support, signs and magnitudes come as Python values from those bases, each entry
-    with the bits of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5."""
+    with the bits of the array form sign * (MIN_COEFF + |g|), the sign -1.0 where u < 0.5.
+    The array form itself, drawn from the same bases, costs more: 44 us a plant where
+    this writer takes 9 us at n = 8, k = 1 (perturbation's 20 000 plants), and 34-37 us
+    where it takes 14-17 us at k = 3 and 4 (timeit, best of 7 x 2000, one core)."""
     n = psi.shape[1]
     check_sparsity(k, n)
     support_base, sign_base, magnitude_base = bases

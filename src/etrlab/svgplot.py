@@ -49,8 +49,8 @@ def line_plot(path, series: dict, xlab: str, ylab: str, title: str) -> None:
 
 
 def heat_map(path, grid: dict, xs: list, ys: list, xlab: str, ylab: str,
-             title: str, colors: dict | None = None) -> None:
-    """grid: (x, y) -> value in [0,1] or a categorical label (with colors)."""
+             title: str, colors: dict) -> None:
+    """grid: (x, y) -> a label; colors: label -> its cell's fill."""
     if not grid:
         raise IoFailure("no data to plot")
     cw = (W - 2 * PAD) / max(len(xs), 1)
@@ -61,11 +61,7 @@ def heat_map(path, grid: dict, xs: list, ys: list, xlab: str, ylab: str,
             v = grid.get((x, y))
             if v is None:
                 continue
-            if colors is not None:
-                fill = colors.get(v, "#cccccc")
-            else:
-                level = int(255 * (1.0 - max(0.0, min(1.0, float(v)))))
-                fill = f"rgb({level},{level},255)"
+            fill = colors[v]
             px = PAD + i * cw
             py = H - PAD - (j + 1) * ch
             parts.append(

@@ -6,6 +6,7 @@ line in captured output; run with -s to stream them).
 """
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -25,7 +26,6 @@ from etrlab.etr import BatteryStats, classify_regime, inflation_ratio, uncertain
 from etrlab.geometry import (
     gamma_exact,
     gamma_lower_coherence,
-    gamma_sampled,
     geometry_report,
     perturbation_check,
 )
@@ -89,8 +89,10 @@ def test_criterion_2_gamma_oracle_consistency():
     for seed in range(100):
         a = EffectiveSensing(build_sensing("gaussian", 8, 12, seed=seed))
         exact = gamma_exact(a, 2)
-        sampled = gamma_sampled(a, 2, trials=66, stream=RandomStream(seed, 7))
-        assert abs(exact - sampled) <= 1e-12
+        # the oracle: numpy's SVD of each of the C(12, 2) = 66 column pairs
+        oracle = min(np.linalg.svd(a.a[:, list(s)], compute_uv=False)[-1]
+                     for s in itertools.combinations(range(12), 2))
+        assert abs(exact - oracle) <= 1e-12
         an = EffectiveSensing(a.a / np.linalg.norm(a.a, axis=0))
         assert gamma_exact(an, 2) >= gamma_lower_coherence(an, 2) - 1e-12
         assert exact <= gamma_exact(a, 1) + 1e-12
@@ -207,7 +209,7 @@ def test_criterion_7_functional_and_cost_ordering():
     for k_psi in (1, 2, 5, 16):
         for g in (1e-6, 0.01, 0.5, 1.0):
             for cost in (1, 100, 10 ** 9):
-                rep = build_uncertainty_report(2, k_psi, g, cost)
+                rep = build_uncertainty_report(k_psi, g, cost)
                 assert rep.u_value > 0.0
                 assert rep.u_value >= rep.lower_bound * (1.0 - 1e-12)
                 assert rep.lower_bound == pytest.approx(

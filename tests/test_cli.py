@@ -17,7 +17,7 @@ from etrlab.etr import UncertaintyReport
 from etrlab.harness import render_report, run_experiment
 from etrlab.dictionaries import EffectiveSensing, build_dictionary
 from etrlab.numerics import load_matrix, load_vector, save_matrix
-from etrlab.solvers import SolverConfig, solve
+from etrlab.solvers import SolverConfig, solve_bp
 
 
 def test_geometry_markdown_and_csv(tmp_path, capsys):
@@ -105,7 +105,7 @@ def test_recover_instance_prints_the_stability_ratio(tmp_path, capsys):
     printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     basis = load_matrix(tmp_path / "basis.csv")
     x = basis @ load_vector(tmp_path / "alpha.csv")
-    res = solve("basis-pursuit", EffectiveSensing(basis), x, SolverConfig(epsilon=0.01))
+    res = solve_bp(EffectiveSensing(basis), x, SolverConfig(epsilon=0.01))
     ratio = float(np.linalg.norm(basis @ res.alpha_hat - x)) / 0.01
     assert ratio > 0.0
     assert float(printed["stability_ratio"]) == ratio
@@ -157,6 +157,19 @@ def test_recover_rejects_alpha_of_the_wrong_length(tmp_path, capsys):
     assert "DimensionMismatch" in capsys.readouterr().err
 
 
+def test_recover_prints_a_raised_solve_as_main_prints_a_lab_error(tmp_path, capsys):
+    # y needs two columns of the identity, and the l0 search may use one
+    save_matrix(tmp_path / "a.csv", np.eye(3))
+    save_matrix(tmp_path / "y.csv", np.array([1.0, 1.0, 0.0]).reshape(-1, 1))
+    rc = main(["recover", "--solver", "l0", "--max-sparsity", "1",
+               "--matrix", str(tmp_path / "a.csv"), "--y", str(tmp_path / "y.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NoFeasibleSolution: no support up to size 1 fits "
+                            "within epsilon\n")
+
+
 def test_recover_missing_inputs(capsys):
     rc = main(["recover", "--solver", "bp"])
     assert rc == 1
@@ -164,8 +177,7 @@ def test_recover_missing_inputs(capsys):
 
 
 def test_functional_output(capsys):
-    rc = main(["functional", "--k", "1", "--k-psi", "1", "--gamma", "1.0",
-               "--cost", "1"])
+    rc = main(["functional", "--k-psi", "1", "--gamma", "1.0", "--cost", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert f"u_value: {math.log(2.0):.12g}" in out
@@ -173,8 +185,7 @@ def test_functional_output(capsys):
 
 
 def test_functional_degenerate(capsys):
-    rc = main(["functional", "--k", "2", "--k-psi", "2", "--gamma", "0.0",
-               "--cost", "10"])
+    rc = main(["functional", "--k-psi", "2", "--gamma", "0.0", "--cost", "10"])
     assert rc == 0
     assert "regime: non-unique" in capsys.readouterr().out
 
@@ -182,7 +193,7 @@ def test_functional_degenerate(capsys):
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
 def test_functional_rejects_a_gamma_that_is_not_finite(capsys, gamma):
     # nan printed u_value: nan and inf printed u_value: 0, both with exit 0
-    rc = main(["functional", "--k", "2", "--k-psi", "2", f"--gamma={gamma}", "--cost", "10"])
+    rc = main(["functional", "--k-psi", "2", f"--gamma={gamma}", "--cost", "10"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -262,7 +273,7 @@ with open(os.path.join(os.path.dirname(__file__), "..", "scripts", "records_dige
 # sha256 of the records each experiment subcommand writes without a config
 NO_CONFIG_PINS = [
     ("phase", "864d4001e01628fc139dcbdb25ab4339127e2f5944beff985bd2d4c0381f9e2c"),
-    ("mismatch", "b449c48ce6a0650f1a8fb89f224cf1188d2ab04f781ff5605bbcdd235ab3b0ef"),
+    ("mismatch", "735de51e0e3d83fb1af9062ba4db079b94c7e2982bf4347a6f78653414add88e"),
     ("verify", "b592eff1d3affaab3d2974e3ab5dbf39f60648451c1d3dcd41f8eb9439cc818e"),
     # the regime map's defaults are regime.cfg's settings
     ("regime", SHIPPED_PINS["regime.cfg"]),
@@ -316,7 +327,7 @@ def test_unknown_solver_rejected():
 
 def test_gamma_minus_inf_is_a_usage_error_unless_written_after_equals(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["functional", "--k", "1", "--k-psi", "1", "--gamma", "-inf", "--cost", "1"])
+        main(["functional", "--k-psi", "1", "--gamma", "-inf", "--cost", "1"])
     assert exc.value.code == 1
     assert "argument --gamma: expected one argument" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
@@ -359,8 +370,8 @@ def test_reproduce_line_reruns_the_same_records(tmp_path, cfg):
 
 
 def test_functional_floor_violation_is_an_error(monkeypatch, capsys):
-    below = UncertaintyReport(2, 2, 0.5, 100, 1.0, 2.0, "indeterminate")
+    below = UncertaintyReport(2, 0.5, 100, 1.0, 2.0, "indeterminate")
     monkeypatch.setattr(cli, "build_uncertainty_report", lambda *args: below)
-    rc = main(["functional", "--k", "2", "--k-psi", "2", "--gamma", "0.5", "--cost", "100"])
+    rc = main(["functional", "--k-psi", "2", "--gamma", "0.5", "--cost", "100"])
     assert rc == 1
     assert "below its floor" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrlab.dictionaries import (
-    EffectiveSensing,
     build_dictionary,
     build_sensing,
     compose,
@@ -142,31 +141,34 @@ def test_coherence_bounds_and_symmetry(kind1, kind2, d, seed):
 
 
 def test_self_coherence_examples():
-    assert self_coherence(EffectiveSensing(np.eye(4))) == 0.0
+    assert self_coherence(np.eye(4)) == 0.0
     e1 = np.array([1.0, 0.0])
-    dup = EffectiveSensing(np.column_stack([e1, e1]))
+    dup = np.column_stack([e1, e1])
     assert self_coherence(dup) == pytest.approx(1.0, abs=1e-14)
     e2 = np.array([0.0, 1.0])
-    tri = EffectiveSensing(np.column_stack([e1, e2, (e1 + e2) / np.sqrt(2)]))
+    tri = np.column_stack([e1, e2, (e1 + e2) / np.sqrt(2)])
     assert self_coherence(tri) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
 
 def test_self_coherence_single_column():
-    assert self_coherence(EffectiveSensing(np.array([[1.0], [0.0]]))) == 0.0
+    assert self_coherence(np.array([[1.0], [0.0]])) == 0.0
 
 
-def test_self_coherence_requires_normalization():
-    with pytest.raises(NotNormalized):
-        self_coherence(EffectiveSensing(2 * np.eye(3)))
+def test_self_coherence_normalizes_its_own_columns():
+    # the coherence of the columns' directions, whatever their norms: that of
+    # normalize_columns(mat); a zero column has no direction
+    mat = np.random.default_rng(5).normal(size=(6, 9)) * np.logspace(-3, 3, 9)
+    assert self_coherence(mat) == pytest.approx(self_coherence(normalize_columns(mat)), rel=1e-14)
+    assert self_coherence(2 * np.eye(3)) == 0.0
+    with pytest.raises(NotNormalized, match="zero column"):
+        self_coherence(np.column_stack([np.ones(3), np.zeros(3)]))
 
 
 def test_compose_with_identity_preserves_coherence():
     psi = build_dictionary("hadamard", 8)
     a = compose(build_sensing("identity", 8, 8), psi)
     ident = build_dictionary("identity", 8)
-    assert self_coherence(EffectiveSensing(a.a)) == pytest.approx(
-        self_coherence(EffectiveSensing(psi)), abs=1e-12
-    )
+    assert self_coherence(a.a) == pytest.approx(self_coherence(psi), abs=1e-12)
     assert mutual_coherence(ident, psi) == pytest.approx(np.max(np.abs(a.a)), abs=1e-12)
 
 

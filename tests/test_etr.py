@@ -75,7 +75,7 @@ def test_functional_degenerate_gamma_raises():
 def test_functional_and_bound_reject_a_gamma_that_is_not_finite(gamma):
     # NaN and inf both pass the zero test; NaN gave u = nan and inf gave u = 0
     for call in (lambda: uncertainty_functional(2, gamma, 10), lambda: nonvanishing_bound(2, gamma),
-                 lambda: build_uncertainty_report(2, 2, gamma, 10)):
+                 lambda: build_uncertainty_report(2, gamma, 10)):
         with pytest.raises(InvalidSparsity, match=f"gamma_2k must be finite, got {gamma}"):
             call()
 
@@ -125,13 +125,13 @@ def test_functional_monotone_grid():
 
 
 def test_build_report_degenerate_is_infinite_nonunique():
-    rep = build_uncertainty_report(2, 4, 0.0, 100)
+    rep = build_uncertainty_report(4, 0.0, 100)
     assert rep.u_value == math.inf and rep.lower_bound == math.inf
     assert rep.regime == "non-unique"
 
 
 def test_build_report_regular():
-    rep = build_uncertainty_report(2, 2, 0.5, 100)
+    rep = build_uncertainty_report(2, 0.5, 100)
     assert rep.u_value == pytest.approx(4.0 * math.log(101.0), rel=1e-14)
     assert rep.lower_bound == pytest.approx(4.0 * math.log(2.0), rel=1e-14)
     assert rep.regime == "indeterminate"

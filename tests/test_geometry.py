@@ -104,13 +104,6 @@ def test_gamma_sampled_identity():
     assert gamma_sampled(a, 2, 5, RandomStream(3)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gamma_sampled_exhaustion_matches_exact():
-    a = _random_a(8, 12, seed=5)
-    exact = gamma_exact(a, 2)
-    sampled = gamma_sampled(a, 2, 66, RandomStream(6))
-    assert sampled == pytest.approx(exact, abs=1e-12)
-
-
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_gamma_sampled_upper_bounds_exact(seed, trials):
@@ -148,7 +141,7 @@ def test_coherence_bound_below_exact_on_unnormalized_columns(seed, r, rescale):
 def test_coherence_bound_below_exact_on_regime_shapes(m):
     # regime.cfg's Gaussian sensing, d = n = 16, at each r = 2k it enumerates
     a = _random_a(m, 16, seed=100 + m)
-    assert not np.allclose(np.linalg.norm(a.a, axis=0), 1.0, atol=TOL.unit_norm)
+    assert not np.allclose(np.linalg.norm(a.a, axis=0), 1.0, atol=1e-8)
     for r in (2, 4, 6):
         assert 0.0 <= gamma_lower_coherence(a, r) <= gamma_exact(a, r) + 1e-10
     assert gamma_lower_coherence(a, 2) > 0.0 or m == 2

@@ -327,7 +327,7 @@ BUILD_REJECTS = [
     ("[perturbation]\nd = 6\nn = 40\nk = 4\n", "k = 4, n = 40: binomial(40,8) = ",
      lambda: geometry.gamma_exact(EffectiveSensing(np.ones((6, 40))), 8)),
     ("[phase]\nsolvers = omp,lasso\n", "solvers = ('omp', 'lasso'): unknown solvers ['lasso']",
-     lambda: solvers.solve("lasso", None, None, solvers.SolverConfig())),
+     lambda: solvers.run_battery(None, None, names=("omp", "lasso"))),
     ("[regime-map]\ntrials_per_cell = 19\n",
      "trials_per_cell = 19: a verdict needs trials >= 20, got 19",
      lambda: etr.classify_regime(None, 8, 16, 1, etr.BatteryStats(trials=19))),
@@ -769,6 +769,28 @@ def test_mismatch_small(tmp_path):
     bundle = run_experiment(cfg)
     summary = open(bundle.summary_md).read()
     assert "k_eff" in summary and "inflation" in summary
+
+
+def test_mismatch_records_the_square_solves_that_raise(tmp_path):
+    # at m = d the Gaussian phi is invertible, so every y lies in its range, yet basis
+    # pursuit raises NoFeasibleSolution on dense mismatched targets (ROADMAP item 3);
+    # such a solve is a failed row that names its error, and the run goes on
+    cfg = ExperimentConfig(experiment="mismatch", d=32, k=4, m=32, trials_per_cell=2,
+                           recovery_trials=3, master_seed=42, output_dir=str(tmp_path))
+    bundle = run_experiment(cfg)
+    with open(bundle.records_csv) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["phase"] == "recovery"]
+    assert len(rows) == 2 * 3
+    raised = [r for r in rows if r["error"]]
+    assert raised
+    for r in raised:
+        assert r["success"] == "0" and r["converged"] == "0"
+        assert r["error"] == "NoFeasibleSolution: y outside the reachable residual ball"
+    summary = open(bundle.summary_md).read()
+    for arm in ("matched", "mismatched"):
+        count = sum(r["arm"] == arm for r in raised)
+        by_type = f" (NoFeasibleSolution: {count})" if count else ""
+        assert f"\n{arm} solves that raised: {count} of 3{by_type}\n" in summary
 
 
 def test_regime_map_small(tmp_path):

@@ -27,7 +27,6 @@ from etrlab.solvers import (
     RecoveryResult,
     SolverConfig,
     run_battery,
-    solve,
     solve_bp,
     solve_l0,
     solve_omp,
@@ -385,8 +384,8 @@ def test_omp_rejects_a_zero_column():
     a = EffectiveSensing(np.column_stack([E1, np.zeros(2), E2]))
     with pytest.raises(NotNormalized, match="zero column") as omp_error:
         solve_omp(a, E1, SolverConfig())
-    with pytest.raises(NotNormalized):
-        solve("omp", a, E1, SolverConfig())
+    (entry,) = run_battery(a, E1, SolverConfig(), ("omp",))
+    assert entry.result is None and entry.error == f"NotNormalized: {omp_error.value}"
     with pytest.raises(NotNormalized) as normalize_error:
         normalize_columns(a.a)
     assert str(omp_error.value) == str(normalize_error.value) == "zero column cannot be normalized"
@@ -399,7 +398,7 @@ def _solve_omp_unit_columns(a, y, cfg):
     mat = a.a
     m, n = mat.shape
     norms = np.linalg.norm(mat, axis=0)
-    if not np.allclose(norms, 1.0, atol=TOL.unit_norm):
+    if not np.allclose(norms, 1.0, atol=1e-8):
         raise NotNormalized("OMP requires unit-norm columns")
     kmax = cfg.max_sparsity or min(m, n)
     feas = cfg.epsilon + TOL.feasibility_slack
@@ -535,9 +534,8 @@ def test_bp_zero_observation():
 def test_converged_is_a_python_bool_when_y_starts_inside_the_ball():
     # a record writes a Python bool as 1/0 but numpy's bool as True/False
     y = np.array([1e-3, 0.0, 0.0, 0.0])
-    for name in SOLVER_NAMES:
-        res = solve(name, I4, y, SolverConfig(epsilon=0.01))
-        assert type(res.converged) is bool and res.converged, name
+    for entry in run_battery(I4, y, SolverConfig(epsilon=0.01)):
+        assert type(entry.result.converged) is bool and entry.result.converged, entry.solver
 
 
 def test_bp_gaussian_recovery_rate():
@@ -812,7 +810,7 @@ def test_bp_matches_the_one_side_at_a_time_path_bit_for_bit():
 
 def test_solve_rescales_omp_on_unnormalized_matrix():
     a, inst, y = _planted(12, 24, 2, seed=6)
-    res = solve("omp", a, y, SolverConfig(max_sparsity=2))
+    res = solve_omp(a, y, SolverConfig(max_sparsity=2))
     assert res.support == inst.support
     np.testing.assert_allclose(a.a @ res.alpha_hat, y, atol=1e-9)
     battery = run_battery(a, y, SolverConfig(max_sparsity=2))
@@ -821,7 +819,7 @@ def test_solve_rescales_omp_on_unnormalized_matrix():
 
 
 def test_solver_config_is_keyword_only():
-    # the solver is named by solve(name, ...); a positional name must not
+    # solvers are named by run_battery's names; a positional name must not
     # land in epsilon
     with pytest.raises(TypeError):
         SolverConfig("omp")
