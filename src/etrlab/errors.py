@@ -37,6 +37,11 @@ class InvalidSparsity(EtrLabError):
     pass
 
 
+class InvalidSetting(EtrLabError):
+    """A setting that is not a sparsity or support size: a seed, a noise level, a
+    solver name or cap, a regime threshold, a gamma value or a trial count."""
+
+
 class DegenerateGamma(EtrLabError):
     pass
 

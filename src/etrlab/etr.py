@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
+from .errors import DegenerateGamma, InsufficientEvidence, InvalidSetting, InvalidSparsity
 from .geometry import GeometryReport, check_gamma, gamma_is_zero
 from .numerics import TOL
 from .sparsity import check_sparsity
@@ -29,13 +29,13 @@ class RegimeThresholds:
     def __post_init__(self):
         for name in ("stable_c", "sample_c0"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise InvalidSparsity(f"{name} must be finite and > 0, got {getattr(self, name)}")
+                raise InvalidSetting(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.trials < 1:
-            raise InvalidSparsity(f"trials must be >= 1, got {self.trials}")
+            raise InvalidSetting(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.battery_fail_max < self.battery_success_min <= 1.0:
-            raise InvalidSparsity(f"need 0 < battery_fail_max < battery_success_min <= 1, got "
-                                  f"battery_fail_max = {self.battery_fail_max}, "
-                                  f"battery_success_min = {self.battery_success_min}")
+            raise InvalidSetting(f"need 0 < battery_fail_max < battery_success_min <= 1, got "
+                                 f"battery_fail_max = {self.battery_fail_max}, "
+                                 f"battery_success_min = {self.battery_success_min}")
 
     def check_evidence(self, trials: int) -> None:
         """Raise InsufficientEvidence where `classify_regime` would on this many trials."""
@@ -94,7 +94,7 @@ def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
 
 def build_uncertainty_report(k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
     """Report constructor, regime indeterminate; a degenerate gamma yields infinity plus
-    non-unique, and a gamma that is not finite raises InvalidSparsity."""
+    non-unique, and a gamma that is not finite raises InvalidSetting."""
     try:
         value = uncertainty_functional(k_psi, gamma_2k, cost)
         bound = nonvanishing_bound(k_psi, gamma_2k)

@@ -17,8 +17,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dictionaries import EffectiveSensing, column_norms, self_coherence
-from .errors import (DegenerateGamma, EnumerationTooLarge, InvalidSparsity, NonFiniteMatrix,
-                     NotNormalized)
+from .errors import (DegenerateGamma, EnumerationTooLarge, InvalidSetting, InvalidSparsity,
+                     NonFiniteMatrix, NotNormalized)
 from .numerics import TOL, smallest_singular_pair, smallest_singular_value, vector_norm
 
 EXACT_GUARD = 10 ** 6
@@ -145,9 +145,9 @@ def gamma_is_zero(gamma: float) -> bool:
 
 
 def check_gamma(gamma_2k: float) -> None:
-    """Raise InvalidSparsity for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
+    """Raise InvalidSetting for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
     if not isfinite(gamma_2k):
-        raise InvalidSparsity(f"gamma_2k must be finite, got {gamma_2k}")
+        raise InvalidSetting(f"gamma_2k must be finite, got {gamma_2k}")
     if gamma_is_zero(gamma_2k):
         raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
 
@@ -203,7 +203,7 @@ def gamma_sampled(a: EffectiveSensing, r: int, trials: int, stream) -> float:
     mat = a.a
     n = mat.shape[1]
     if trials < 1:
-        raise InvalidSparsity("trials must be >= 1")
+        raise InvalidSetting("trials must be >= 1")
     _check_r(n, r)
     _zero_cutoff(mat)  # refuses an inf or NaN, as gamma_exact does
     best = np.inf

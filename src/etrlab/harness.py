@@ -139,9 +139,9 @@ def write_records_csv(path, records: list[dict]) -> None:
 
 def render_report(records: list[dict], cfg: ExperimentConfig, name: str,
                   summary_lines: list[str], figures: tuple = ()) -> ReportBundle:
-    """Write records.csv, config.cfg and summary.md (+ figures already on disk)."""
+    """Write records.csv, config.cfg and summary.md into cfg.output_dir, which exists
+    (+ figures already on disk)."""
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, f"{name}_records.csv")
     cfg_path = os.path.join(out, f"{name}_config.cfg")
     md_path = os.path.join(out, f"{name}_summary.md")
@@ -177,7 +177,7 @@ def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
 # phase transition
 
 
-def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
+def run_phase_transition(cfg: ExperimentConfig) -> tuple:
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
     scfg = _solver_config(cfg, cfg.k)
@@ -210,16 +210,15 @@ def run_phase_transition(cfg: ExperimentConfig) -> ReportBundle:
         lines.append(f"isotonic 50% crossing for {solver}: m = {crossing}")
         lines.append("")
     fig = os.path.join(cfg.output_dir, "phase_success.svg")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     svgplot.line_plot(fig, series, "m", "success rate", "recovery success vs measurements")
-    return render_report(records, cfg, "phase", lines, (fig,))
+    return records, lines, (fig,), []
 
 
 # ---------------------------------------------------------------------------
 # representation mismatch
 
 
-def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
+def run_mismatch(cfg: ExperimentConfig) -> tuple:
     d, k, m = cfg.d, cfg.k, cfg.m
     identity = build_dictionary("identity", d)
     base = RandomStream(cfg.master_seed)
@@ -274,7 +273,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ReportBundle:
         by_type = "; ".join(f"{name}: {count}" for name, count in sorted(raised.items()))
         lines.append(f"{arm} solves that raised: {raised.total()} of {cfg.recovery_trials}"
                      + (f" ({by_type})" if raised else ""))
-    return render_report(records, cfg, "mismatch", lines)
+    return records, lines, (), []
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def _subgroup_indicator(d: int) -> np.ndarray:
     return x
 
 
-def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
+def run_uncertainty_suite(cfg: ExperimentConfig) -> tuple:
     base = RandomStream(cfg.master_seed)
     records, violations, lines = [], [], []
     for di, d in enumerate(cfg.d_sweep):
@@ -298,44 +297,34 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> ReportBundle:
         hada = build_dictionary("hadamard", d)
         mu = mutual_coherence(ident, hada)
         floor = 1.0 / mu ** 2
+
+        def row(x, trial, case):
+            k1, k2 = effective_sparsity(x, ident), effective_sparsity(x, hada)
+            product = k1 * k2
+            # a random signal may not go below the floor; the subgroup indicator meets it
+            violated = (product < floor - TOL.bound_slack if case == "random"
+                        else product != round(floor))
+            records.append({"experiment": "uncertainty-principle", "d": d, "trial": trial,
+                            "case": case, "k1": k1, "k2": k2, "product": product,
+                            "floor": floor, "violation": violated})
+            return product, violated
+
         slacks = []
         for t in range(cfg.trials_per_cell):
-            x = base.split(di).split(t).gaussians(d)
-            k1 = effective_sparsity(x, ident)
-            k2 = effective_sparsity(x, hada)
-            product = k1 * k2
-            violated = product < floor - TOL.bound_slack
-            records.append({
-                "experiment": "uncertainty-principle", "d": d, "trial": t,
-                "case": "random", "k1": k1, "k2": k2, "product": product,
-                "floor": floor, "violation": violated,
-            })
+            product, violated = row(base.split(di).split(t).gaussians(d), t, "random")
             slacks.append(product - floor)
             if violated:
-                violations.append(
-                    f"d={d} trial={t} seed={cfg.master_seed}: {product} < {floor}"
-                )
-        x = _subgroup_indicator(d)
-        k1 = effective_sparsity(x, ident)
-        k2 = effective_sparsity(x, hada)
-        records.append({
-            "experiment": "uncertainty-principle", "d": d, "trial": -1,
-            "case": "subgroup-extremal", "k1": k1, "k2": k2,
-            "product": k1 * k2, "floor": floor,
-            "violation": k1 * k2 != round(floor),
-        })
-        if k1 * k2 != round(floor):
-            violations.append(f"d={d} subgroup extremal: product {k1 * k2} != {round(floor)}")
+                violations.append(f"d={d} trial={t} seed={cfg.master_seed}: {product} < {floor}")
+        extremal, violated = row(_subgroup_indicator(d), -1, "subgroup-extremal")
+        if violated:
+            violations.append(f"d={d} subgroup extremal: product {extremal} != {round(floor)}")
         lines.append(
             f"d = {d}: mu = {mu:.6f}, floor = {floor:.1f}, violations = "
             f"{sum(1 for r in records if r['d'] == d and r['violation'])}, "
-            f"min slack = {min(slacks):.3f}, extremal product = {k1 * k2}"
+            f"min slack = {min(slacks):.3f}, extremal product = {extremal}"
         )
     lines.append(f"total violations: {len(violations)} (must be 0)")
-    bundle = render_report(records, cfg, "uncertainty_principle", lines)
-    if violations:
-        raise SuiteFailure(violations)
-    return bundle
+    return records, lines, (), violations
 
 
 def perturbation_bases(master_seed: int, trials: int) -> Iterator[np.ndarray]:
@@ -352,10 +341,9 @@ def perturbation_bases(master_seed: int, trials: int) -> Iterator[np.ndarray]:
         yield from stream_bases(master_seed, np.concatenate([children[:, :1], plants], axis=1))
 
 
-def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
+def run_perturbation_suite(cfg: ExperimentConfig) -> tuple:
     d, n, k = cfg.d, cfg.n, cfg.k
     psi = build_dictionary("identity", n)
-    violations, slacks = [], []
 
     def one(t, words):
         a = EffectiveSensing(build_sensing(cfg.sensing, d, n, seed=words[0]))
@@ -373,22 +361,15 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> ReportBundle:
 
     records = [one(t, row.tolist())
                for t, row in enumerate(perturbation_bases(cfg.master_seed, cfg.trials_per_cell))]
-    for row in records:
-        if not row["degenerate"]:
-            slacks.append(row["slack"])
-            if not row["holds"]:
-                violations.append(
-                    f"trial={row['trial']} seed={cfg.master_seed}: slack {row['slack']}"
-                )
+    slacks = [r["slack"] for r in records if not r["degenerate"]]
+    violations = [f"trial={r['trial']} seed={cfg.master_seed}: slack {r['slack']}"
+                  for r in records if not r["holds"]]
     lines = [
         f"instances: {len(records)} ({sum(r['degenerate'] for r in records)} degenerate skipped)",
         f"violations: {len(violations)} (must be 0)",
         f"slack range: [{min(slacks):.6g}, {max(slacks):.6g}]" if slacks else "no valid slacks",
     ]
-    bundle = render_report(records, cfg, "perturbation", lines)
-    if violations:
-        raise SuiteFailure(violations)
-    return bundle
+    return records, lines, (), violations
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +384,7 @@ REGIME_COLORS = {
 }
 
 
-def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
+def run_regime_map(cfg: ExperimentConfig) -> tuple:
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
 
@@ -444,14 +425,14 @@ def run_regime_map(cfg: ExperimentConfig) -> ReportBundle:
         lines.append(f"| {m} | " + " | ".join(row) + " |")
     lines.append("")
     lines.append("classifier thresholds: " + repr(cfg.thresholds))
-    os.makedirs(cfg.output_dir, exist_ok=True)
     fig = os.path.join(cfg.output_dir, "regime_map.svg")
     grid = {(r["k"], r["m"]): r["regime"] for r in records}
     svgplot.heat_map(fig, grid, list(cfg.k_sweep), list(cfg.m_sweep), "k", "m",
                      "discovery regimes", colors=REGIME_COLORS)
-    return render_report(records, cfg, "regime_map", lines, (fig,))
+    return records, lines, (fig,), []
 
 
+# each returns (records, summary lines, figures it drew, violations) for run_experiment
 RUNNERS = {
     "phase": run_phase_transition,
     "mismatch": run_mismatch,
@@ -462,4 +443,11 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
-    return RUNNERS[cfg.experiment](cfg)
+    """Run cfg's experiment and write its report into cfg.output_dir, made if missing;
+    a suite that found violations raises SuiteFailure once its report is written."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    records, lines, figures, violations = RUNNERS[cfg.experiment](cfg)
+    bundle = render_report(records, cfg, cfg.experiment.replace("-", "_"), lines, figures)
+    if violations:
+        raise SuiteFailure(violations)
+    return bundle

@@ -50,7 +50,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidSparsity
+from .errors import InvalidSetting, InvalidSparsity
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment from splitmix64
@@ -60,9 +60,9 @@ _M2 = 0x94D049BB133111EB
 
 
 def check_seed(seed: int) -> None:
-    """Raise InvalidSparsity for a master seed outside 0..2^64-1, which mix64 would alias."""
+    """Raise InvalidSetting for a master seed outside 0..2^64-1, which mix64 would alias."""
     if not 0 <= seed <= MASK64:
-        raise InvalidSparsity(f"seed must be a u64 (0..2**64-1), got {seed}")
+        raise InvalidSetting(f"seed must be a u64 (0..2**64-1), got {seed}")
 
 
 def mix64(z: int) -> int:

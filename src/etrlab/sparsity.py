@@ -1,23 +1,19 @@
-"""Representation complexity K_Psi, the l0 support search, and planted instances."""
+"""Representation complexity K_Psi and planted instances."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 
 import numpy as np
 
 from .dictionaries import is_orthonormal
-from .errors import (DimensionMismatch, EnumerationTooLarge, InvalidSparsity, NotOrthonormal,
-                     ZeroSignal)
-from .geometry import BLOCK_CACHE, CHUNK_BYTES, chunk_count, chunk_rows, support_chunk
+from .errors import DimensionMismatch, InvalidSetting, InvalidSparsity, NotOrthonormal, ZeroSignal
 # least_squares stays importable from here: bench/tracing.py patches sparsity.least_squares
-from .numerics import TOL, least_squares, stack_coefficients, stack_fit, vector_norm  # noqa: F401
+from .numerics import TOL, least_squares, vector_norm  # noqa: F401
 from .rng import RandomStream, base_gaussians, base_uniforms, fisher_yates
 
-SUPPORT_GUARD = 10 ** 7  # cumulative supports minimal_support may examine
 MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
-FIT_MEMO_BYTES = BLOCK_CACHE * CHUNK_BYTES  # 4 MiB, the bound of the colex block cache
 
 
 @dataclass(frozen=True)
@@ -29,95 +25,6 @@ class PlantedInstance:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.alpha_star))
-
-
-class _ChunkFits:
-    """The y-independent fits of one matrix's support chunks.
-
-    Keyed by (support size, rows per chunk, chunk index) under the matrix
-    key (shape, dtype, bytes); entries are (block, StackFit). Entries are
-    kept in the order first asked for until they would hold more than
-    FIT_MEMO_BYTES; later chunks are fitted afresh on every call, so the
-    chunks every search walks first stay kept. The memo cut regime run_s by
-    12.3 % when it came in.
-    """
-
-    __slots__ = ("key", "fits", "nbytes")
-
-    def __init__(self, key):
-        self.key = key
-        self.fits: dict = {}
-        self.nbytes = 0
-
-    def chunk(self, mat: np.ndarray, size: int, rows: int, chunk: int):
-        key = (size, rows, chunk)
-        entry = self.fits.get(key)
-        if entry is None:
-            block, stack = support_chunk(mat, size, rows, chunk)
-            fit = stack_fit(stack)
-            entry = block, fit
-            nbytes = block.nbytes + fit.nbytes
-            if self.nbytes + nbytes <= FIT_MEMO_BYTES:
-                self.fits[key] = entry
-                self.nbytes += nbytes
-        return entry
-
-
-_chunk_fits = _ChunkFits(None)
-
-
-def _fits_for(mat: np.ndarray) -> _ChunkFits:
-    """The chunk fits of mat's content, new ones when mat differs from the last."""
-    global _chunk_fits
-    key = (mat.shape, mat.dtype.str, mat.tobytes())
-    if _chunk_fits.key != key:
-        _chunk_fits = _ChunkFits(key)
-    return _chunk_fits
-
-
-def minimal_support(mat: np.ndarray, y: np.ndarray, tol: float, max_size: int):
-    """Smallest support S whose least-squares fit has ||mat[:, S] c - y|| <= tol.
-
-    Sizes 1..max_size in increasing order, colex order within a size,
-    one least-squares stack per geometry.support_chunks chunk; the first fit
-    in that order is returned. Raises EnumerationTooLarge before a size
-    that takes the cumulative support count past SUPPORT_GUARD, the one
-    guard of solve_l0. Returns (support, coef, tallies), support and coef
-    None when nothing fits; tallies holds (size, supports examined,
-    non-singular ones) for each size walked.
-
-    The y-independent half of each chunk's fit (`numerics.stack_fit`: the
-    gathered stack, its Gram matrices and their rank test) is kept for the
-    matrix last seen, up to FIT_MEMO_BYTES, so a search on the same matrix
-    with another y pays only `stack_coefficients` and the residual. The
-    memo is keyed by the matrix's shape, dtype and bytes, the size, the rows
-    per chunk and the chunk index, so a new or edited matrix or another
-    CHUNK_BYTES never meets a stale fit. A kept fit gives the same bytes as
-    a fresh one, so the result does not depend on what is kept.
-    """
-    m, n = mat.shape
-    fits = _fits_for(mat)
-    tallies = []
-    for size in range(1, max_size + 1):
-        if sum(comb(n, s) for s in range(1, size + 1)) > SUPPORT_GUARD:
-            raise EnumerationTooLarge(f"cumulative supports exceed {SUPPORT_GUARD}")
-        examined = nonsingular = 0
-        rows = chunk_rows(m, size)
-        for chunk in range(chunk_count(n, size, rows)):
-            block, fit = fits.chunk(mat, size, rows, chunk)
-            coef = stack_coefficients(fit, y)
-            resid = (fit.stack @ coef[:, :, None])[:, :, 0] - y
-            # sqrt of the BLAS dot r . r, as np.linalg.norm computes it; NaN never fits
-            norms = np.sqrt(resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-            hits = np.flatnonzero(norms <= tol)
-            stop = int(hits[0]) + 1 if hits.size else len(block)
-            examined += stop
-            nonsingular += int(np.count_nonzero(~np.isnan(coef[:stop, 0])))
-            if hits.size:
-                tallies.append((size, examined, nonsingular))
-                return tuple(int(i) for i in block[stop - 1]), coef[stop - 1], tallies
-        tallies.append((size, examined, nonsingular))
-    return None, None, tallies
 
 
 def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
@@ -145,9 +52,9 @@ def check_sparsity(k: int, n: int) -> None:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise InvalidSparsity where `observe` and `SolverConfig` would on this noise level."""
+    """Raise InvalidSetting where `observe` and `SolverConfig` would on this noise level."""
     if not 0.0 <= epsilon < inf:  # NaN fails too
-        raise InvalidSparsity(f"epsilon must be finite and >= 0, got {epsilon}")
+        raise InvalidSetting(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:

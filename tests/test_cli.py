@@ -47,7 +47,9 @@ def test_geometry_rejects_a_seed_outside_u64(capsys, seed):
     args = ["geometry", "--dict", "random-orthonormal", "--d", "8", "--sensing", "gaussian",
             "--m", "4", "--seed"]
     assert main([*args, str(seed)]) == 1
-    assert f"seed must be a u64 (0..2**64-1), got {seed}" in capsys.readouterr().err
+    # a seed is a setting, not a sparsity
+    assert capsys.readouterr().err == (
+        f"error: InvalidSetting: seed must be a u64 (0..2**64-1), got {seed}\n")
     assert main([*args, str(2**64 - 1)]) == 0
 
 
@@ -138,7 +140,8 @@ def test_recover_rejects_negative_solver_settings(tmp_path, capsys, setting):
     rc = main(["recover", "--solver", "omp", "--matrix", str(tmp_path / "a.csv"),
                "--y", str(tmp_path / "y.csv"), *setting])
     assert rc == 1
-    assert "InvalidSparsity" in capsys.readouterr().err
+    error = "InvalidSparsity" if setting[0] == "--max-sparsity" else "InvalidSetting"
+    assert f"error: {error}: " in capsys.readouterr().err
 
 
 def test_recover_rejects_y_of_the_wrong_length(tmp_path, capsys):
@@ -197,7 +200,7 @@ def test_functional_rejects_a_gamma_that_is_not_finite(capsys, gamma):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: InvalidSparsity: gamma_2k must be finite, got {float(gamma)}" in captured.err
+    assert f"error: InvalidSetting: gamma_2k must be finite, got {float(gamma)}" in captured.err
 
 
 def test_phase_with_config(tmp_path, capsys):
@@ -343,6 +346,7 @@ def test_reproduce_line_selects_the_same_experiment(tmp_path):
         # perturbation rejects; give it the `verify` shape
         shape = dict(d=6, n=8, k=1) if experiment == "perturbation" else {}
         cfg = ExperimentConfig(experiment=experiment, master_seed=123, output_dir=out, **shape)
+        os.makedirs(out)  # run_experiment makes the directory render_report writes into
         bundle = render_report([{"trial": 0}], cfg, experiment, [])
         with open(bundle.summary_md) as fh:
             (command,) = re.findall(r"- reproduce: `etr-lab (.*)`", fh.read())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrlab.dictionaries import EffectiveSensing
-from etrlab.errors import DegenerateGamma, InsufficientEvidence, InvalidSparsity
+from etrlab.errors import DegenerateGamma, InsufficientEvidence, InvalidSetting, InvalidSparsity
 from etrlab.etr import (
     BatteryStats,
     RegimeThresholds,
@@ -76,7 +76,7 @@ def test_functional_and_bound_reject_a_gamma_that_is_not_finite(gamma):
     # NaN and inf both pass the zero test; NaN gave u = nan and inf gave u = 0
     for call in (lambda: uncertainty_functional(2, gamma, 10), lambda: nonvanishing_bound(2, gamma),
                  lambda: build_uncertainty_report(2, gamma, 10)):
-        with pytest.raises(InvalidSparsity, match=f"gamma_2k must be finite, got {gamma}"):
+        with pytest.raises(InvalidSetting, match=f"gamma_2k must be finite, got {gamma}"):
             call()
 
 
@@ -250,7 +250,7 @@ def test_regime_custom_thresholds():
 
 
 def test_thresholds_validation():
-    with pytest.raises(InvalidSparsity):
+    with pytest.raises(InvalidSetting):
         RegimeThresholds(battery_success_min=0.4, battery_fail_max=0.5)
 
 
@@ -261,7 +261,7 @@ def test_thresholds_validation():
 def test_thresholds_reject_values_no_verdict_can_use(field, value):
     # a NaN stable_c labels no cell stable, and a non-positive c0 makes every m meet
     # the budget; an infinite c0 overflows sample_threshold after every trial ran
-    with pytest.raises(InvalidSparsity, match=f"{field} must be"):
+    with pytest.raises(InvalidSetting, match=f"{field} must be"):
         RegimeThresholds(**{field: value})
     assert RegimeThresholds(stable_c=1e-9, sample_c0=1e-9, trials=1).trials == 1
 

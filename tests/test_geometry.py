@@ -377,6 +377,30 @@ def test_gamma_exact_minimum_at_a_chunk_boundary(monkeypatch, position):
         assert set(np.flatnonzero(witness)) == {lo, hi}
 
 
+@pytest.mark.parametrize("chunk_bytes, near_copy, chunk, row", [
+    (geometry.CHUNK_BYTES, (10, 11), 0, 65),  # all 66 supports in one chunk, the minimum last
+    (8 * 8 * 2 * 5, (10, 11), 13, 0),  # chunks of five: the 66th support alone in the last
+    (8 * 8 * 2 * 5, (2, 3), 1, 0),  # the 6th support, first of the second chunk
+])
+def test_gamma_exact_enumerates_every_support(monkeypatch, chunk_bytes, near_copy, chunk, row):
+    # the unique minimum sits on the near-copy pair, which opens or closes a chunk; a
+    # gamma_exact that skips its last support or its last chunk returns a larger value
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
+    m, n, r = 8, 12, 2
+    gen = np.random.default_rng(12)
+    mat = gen.normal(size=(m, n))
+    lo, hi = near_copy
+    mat[:, hi] = mat[:, lo] + 1e-3 * gen.normal(size=m)
+    blocks = [block.tolist() for block, _ in geometry.support_chunks(mat, r)]
+    assert blocks[chunk][row] == list(near_copy) and sum(map(len, blocks)) == comb(n, r)
+    assert blocks[-1][-1] == [10, 11]
+    sigmas = {s: smallest_singular_value(mat[:, list(s)])
+              for s in itertools.combinations(range(n), r)}
+    first, second = sorted(sigmas, key=sigmas.get)[:2]
+    assert first == near_copy and sigmas[first] < sigmas[second] / 10
+    assert gamma_exact(EffectiveSensing(mat), r) == sigmas[near_copy]
+
+
 @pytest.mark.parametrize("chunk_bytes", [geometry.CHUNK_BYTES, 1, 8 * 4 * 2 * 5, 8 * 4 * 2 * 2])
 def test_gamma_exact_never_takes_a_nan_sigma(monkeypatch, chunk_bytes):
     # sigma is NaN on every support holding column 0, marked by the value 7.0 at

@@ -19,6 +19,7 @@ from etrlab.errors import (
     InvalidSparsity,
     IoFailure,
     NoFeasibleSolution,
+    SuiteFailure,
     UnsupportedDimension,
 )
 from etrlab.harness import (
@@ -538,6 +539,25 @@ def test_config_that_omits_keys_dumps_every_key_it_ran(tmp_path, experiment):
 # ------------------------------------------------------ experiments (small)
 
 
+def _summary_digest(path) -> str:
+    """sha256 of a summary without its reproduce line, which names the output path."""
+    with open(path) as fh:
+        text = "".join(line for line in fh if not line.startswith("- reproduce: "))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each shipped config's summary, reproduce line removed. Like the record
+# pins, these were taken with numpy 2.4.6 running its X86_V4 (AVX-512) loops; on
+# another dispatch level a summary line that prints a float may differ (ROADMAP item 9)
+SUMMARY_PINS = {
+    "toy.cfg": "3abbfdc6f12696c8d870ff3a3ba4944875a00621cfc57cf79e78470fff506547",
+    "regime.cfg": "1ab5dfe7b14b704cd8dde0e3531efca166d8479c2aef1cb5388a5363840fd901",
+    "phase.cfg": "ccd38cc8615c29356bf626fbfc582264689cab64c95612b187c0914d9de4e663",
+    "mismatch.cfg": "7e6319965a677679002a1a378fcf3b84deb0b46ca1981a8caf1030f2eff87a2f",
+    "uncertainty.cfg": "01bb9469da7c79703aa04fa3b300c925f42bc8aa558f7ef5349cab2914fe0aa8",
+}
+
+
 @pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg", "phase.cfg", "mismatch.cfg",
                                     "uncertainty.cfg"])
 def test_shipped_records_digest_is_pinned(tmp_path, config):
@@ -552,6 +572,7 @@ def test_shipped_records_digest_is_pinned(tmp_path, config):
     with open(bundle.records_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == pinned[config]
+    assert _summary_digest(bundle.summary_md) == SUMMARY_PINS[config]
 
 
 def _digest_script(tmp_path, monkeypatch):
@@ -620,6 +641,11 @@ SHRUNK_PINS = [
     ("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
      "19293c6c93edf0d2145b6c9b1994d0e0d32d50146e12b8795af4a260fcaf4abd"),
 ]
+# the summary of SHRUNK_PINS' perturbation run, pinned as SUMMARY_PINS are and taken
+# on the same host
+SHRUNK_SUMMARY_PINS = {
+    "perturbation.cfg": "aed075653316d7915f8c05051da6660d53fcc6b7cf25caad893caa474553e159",
+}
 
 
 @pytest.mark.parametrize("config, overrides, digest", SHRUNK_PINS)
@@ -628,6 +654,8 @@ def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
     bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path)))
     with open(bundle.records_csv, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+    if config in SHRUNK_SUMMARY_PINS:
+        assert _summary_digest(bundle.summary_md) == SHRUNK_SUMMARY_PINS[config]
     with open(bundle.records_csv) as fh:
         rows = list(csv.DictReader(fh))
     # every basis-pursuit solve on these paths is certified
@@ -809,3 +837,46 @@ def test_regime_map_small(tmp_path):
                for r in rows)
     assert bundle.figures  # heat map emitted
     assert all(os.path.exists(f) for f in bundle.figures)
+
+
+def _records(path) -> list[dict]:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_violating_perturbation_suite_writes_its_report_before_it_raises(tmp_path,
+                                                                          monkeypatch):
+    # scripts/records_digests.py digests the records of a suite that raised
+    monkeypatch.setattr(harness, "perturbation_check", lambda *args: (False, -1.0))
+    cfg = ExperimentConfig(experiment="perturbation", d=4, n=6, k=1, trials_per_cell=5,
+                           master_seed=3, output_dir=str(tmp_path))
+    with pytest.raises(SuiteFailure) as failure:
+        run_experiment(cfg)
+    rows = _records(tmp_path / "perturbation_records.csv")
+    expected = [f"trial={r['trial']} seed=3: slack -1.0" for r in rows if r["degenerate"] == "0"]
+    assert len(rows) == 5 and expected
+    assert failure.value.violations == expected
+    summary = (tmp_path / "perturbation_summary.md").read_text()
+    assert f"\nviolations: {len(expected)} (must be 0)\n" in summary
+
+
+def test_violating_uncertainty_suite_writes_its_report_before_it_raises(tmp_path,
+                                                                         monkeypatch):
+    # every K_Psi read as 1: each random product 1 sits below the floor d = 4, and the
+    # subgroup indicator's product misses it
+    monkeypatch.setattr(harness, "effective_sparsity", lambda x, psi: 1)
+    cfg = ExperimentConfig(experiment="uncertainty-principle", d_sweep=(4,), trials_per_cell=3,
+                           master_seed=3, output_dir=str(tmp_path))
+    with pytest.raises(SuiteFailure) as failure:
+        run_experiment(cfg)
+    floor = 1.0 / harness.mutual_coherence(build_dictionary("identity", 4),
+                                           build_dictionary("hadamard", 4)) ** 2
+    assert failure.value.violations == [
+        *(f"d=4 trial={t} seed=3: 1 < {floor}" for t in range(3)),
+        "d=4 subgroup extremal: product 1 != 4",
+    ]
+    rows = _records(tmp_path / "uncertainty_principle_records.csv")
+    assert [r["violation"] for r in rows] == ["1"] * 4
+    summary = (tmp_path / "uncertainty_principle_summary.md").read_text()
+    assert ", violations = 4, " in summary
+    assert "\ntotal violations: 4 (must be 0)\n" in summary

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab import geometry, solvers, sparsity
+from etrlab import geometry, solvers
 from etrlab.dictionaries import (
     EffectiveSensing,
     build_dictionary,
@@ -15,14 +15,15 @@ from etrlab.dictionaries import (
     normalize_columns,
 )
 from etrlab.errors import (
-    EnumerationTooLarge, EtrLabError, InvalidSparsity, NoFeasibleSolution, NotNormalized,
-    RankDeficient, Stalled,
+    EnumerationTooLarge, EtrLabError, InvalidSetting, InvalidSparsity, NoFeasibleSolution,
+    NotNormalized, RankDeficient, Stalled,
 )
 from etrlab.geometry import colex_supports, gamma_exact
 from etrlab.numerics import TOL, least_squares, stack_fit
 from etrlab.rng import RandomStream
 from etrlab.solvers import (
     SOLVER_NAMES,
+    SUPPORT_GUARD,
     CostCounter,
     RecoveryResult,
     SolverConfig,
@@ -31,7 +32,7 @@ from etrlab.solvers import (
     solve_l0,
     solve_omp,
 )
-from etrlab.sparsity import SUPPORT_GUARD, minimal_support, observe, plant
+from etrlab.sparsity import observe, plant
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -114,12 +115,12 @@ def test_one_support_guard_stops_l0_and_k_psi_before_the_same_size(monkeypatch):
                         SolverConfig(epsilon=TOL.zero_tau * np.linalg.norm(y))).support
 
     searches = (k_psi, lambda y: solve_l0(EffectiveSensing(psi), y, SolverConfig()).support)
-    monkeypatch.setattr(sparsity, "SUPPORT_GUARD", 55)
+    monkeypatch.setattr(solvers, "SUPPORT_GUARD", 55)
     for search in searches:
         assert search(two) == (2, 5)
         with pytest.raises(EnumerationTooLarge, match="exceed 55"):
             search(three)
-    monkeypatch.setattr(sparsity, "SUPPORT_GUARD", 54)
+    monkeypatch.setattr(solvers, "SUPPORT_GUARD", 54)
     for search in searches:
         with pytest.raises(EnumerationTooLarge, match="exceed 54"):
             search(two)
@@ -248,7 +249,7 @@ def test_l0_search_matches_one_at_a_time_loop(monkeypatch, chunk_bytes):
 
 
 def _minimal_support_before(mat, y, tol, max_size, guard):
-    """sparsity.minimal_support as it was before it kept fits per matrix, verbatim
+    """The l0 support search as it was before it kept fits per matrix, verbatim
     but for numerics.least_squares' stack path written out, through the stack-only
     solve_gram of _solve_gram_stacked."""
     n = mat.shape[1]
@@ -273,25 +274,46 @@ def _minimal_support_before(mat, y, tol, max_size, guard):
     return None, None, tallies
 
 
-def _assert_same_search(got, want):
-    assert got[0] == want[0]
-    assert got[2] == want[2]
-    assert (got[1] is None) == (want[1] is None)
-    if want[1] is not None:
-        assert got[1].tobytes() == want[1].tobytes()
+def _assert_l0_matches_the_search_before(a, y, cfg):
+    """solve_l0 against _minimal_support_before: the same support, alpha_hat bytes and
+    cost counts, those charged per size from the reference's tallies as solve_l0 charged
+    them before the search moved into it; or both infeasible. Returns the reference's
+    support, None when nothing fits."""
+    mat = a.a
+    m, n = mat.shape
+    cost = CostCounter()
+    cost.charge(add=2 * m - 1, mult=m, cmp=1)  # ||y|| feasibility probe
+    support, coef, tallies = _minimal_support_before(
+        mat, y, cfg.epsilon + TOL.feasibility_slack, cfg.max_sparsity, SUPPORT_GUARD)
+    for size, examined, nonsingular in tallies:
+        cost.charge_least_squares(m, size, examined)
+        cost.charge_residual(m, size, nonsingular)
+        cost.charge(cmp=nonsingular)
+    if support is None:
+        with pytest.raises(NoFeasibleSolution):
+            solve_l0(a, y, cfg)
+        return None
+    alpha = np.zeros(n)
+    alpha[list(support)] = coef
+    got = solve_l0(a, y, cfg)
+    assert got.support == tuple(_detected_support_before(alpha))
+    assert got.alpha_hat.tobytes() == alpha.tobytes()
+    counts = (got.cost.multiplies, got.cost.additions, got.cost.comparisons)
+    assert counts == (cost.multiplies, cost.additions, cost.comparisons)
+    return support
 
 
 @pytest.fixture
 def fits_made(monkeypatch):
     """A cold l0 fit memo, and the number of chunk fits computed so far."""
-    monkeypatch.setattr(sparsity, "_chunk_fits", sparsity._ChunkFits(None))
+    monkeypatch.setattr(solvers, "_chunk_fits", solvers._ChunkFits(None))
     made = [0]
 
     def counted(stack):
         made[0] += 1
         return stack_fit(stack)
 
-    monkeypatch.setattr(sparsity, "stack_fit", counted)
+    monkeypatch.setattr(solvers, "stack_fit", counted)
     return made
 
 
@@ -301,26 +323,23 @@ def test_l0_fit_memo_cold_and_warm_match_the_search_without_it(monkeypatch, fits
     monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
     hits = 0
     for mat, k, eps, ys in _l0_problems(100, ys_per_matrix=3):
-        tol = eps + TOL.feasibility_slack
+        a, cfg = EffectiveSensing(mat), SolverConfig(epsilon=eps, max_sparsity=k)
         for y in ys:  # the first search is cold, later ones meet kept fits
-            want = _minimal_support_before(mat, y, tol, k, SUPPORT_GUARD)
-            _assert_same_search(minimal_support(mat, y, tol, k), want)
+            found = _assert_l0_matches_the_search_before(a, y, cfg)
             made = fits_made[0]
-            _assert_same_search(minimal_support(mat, y, tol, k), want)
+            _assert_l0_matches_the_search_before(a, y, cfg)
             assert fits_made[0] == made  # every chunk that search walked is kept
-            hits += want[0] is not None
+            hits += found is not None
     assert hits > 250
 
 
 def test_l0_fit_memo_serves_no_stale_fit(fits_made, monkeypatch):
     mat = np.random.default_rng(2).normal(size=(6, 10))
     y = mat[:, [2, 4, 7]] @ np.array([1.0, -0.5, 2.0])
-    tol = TOL.feasibility_slack
 
     def search():
-        got = minimal_support(mat, y, tol, 3)
-        _assert_same_search(got, _minimal_support_before(mat, y, tol, 3, SUPPORT_GUARD))
-        return got[0]
+        return _assert_l0_matches_the_search_before(
+            EffectiveSensing(mat), y, SolverConfig(max_sparsity=3))
 
     assert search() == (2, 4, 7)
     # 2000 bytes: size 2 in chunks of 20 supports where the kept fits hold all 45
@@ -335,20 +354,19 @@ def test_l0_fit_memo_serves_no_stale_fit(fits_made, monkeypatch):
 def test_l0_fit_memo_holds_at_most_its_bound(fits_made):
     # sizes 1..3 of 40 columns at m = 16 gather about 4.7 MiB of fits
     gen = np.random.default_rng(4)
-    mat, y = gen.normal(size=(16, 40)), gen.normal(size=16)
-    want = _minimal_support_before(mat, y, 1e-10, 3, SUPPORT_GUARD)
-    assert want[0] is None  # no fit: every chunk is walked
+    a, y = EffectiveSensing(gen.normal(size=(16, 40))), gen.normal(size=16)
+    cfg = SolverConfig(max_sparsity=3)
     chunks = sum(geometry.chunk_count(40, size, geometry.chunk_rows(16, size))
                  for size in (1, 2, 3))
-    _assert_same_search(minimal_support(mat, y, 1e-10, 3), want)
-    memo = sparsity._chunk_fits
+    assert _assert_l0_matches_the_search_before(a, y, cfg) is None  # every chunk is walked
+    memo = solvers._chunk_fits
     held = sum(block.nbytes + fit.nbytes for block, fit in memo.fits.values())
-    assert held == memo.nbytes <= sparsity.FIT_MEMO_BYTES
+    assert held == memo.nbytes <= solvers.FIT_MEMO_BYTES
     assert fits_made[0] == chunks > len(memo.fits)
     # the kept chunks are served, the others fitted again and still not kept
-    _assert_same_search(minimal_support(mat, y, 1e-10, 3), want)
+    assert _assert_l0_matches_the_search_before(a, y, cfg) is None
     assert fits_made[0] == 2 * chunks - len(memo.fits)
-    assert sparsity._chunk_fits is memo and memo.nbytes == held
+    assert solvers._chunk_fits is memo and memo.nbytes == held
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -359,9 +377,9 @@ def test_l0_search_hit_at_a_chunk_boundary(offset):
     mat = np.random.default_rng(5).normal(size=(m, n))
     support = list(colex_supports(n, 2))[rows + offset]
     y = mat[:, list(support)] @ np.array([0.7, -1.3])
-    res = _assert_l0_matches_one_at_a_time(
-        EffectiveSensing(mat), y, SolverConfig(max_sparsity=2))
-    assert res.support == support
+    a, cfg = EffectiveSensing(mat), SolverConfig(max_sparsity=2)
+    assert _assert_l0_matches_one_at_a_time(a, y, cfg).support == support
+    assert _assert_l0_matches_the_search_before(a, y, cfg) == support
 
 
 # ----------------------------------------------------------------- omp
@@ -828,14 +846,15 @@ def test_solver_config_is_keyword_only():
 @pytest.mark.parametrize("setting", [{"epsilon": -0.01}, {"max_sparsity": -1}])
 def test_solver_config_rejects_negative_settings(setting):
     # once built, basis pursuit would raise NoFeasibleSolution, OMP return an
-    # unconverged dense or empty support
-    with pytest.raises(InvalidSparsity, match=next(iter(setting))):
+    # unconverged dense or empty support; a noise level is a setting, not a sparsity
+    error = InvalidSparsity if "max_sparsity" in setting else InvalidSetting
+    with pytest.raises(error, match=next(iter(setting))):
         SolverConfig(**setting)
 
 
 def test_solver_config_rejects_an_infinite_epsilon():
     # the noise drawn on an infinite sphere is not finite, nor is any residual bound
-    with pytest.raises(InvalidSparsity, match="epsilon must be finite"):
+    with pytest.raises(InvalidSetting, match="epsilon must be finite"):
         SolverConfig(epsilon=float("inf"))
 
 
@@ -895,7 +914,7 @@ def test_battery_raises_on_an_unknown_solver_before_any_runs(monkeypatch):
     ran = []
     monkeypatch.setitem(solvers._SOLVE, "omp", lambda *args: ran.append(args))
     a, inst, y = _planted(8, 16, 1, seed=5)
-    with pytest.raises(InvalidSparsity, match=r"unknown solvers \['lasso'\]"):
+    with pytest.raises(InvalidSetting, match=r"unknown solvers \['lasso'\]"):
         run_battery(a, y, SolverConfig(), ("omp", "lasso"))
     assert not ran
 

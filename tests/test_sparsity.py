@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from etrlab.dictionaries import (EffectiveSensing, build_dictionary, build_sensing, compose,
                                  mutual_coherence)
-from etrlab.errors import DimensionMismatch, InvalidSparsity, NotOrthonormal, ZeroSignal
+from etrlab.errors import (DimensionMismatch, InvalidSetting, InvalidSparsity, NotOrthonormal,
+                           ZeroSignal)
 from etrlab.numerics import TOL
 from etrlab.rng import RandomStream
 from etrlab.solvers import SolverConfig, solve_l0
@@ -206,16 +207,16 @@ def test_observe_noise_attains_bound():
 @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
 def test_observe_rejects_a_non_finite_epsilon(epsilon):
     phi = build_sensing("gaussian", 6, 8, seed=2)
-    with pytest.raises(InvalidSparsity, match="epsilon must be finite"):
+    with pytest.raises(InvalidSetting, match="epsilon must be finite"):
         observe(RandomStream(3).gaussians(8), phi, epsilon, RandomStream(4))
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
 def test_observe_and_solver_config_reject_an_epsilon_with_one_message(epsilon):
     phi = build_sensing("gaussian", 6, 8, seed=2)
-    with pytest.raises(InvalidSparsity) as observed:
+    with pytest.raises(InvalidSetting) as observed:
         observe(RandomStream(3).gaussians(8), phi, epsilon, RandomStream(4))
-    with pytest.raises(InvalidSparsity) as configured:
+    with pytest.raises(InvalidSetting) as configured:
         SolverConfig(epsilon=epsilon)
     assert str(observed.value) == str(configured.value) == (
         f"epsilon must be finite and >= 0, got {epsilon}")
