@@ -27,7 +27,7 @@ from .errors import DimensionMismatch, EtrLabError, SuiteFailure
 from .etr import build_uncertainty_report
 from .geometry import geometry_report
 from .harness import run_experiment, write_records_csv
-from .numerics import load_matrix, load_vector
+from .numerics import TOL, load_matrix, load_vector
 from .rng import RandomStream, check_seed
 from .solvers import SOLVER_NAMES, SolverConfig, run_battery
 from .sparsity import PlantedInstance, validate_instance
@@ -194,7 +194,7 @@ def _cmd_functional(args) -> int:
     print(f"u_value: {report.u_value:.12g}")
     print(f"lower_bound: {report.lower_bound:.12g}")
     print(f"regime: {report.regime}")
-    if report.u_value < report.lower_bound - 1e-12:
+    if report.u_value < report.lower_bound - TOL.functional_slack:
         raise EtrLabError(f"u_value {report.u_value!r} below its floor {report.lower_bound!r}")
     return 0
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DegenerateGamma, InsufficientEvidence, InvalidSetting, InvalidSparsity
-from .geometry import GeometryReport, check_gamma, gamma_is_zero
-from .numerics import TOL
+from .geometry import GeometryReport, check_gamma
 from .sparsity import check_sparsity
 
 
@@ -80,8 +79,10 @@ class UncertaintyReport:
 
 def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
-    if k_psi < 1 or cost < 1:
-        raise InvalidSparsity("k_psi and cost must be >= 1")
+    if k_psi < 1:
+        raise InvalidSparsity(f"k_psi must be >= 1, got {k_psi}")
+    if cost < 1:
+        raise InvalidSetting(f"cost must be >= 1, got {cost}")
     check_gamma(gamma_2k)
     return k_psi * (1.0 / gamma_2k) * math.log1p(cost)
 
@@ -93,7 +94,7 @@ def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
 
 
 def build_uncertainty_report(k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
-    """Report constructor, regime indeterminate; a degenerate gamma yields infinity plus
+    """Report constructor, regime indeterminate; a gamma <= 0 yields infinity plus
     non-unique, and a gamma that is not finite raises InvalidSetting."""
     try:
         value = uncertainty_functional(k_psi, gamma_2k, cost)
@@ -132,24 +133,25 @@ def classify_regime(
 ) -> RegimeLabel:
     """Decision procedure over the geometry report and solver statistics.
 
-    Order: numerically-zero gamma wins (non-unique); then the stable
-    test (gamma floor, measurement budget, polynomial solver succeeds);
-    then the opacity surrogate (oracle succeeds, polynomial solvers
-    fail); everything else is indeterminate. When only bounds on gamma
-    are available the upper bound drives the non-unique test and the
-    lower bound the stable test, so neither verdict can overclaim.
+    Order: the report's verdict injective = "no" wins (non-unique); then
+    the stable test (gamma floor, measurement budget, polynomial solver
+    succeeds); then the opacity surrogate (oracle succeeds, polynomial
+    solvers fail); everything else is indeterminate. When only bounds on
+    gamma are available the report tests the upper bound for zero and the
+    lower bound drives the stable test, so neither verdict can overclaim.
     """
     th = thresholds or RegimeThresholds()
     th.check_evidence(battery_stats.trials)
     if geom.gamma_exact is not None:
-        gamma_for_nonunique = gamma_for_stable = geom.gamma_exact
+        gamma_for_stable = geom.gamma_exact
         gamma_desc = f"gamma_2k = {geom.gamma_exact:.6g} (exact)"
+        zero_test = "a witness was found"
     else:
-        gamma_for_nonunique = geom.gamma_upper
         gamma_for_stable = geom.gamma_lower
         gamma_desc = (
             f"gamma_2k in [{geom.gamma_lower:.6g}, {geom.gamma_upper:.6g}] (bounds)"
         )
+        zero_test = "the upper bound is below the cutoff"
     budget = sample_threshold(k, n, th.sample_c0)
     poly = battery_stats.best_polynomial_rate
     oracle = battery_stats.oracle_rate
@@ -157,8 +159,8 @@ def classify_regime(
         f"m = {m}, budget = {budget}, oracle rate = {oracle:.2f}, "
         f"best polynomial rate = {poly:.2f}"
     )
-    if gamma_is_zero(gamma_for_nonunique):
-        return RegimeLabel("non-unique", f"{gamma_desc} <= {TOL.gamma_zero}; {stats_desc}")
+    if geom.injective_on_r_sparse == "no":
+        return RegimeLabel("non-unique", f"{gamma_desc}: {zero_test}; {stats_desc}")
     if gamma_for_stable >= th.stable_c and m >= budget and poly >= th.battery_success_min:
         return RegimeLabel("stable", f"{gamma_desc} >= c = {th.stable_c}; {stats_desc}")
     if oracle >= th.battery_success_min and poly <= th.battery_fail_max:

@@ -135,21 +135,18 @@ def _zero_cutoff(a: np.ndarray) -> float:
 
 
 def _is_zero(sigma: float, cutoff: float) -> bool:
-    """The zero-gamma test: sigma below its _zero_cutoff, or 0.0 whatever the cutoff."""
+    """The lab's one zero-gamma test: sigma below its _zero_cutoff, or 0.0 whatever the
+    cutoff; the regime map and the perturbation suite read its verdict."""
     return sigma < cutoff or sigma <= 0.0
 
 
-def gamma_is_zero(gamma: float) -> bool:
-    """The zero test on a gamma value whose matrix is not at hand: gamma <= TOL.gamma_zero."""
-    return gamma <= TOL.gamma_zero
-
-
 def check_gamma(gamma_2k: float) -> None:
-    """Raise InvalidSetting for a gamma_2k that is not finite, DegenerateGamma for a zero one."""
+    """Raise InvalidSetting for a gamma_2k that is not finite, DegenerateGamma for one
+    <= 0: a bare gamma has no matrix to scale a `_zero_cutoff` by."""
     if not isfinite(gamma_2k):
         raise InvalidSetting(f"gamma_2k must be finite, got {gamma_2k}")
-    if gamma_is_zero(gamma_2k):
-        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is numerically zero")
+    if gamma_2k <= 0.0:
+        raise DegenerateGamma(f"gamma_2k = {gamma_2k} is not positive")
 
 
 def _check_r(n: int, r: int) -> None:
@@ -234,7 +231,7 @@ def perturbation_check(
     a: EffectiveSensing, z1: np.ndarray, z2: np.ndarray, gamma_2k: float
 ) -> tuple[bool, float]:
     """Check ||z1 - z2|| <= ||A (z1 - z2)|| / gamma_2k; returns (holds, slack). A gamma_2k
-    that is not finite, or is zero, raises as in `check_gamma`."""
+    that is not finite, or is <= 0, raises as in `check_gamma`."""
     check_gamma(gamma_2k)
     h = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     lhs = vector_norm(h)

@@ -39,13 +39,12 @@ from .config import EXPERIMENT_COMMANDS, ExperimentConfig, dump_config
 from .dictionaries import EffectiveSensing, build_dictionary, build_sensing, compose, mutual_coherence
 from .errors import IoFailure, SuiteFailure
 from .etr import BatteryStats, classify_regime, inflation_ratio, sample_threshold
-from .geometry import gamma_exact, gamma_is_zero, geometry_report, perturbation_check
+from .geometry import gamma_exact, geometry_report, perturbation_check
 from .numerics import TOL, detected_support, vector_norm
 from .rng import RandomStream, split_indices, stream_bases
 from .solvers import SOLVER_NAMES, BatteryEntry, SolverConfig, run_battery
 from .sparsity import effective_sparsity, plant, observe
 
-SUCCESS_REL_ERROR = 1e-4
 # perturbation trials whose bases are computed at once. Every array of a block stays
 # under glibc's 128 KiB mmap threshold, so blocks reuse heap memory: the benchmark's
 # perturbation peak_rss_mb read 46.3-46.6 MB with one (10^4, 7) pass, 45.7 MB in blocks
@@ -66,7 +65,7 @@ def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[boo
     truth_supp = set(detected_support(alpha_star))
     hat_supp = set(detected_support(alpha_hat))
     match = hat_supp == truth_supp
-    return match and rel <= SUCCESS_REL_ERROR, match, rel
+    return match and rel <= TOL.success_rel_error, match, rel
 
 
 def solve_outcome(entry: BatteryEntry, alpha_star: np.ndarray) -> dict:
@@ -347,11 +346,10 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> tuple:
 
     def one(t, words):
         a = EffectiveSensing(build_sensing(cfg.sensing, d, n, seed=words[0]))
-        g = gamma_exact(a, min(2 * k, n))
+        g, witness, _ = gamma_exact(a, min(2 * k, n), with_witness=True)
         row = {"experiment": "perturbation", "trial": t, "m": d, "n": n, "k": k,
-               "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": False}
-        if gamma_is_zero(g):
-            row["degenerate"] = True
+               "gamma_2k": g, "holds": True, "slack": 0.0, "degenerate": witness is not None}
+        if witness is not None:
             return row
         z1 = plant(psi, k, words[1:4]).alpha_star
         z2 = plant(psi, k, words[4:]).alpha_star

@@ -43,12 +43,15 @@ class Tolerances:
     rank_rel: float = 1e-12        # sigma_min / sigma_max below this => rank deficient
     ortho: float = 1e-10           # orthonormality of basis Gram matrices
     zero_tau: float = 1e-8         # relative magnitude threshold for "zero" coefficients
-    gamma_zero: float = 1e-10      # gamma treated as exactly 0 below this
+    gamma_zero: float = 1e-10      # factor on the largest column norm: sigma below it is 0
     feasibility_slack: float = 1e-10
     bound_slack: float = 1e-9      # rounding allowed when checking a proven inequality
     omp_stall: float = 1e-12       # OMP stops when no column correlates above this
     reachability: float = 1e-8     # BP: residual off range(A) allowed beyond epsilon
     path_end: float = 1e-9         # BP: the path ends once lambda falls below this times its start
+    success_rel_error: float = 1e-4  # recovery succeeds at relative error <= this
+    instance_atol: float = 1e-12   # a planted x may differ from psi @ alpha by this per entry
+    functional_slack: float = 1e-12  # rounding allowed below the uncertainty functional's floor
 
 
 TOL = Tolerances()

@@ -95,8 +95,8 @@ def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream
 def validate_instance(psi: np.ndarray, inst: PlantedInstance) -> None:
     """Re-check PlantedInstance invariants against its basis psi, e.g. after
     loading from disk."""
-    if not np.allclose(inst.x, psi @ inst.alpha_star, atol=1e-12):
-        raise InvalidSparsity("x != psi @ alpha within 1e-12")
+    if not np.allclose(inst.x, psi @ inst.alpha_star, atol=TOL.instance_atol):
+        raise InvalidSparsity(f"x != psi @ alpha within {TOL.instance_atol}")
     nz = np.abs(inst.alpha_star[np.flatnonzero(inst.alpha_star)])
     if len(nz) != inst.k:
         raise InvalidSparsity(f"||alpha||_0 = {len(nz)} != k = {inst.k}")

@@ -193,6 +193,14 @@ def test_functional_degenerate(capsys):
     assert "regime: non-unique" in capsys.readouterr().out
 
 
+def test_functional_rejects_a_cost_below_one(capsys):
+    rc = main(["functional", "--k-psi", "2", "--gamma", "0.5", "--cost", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidSetting: cost must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
 def test_functional_rejects_a_gamma_that_is_not_finite(capsys, gamma):
     # nan printed u_value: nan and inf printed u_value: 0, both with exit 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrlab.dictionaries import EffectiveSensing
+from etrlab import geometry
+from etrlab.dictionaries import EffectiveSensing, build_sensing
 from etrlab.errors import DegenerateGamma, InsufficientEvidence, InvalidSetting, InvalidSparsity
 from etrlab.etr import (
     BatteryStats,
@@ -16,17 +17,24 @@ from etrlab.etr import (
     sample_threshold,
     uncertainty_functional,
 )
-from etrlab.geometry import GeometryReport, gamma_is_zero, perturbation_check
+from etrlab.geometry import GeometryReport, geometry_report, perturbation_check
 from etrlab.numerics import TOL
 
 
 def _geom(exact=None, lower=0.0, upper=1.0, r=2):
+    # the verdict geometry_report states for a matrix whose largest column norm is 1,
+    # so that its zero cutoff is TOL.gamma_zero: the exact gamma or the upper bound
+    # below it is "no", else "yes" when exact and "unknown" when sampled
+    if geometry._is_zero(upper if exact is None else exact, TOL.gamma_zero):
+        injective = "no"
+    else:
+        injective = "unknown" if exact is None else "yes"
     return GeometryReport(
         r=r,
         gamma_exact=exact,
         gamma_upper=upper if exact is None else exact,
         gamma_lower=lower if exact is None else exact,
-        injective_on_r_sparse=(exact or lower) > 1e-10,
+        injective_on_r_sparse=injective,
         witness=None,
         supports_examined=0,
         method="exact" if exact is not None else "sampled",
@@ -53,22 +61,26 @@ def test_functional_worked_example():
 
 
 def test_one_zero_gamma_test_serves_the_functional_and_the_perturbation_check():
-    assert gamma_is_zero(TOL.gamma_zero) and not gamma_is_zero(math.nextafter(TOL.gamma_zero, 1.0))
+    # a bare gamma has no matrix to scale a cutoff by: only gamma <= 0 is degenerate
     a = EffectiveSensing(np.eye(2))
-    for gamma in (0.0, TOL.gamma_zero):
+    for gamma in (0.0, -0.0, -TOL.gamma_zero, -1.0):
         with pytest.raises(DegenerateGamma) as functional:
             uncertainty_functional(1, gamma, 10)
         with pytest.raises(DegenerateGamma) as check:
             perturbation_check(a, np.ones(2), np.zeros(2), gamma)
-        message = f"gamma_2k = {gamma} is numerically zero"
+        message = f"gamma_2k = {gamma} is not positive"
         assert str(functional.value) == str(check.value) == message
+    for gamma in (1e-300, 1e-12, TOL.gamma_zero):
+        assert math.isfinite(uncertainty_functional(1, gamma, 10))
+        assert perturbation_check(a, np.ones(2), np.zeros(2), gamma)[0]
 
 
 def test_functional_degenerate_gamma_raises():
     with pytest.raises(DegenerateGamma):
         uncertainty_functional(1, 0.0, 10)
     with pytest.raises(DegenerateGamma):
-        uncertainty_functional(1, 1e-11, 10)
+        uncertainty_functional(1, -1e-11, 10)
+    assert uncertainty_functional(1, 1e-11, 10) == pytest.approx(1e11 * math.log(11.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
@@ -81,10 +93,12 @@ def test_functional_and_bound_reject_a_gamma_that_is_not_finite(gamma):
 
 
 def test_functional_invalid_inputs():
-    with pytest.raises(InvalidSparsity):
+    with pytest.raises(InvalidSparsity, match=r"^k_psi must be >= 1, got 0$"):
         uncertainty_functional(0, 1.0, 10)
-    with pytest.raises(InvalidSparsity):
+    with pytest.raises(InvalidSetting, match=r"^cost must be >= 1, got 0$"):
         uncertainty_functional(1, 1.0, 0)
+    with pytest.raises(InvalidSetting, match=r"^cost must be >= 1, got -3$"):
+        build_uncertainty_report(2, 0.5, -3)
 
 
 def test_bound_examples():
@@ -275,8 +289,37 @@ def test_battery_stats_properties():
 
 
 def test_never_stable_with_degenerate_gamma():
+    # 0.0 and 1e-12 fall below the unit-norm cutoff 1e-10 and 1e-10 does not, yet a
+    # gamma this small is never stable, whatever the budget and the battery
     for gamma in [0.0, 1e-12, 1e-10]:
-        label = classify_regime(
-            _geom(exact=gamma), m=10 ** 6, n=16, k=2, battery_stats=_stats()
-        )
-        assert label.label == "non-unique"
+        geom = _geom(exact=gamma)
+        label = classify_regime(geom, m=10 ** 6, n=16, k=2, battery_stats=_stats())
+        assert label.label != "stable"
+        assert (label.label == "non-unique") == (geom.injective_on_r_sparse == "no")
+        assert (label.label == "non-unique") == (gamma < TOL.gamma_zero)
+
+
+def _duplicated_column():
+    a = build_sensing("gaussian", 6, 10, seed=5)
+    a[:, 7] = a[:, 2]
+    return a
+
+
+@pytest.mark.parametrize("mat, r, verdict", [
+    (build_sensing("gaussian", 8, 16, seed=3), 4, "yes"),
+    (np.diag([1.0, 1e-10]), 2, "yes"),
+    (_duplicated_column(), 2, "no"),
+], ids=["gaussian", "diag", "duplicated-column"])
+def test_regime_verdict_does_not_depend_on_the_scale_of_a(mat, r, verdict):
+    # gamma_2k = 0 is the loss of injectivity, which scaling A cannot change: the
+    # report's verdict and whether the label is non-unique must read the same at every
+    # scale c. The stable floor stable_c is absolute, so stable may come and go with c.
+    verdicts, non_unique = set(), set()
+    for c in (1e-10, 1.0, 1e10):
+        geom = geometry_report(EffectiveSensing(c * mat), r)
+        label = classify_regime(geom, m=mat.shape[0], n=mat.shape[1], k=r // 2,
+                                battery_stats=_stats())
+        assert (label.label == "non-unique") == (geom.injective_on_r_sparse == "no")
+        verdicts.add(geom.injective_on_r_sparse)
+        non_unique.add(label.label == "non-unique")
+    assert verdicts == {verdict} and len(non_unique) == 1

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 from math import comb
 
 import numpy as np
@@ -186,6 +188,49 @@ def test_gamma_zero_iff_sparse_kernel_exists():
             assert (gamma_exact(a, r) <= 1e-10) == has_sparse_kernel(a, r)
 
 
+class _ZeroTestUses(ast.NodeVisitor):
+    """Where a module reads a `gamma_zero` attribute or names it in a string, and the
+    functions or names it defines that hold `is_zero`, as dotted scopes."""
+
+    def __init__(self, module):
+        self.scope, self.readers, self.zero_tests = [module], set(), set()
+
+    def visit_FunctionDef(self, node):
+        if "is_zero" in node.name:
+            self.zero_tests.add(".".join([*self.scope, node.name]))
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if "is_zero" in node.id and isinstance(node.ctx, ast.Store):
+            self.zero_tests.add(".".join([*self.scope, node.id]))
+
+    def visit_Attribute(self, node):
+        if node.attr == "gamma_zero":
+            self.readers.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if node.value == "gamma_zero":
+            self.readers.add(".".join(self.scope))
+
+
+def test_the_zero_gamma_test_is_written_once():
+    # one numerical-zero test for gamma: TOL.gamma_zero is read by geometry._zero_cutoff
+    # alone and _is_zero is the one zero test defined, so the cutoff changes in one place
+    readers, zero_tests = set(), set()
+    for path in sorted(pathlib.Path(geometry.__file__).parent.glob("*.py")):
+        uses = _ZeroTestUses(path.stem)
+        uses.visit(ast.parse(path.read_text()))
+        readers |= uses.readers
+        zero_tests |= uses.zero_tests
+    assert readers == {"geometry._zero_cutoff"}
+    assert zero_tests == {"geometry._is_zero"}
+
+
 def test_perturbation_check_zero_difference():
     z = np.array([1.0, 0.0, 0.0])
     holds, slack = perturbation_check(TRI, z, z, 0.5)
@@ -202,8 +247,11 @@ def test_perturbation_check_isometry_equality():
 
 
 def test_perturbation_check_degenerate_gamma():
-    with pytest.raises(DegenerateGamma):
-        perturbation_check(TRI, np.zeros(3), np.zeros(3), 1e-12)
+    for gamma in (0.0, -1e-12):
+        with pytest.raises(DegenerateGamma):
+            perturbation_check(TRI, np.zeros(3), np.zeros(3), gamma)
+    # a bare gamma has no matrix to scale a cutoff by: any gamma > 0 is checked
+    assert perturbation_check(TRI, np.zeros(3), np.zeros(3), 1e-12) == (True, 0.0)
 
 
 def test_geometry_report_exact_mode():

@@ -630,7 +630,7 @@ def test_digest_check_prints_the_host_before_its_summary(tmp_path, monkeypatch, 
 SHRUNK_PINS = [
     ("regime.cfg",
      dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
-     "a34567cbae849fb30ea61759e7ed7e845892a952d069eb5b37b3d0c690cd94aa"),
+     "50e32e93f78c32df4e5f24c653b15936dea247131bf0b220963ef595898160af"),
     ("perturbation.cfg", dict(trials_per_cell=200),
      "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
     ("phase.cfg",
@@ -858,6 +858,24 @@ def test_violating_perturbation_suite_writes_its_report_before_it_raises(tmp_pat
     assert failure.value.violations == expected
     summary = (tmp_path / "perturbation_summary.md").read_text()
     assert f"\nviolations: {len(expected)} (must be 0)\n" in summary
+
+
+def test_perturbation_suite_skips_trials_whose_gamma_has_a_witness(tmp_path, monkeypatch):
+    # every 2-support of a 1 x 4 matrix is wide, so gamma_2k = 0.0 and gamma_exact
+    # finds a witness on every trial: each is degenerate, and none plants or checks
+    def unreachable(*args):
+        raise AssertionError("a degenerate trial planted or checked")
+
+    monkeypatch.setattr(harness, "plant", unreachable)
+    monkeypatch.setattr(harness, "perturbation_check", unreachable)
+    cfg = ExperimentConfig(experiment="perturbation", d=1, n=4, k=1, trials_per_cell=5,
+                           master_seed=3, output_dir=str(tmp_path))
+    run_experiment(cfg)  # raises SuiteFailure on a violation
+    rows = _records(tmp_path / "perturbation_records.csv")
+    assert [(r["gamma_2k"], r["degenerate"], r["holds"]) for r in rows] == [("0", "1", "1")] * 5
+    summary = (tmp_path / "perturbation_summary.md").read_text()
+    assert "\ninstances: 5 (5 degenerate skipped)\nviolations: 0 (must be 0)\nno valid slacks\n" \
+        in summary
 
 
 def test_violating_uncertainty_suite_writes_its_report_before_it_raises(tmp_path,
