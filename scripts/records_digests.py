@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every shipped config and print the sha256 of its records.
+"""Run every shipped config and print the sha256 of its records and summary.
 
     python scripts/records_digests.py
     python scripts/records_digests.py --check scripts/records_digests.txt
@@ -7,13 +7,15 @@
 The lab is imported from the checkout's own `src/`, which the script puts
 first on `sys.path`, so no PYTHONPATH is needed. Each config in configs/
 runs into its own temporary directory; one line per config,
-`<config>  <sha256 of its records CSV>`. Run it on two commits and diff
-the output to see whether a change altered any record byte.
+`<config>  <sha256 of its records CSV>  <sha256 of its summary>`, where the
+summary is hashed without its `- reproduce:` line, which names the output
+path. Run it on two commits and diff the output to see whether a change
+altered any record or summary byte.
 A verification suite that reports violations still writes its records,
-so its digest is printed with a note. With --check, the digests are
+so its digests are printed with a note. With --check, the digests are
 compared with a pinned table in the same format; the script exits 1 if
-any config's digest differs from its pinned line or has none, or if the
-table pins a name that configs/ does not hold (after a rename, say).
+either of a config's digests differs from its pinned line or it has none,
+or if the table pins a name that configs/ does not hold (after a rename, say).
 Before its summary line, --check prints a `host:` line: the numpy version,
 the SIMD extensions numpy found on this CPU and OPENBLAS_CORETYPE when set,
 since some record bits depend on them.
@@ -44,15 +46,25 @@ def host_line() -> str:
     return line + (f", OPENBLAS_CORETYPE={coretype}" if coretype else "")
 
 
+def digests(records_csv, summary_md) -> list[str]:
+    """sha256 of the records CSV, and of the summary without its reproduce line."""
+    with open(records_csv, "rb") as fh:
+        records = hashlib.sha256(fh.read()).hexdigest()
+    with open(summary_md) as fh:
+        text = "".join(line for line in fh if not line.startswith("- reproduce: "))
+    return [records, hashlib.sha256(text.encode()).hexdigest()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="TABLE",
-                        help="pinned `<config>  <sha256>` lines to compare against")
+                        help="pinned `<config>  <records sha256>  <summary sha256>` lines "
+                             "to compare against")
     args = parser.parse_args(argv)
     pinned = {}
     if args.check:
         with open(args.check) as fh:
-            pinned = dict(line.split() for line in fh if line.strip())
+            pinned = {name: pins for name, *pins in (line.split() for line in fh if line.strip())}
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     mismatches = 0
     for path in configs:
@@ -65,15 +77,15 @@ def main(argv=None) -> int:
             except SuiteFailure:
                 note = "  (suite reported violations)"
             (records,) = glob.glob(os.path.join(tmp, "*_records.csv"))
-            with open(records, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-        if args.check and pinned.get(path.name) != digest:
+            (summary,) = glob.glob(os.path.join(tmp, "*_summary.md"))
+            found = digests(records, summary)
+        if args.check and pinned.get(path.name) != found:
             mismatches += 1
-            note += f"  MISMATCH, pinned {pinned.get(path.name)}"
-        print(f"{path.name}  {digest}{note}", flush=True)
+            note += f"  MISMATCH, pinned {'  '.join(pinned.get(path.name, ['none']))}"
+        print(f"{path.name}  {'  '.join(found)}{note}", flush=True)
     missing = sorted(pinned.keys() - {path.name for path in configs})
     for name in missing:
-        print(f"{name}  MISMATCH, pinned {pinned[name]} but configs/ holds no {name}")
+        print(f"{name}  MISMATCH, pinned {'  '.join(pinned[name])} but configs/ holds no {name}")
     mismatches += len(missing)
     if args.check:
         print(host_line())

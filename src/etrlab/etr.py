@@ -77,6 +77,13 @@ class UncertaintyReport:
     regime: str
 
 
+def _finite(value: float, gamma_2k: float) -> float:
+    """value, or InvalidSetting naming gamma_2k where it overflowed to infinity."""
+    if value == math.inf:
+        raise InvalidSetting(f"gamma_2k = {gamma_2k} is too small: the value overflows")
+    return value
+
+
 def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
     if k_psi < 1:
@@ -84,18 +91,18 @@ def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     if cost < 1:
         raise InvalidSetting(f"cost must be >= 1, got {cost}")
     check_gamma(gamma_2k)
-    return k_psi * (1.0 / gamma_2k) * math.log1p(cost)
+    return _finite(k_psi * (1.0 / gamma_2k) * math.log1p(cost), gamma_2k)
 
 
 def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     """(k_psi / gamma_2k) * ln 2; a floor under every uncertainty value."""
     check_gamma(gamma_2k)
-    return k_psi / gamma_2k * math.log(2.0)
+    return _finite(k_psi / gamma_2k * math.log(2.0), gamma_2k)
 
 
 def build_uncertainty_report(k_psi: int, gamma_2k: float, cost: int) -> UncertaintyReport:
     """Report constructor, regime indeterminate; a gamma <= 0 yields infinity plus
-    non-unique, and a gamma that is not finite raises InvalidSetting."""
+    non-unique, and a gamma that is not finite or overflows a value raises InvalidSetting."""
     try:
         value = uncertainty_functional(k_psi, gamma_2k, cost)
         bound = nonvanishing_bound(k_psi, gamma_2k)

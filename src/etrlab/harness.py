@@ -18,10 +18,12 @@ share a stream whatever the sweep lengths and trial counts:
   (`perturbation_bases`).
 
 Trials run one after another in a fixed order, so reruns of a config are
-bit-identical on one host and numpy build. Each run writes
-`<name>_records.csv`, `<name>_summary.md` and `<name>_config.cfg`, the
-config it ran, which the summary's reproduce line passes back to
-`etr-lab`; phase and regime-map runs also draw one SVG figure.
+bit-identical on one host and numpy build. Each experiment is a `run`,
+which returns the records, and a `summarize`, which computes the summary
+lines, figures and violations from the config and records alone. A run
+writes `<name>_records.csv`, `<name>_summary.md` and `<name>_config.cfg`,
+the config it ran, which the summary's reproduce line passes back to
+`etr-lab`; phase and regime-map summaries also draw one SVG figure.
 """
 
 from __future__ import annotations
@@ -60,11 +62,8 @@ class ReportBundle:
 
 def recovery_success(alpha_hat: np.ndarray, alpha_star: np.ndarray) -> tuple[bool, bool, float]:
     """(success, support_match, rel_error); success needs both conditions."""
-    star_norm = vector_norm(alpha_star)
-    rel = vector_norm(alpha_hat - alpha_star) / max(star_norm, 1e-300)
-    truth_supp = set(detected_support(alpha_star))
-    hat_supp = set(detected_support(alpha_hat))
-    match = hat_supp == truth_supp
+    rel = vector_norm(alpha_hat - alpha_star) / max(vector_norm(alpha_star), 1e-300)
+    match = set(detected_support(alpha_hat)) == set(detected_support(alpha_star))
     return match and rel <= TOL.success_rel_error, match, rel
 
 
@@ -93,10 +92,7 @@ def isotonic_fit(values: list[float]) -> list[float]:
         while len(out) > 1 and out[-2][0] > out[-1][0]:
             (l1, w1), (l2, w2) = out[-2], out[-1]
             out[-2:] = [((l1 * w1 + l2 * w2) / (w1 + w2), w1 + w2)]
-    fitted = []
-    for lv, w in out:
-        fitted.extend([lv] * int(round(w)))
-    return fitted
+    return [level for level, w in out for _ in range(int(round(w)))]
 
 
 def _fmt_value(v) -> str:
@@ -176,7 +172,7 @@ def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
 # phase transition
 
 
-def run_phase_transition(cfg: ExperimentConfig) -> tuple:
+def run_phase_transition(cfg: ExperimentConfig) -> list[dict]:
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
     scfg = _solver_config(cfg, cfg.k)
@@ -190,34 +186,32 @@ def run_phase_transition(cfg: ExperimentConfig) -> tuple:
                  "trial": t, **solve_outcome(entry, inst.alpha_star)}
                 for entry in run_battery(compose(phi, psi), y, scfg, cfg.solvers)]
 
-    records = [row for ci, m in enumerate(cfg.m_sweep) for t in range(cfg.trials_per_cell)
-               for row in one_trial(ci, m, t)]
+    return [row for ci, m in enumerate(cfg.m_sweep) for t in range(cfg.trials_per_cell)
+            for row in one_trial(ci, m, t)]
 
+
+def summarize_phase_transition(cfg: ExperimentConfig, records: list[dict]) -> tuple:
     threshold = sample_threshold(cfg.k, cfg.n, cfg.thresholds.sample_c0)
-    lines = [f"budget threshold m* = ceil(c0 * k * (ln(n/k)+1)) = {threshold}", ""]
-    lines.append("| m | solver | success rate |")
-    lines.append("|---|--------|--------------|")
+    lines = [f"budget threshold m* = ceil(c0 * k * (ln(n/k)+1)) = {threshold}", "",
+             "| m | solver | success rate |", "|---|--------|--------------|"]
     series: dict = {}
     for solver in cfg.solvers:
         rates = [success_rate([r for r in records if r["solver"] == solver and r["m"] == m])
                  for m in cfg.m_sweep]
         lines += [f"| {m} | {solver} | {rate:.3f} |" for m, rate in zip(cfg.m_sweep, rates)]
         series[solver] = list(zip(cfg.m_sweep, rates))
-        smooth = isotonic_fit(rates)
-        crossing = next((m for m, r in zip(cfg.m_sweep, smooth) if r >= 0.5), None)
-        lines.append("")
-        lines.append(f"isotonic 50% crossing for {solver}: m = {crossing}")
-        lines.append("")
+        crossing = next((m for m, r in zip(cfg.m_sweep, isotonic_fit(rates)) if r >= 0.5), None)
+        lines += ["", f"isotonic 50% crossing for {solver}: m = {crossing}", ""]
     fig = os.path.join(cfg.output_dir, "phase_success.svg")
     svgplot.line_plot(fig, series, "m", "success rate", "recovery success vs measurements")
-    return records, lines, (fig,), []
+    return lines, (fig,), []
 
 
 # ---------------------------------------------------------------------------
 # representation mismatch
 
 
-def run_mismatch(cfg: ExperimentConfig) -> tuple:
+def run_mismatch(cfg: ExperimentConfig) -> list[dict]:
     d, k, m = cfg.d, cfg.k, cfg.m
     identity = build_dictionary("identity", d)
     base = RandomStream(cfg.master_seed)
@@ -249,8 +243,11 @@ def run_mismatch(cfg: ExperimentConfig) -> tuple:
                 for entry in run_battery(a, y, scfg, ("basis-pursuit",))]
 
     records = [census_trial(t) for t in range(cfg.trials_per_cell)]
-    records += [row for t in range(cfg.recovery_trials) for row in recovery_trial(t)]
+    return records + [row for t in range(cfg.recovery_trials) for row in recovery_trial(t)]
 
+
+def summarize_mismatch(cfg: ExperimentConfig, records: list[dict]) -> tuple:
+    d, k, m = cfg.d, cfg.k, cfg.m
     census = [r for r in records if r["phase"] == "census"]
     dense = sum(1 for r in census if r["k_eff"] == d) / len(census)
     rate_m = success_rate([r for r in records if r["arm"] == "matched"])
@@ -272,7 +269,7 @@ def run_mismatch(cfg: ExperimentConfig) -> tuple:
         by_type = "; ".join(f"{name}: {count}" for name, count in sorted(raised.items()))
         lines.append(f"{arm} solves that raised: {raised.total()} of {cfg.recovery_trials}"
                      + (f" ({by_type})" if raised else ""))
-    return records, lines, (), []
+    return lines, (), []
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +285,15 @@ def _subgroup_indicator(d: int) -> np.ndarray:
     return x
 
 
-def run_uncertainty_suite(cfg: ExperimentConfig) -> tuple:
+def run_uncertainty_suite(cfg: ExperimentConfig) -> list[dict]:
     base = RandomStream(cfg.master_seed)
-    records, violations, lines = [], [], []
+    records = []
     for di, d in enumerate(cfg.d_sweep):
-        ident = build_dictionary("identity", d)
-        hada = build_dictionary("hadamard", d)
-        mu = mutual_coherence(ident, hada)
-        floor = 1.0 / mu ** 2
-
-        def row(x, trial, case):
+        ident, hada = build_dictionary("identity", d), build_dictionary("hadamard", d)
+        floor = 1.0 / mutual_coherence(ident, hada) ** 2
+        signals = [(t, "random", base.split(di).split(t).gaussians(d))
+                   for t in range(cfg.trials_per_cell)]
+        for trial, case, x in [*signals, (-1, "subgroup-extremal", _subgroup_indicator(d))]:
             k1, k2 = effective_sparsity(x, ident), effective_sparsity(x, hada)
             product = k1 * k2
             # a random signal may not go below the floor; the subgroup indicator meets it
@@ -306,24 +302,28 @@ def run_uncertainty_suite(cfg: ExperimentConfig) -> tuple:
             records.append({"experiment": "uncertainty-principle", "d": d, "trial": trial,
                             "case": case, "k1": k1, "k2": k2, "product": product,
                             "floor": floor, "violation": violated})
-            return product, violated
+    return records
 
-        slacks = []
-        for t in range(cfg.trials_per_cell):
-            product, violated = row(base.split(di).split(t).gaussians(d), t, "random")
-            slacks.append(product - floor)
-            if violated:
-                violations.append(f"d={d} trial={t} seed={cfg.master_seed}: {product} < {floor}")
-        extremal, violated = row(_subgroup_indicator(d), -1, "subgroup-extremal")
-        if violated:
-            violations.append(f"d={d} subgroup extremal: product {extremal} != {round(floor)}")
+
+def summarize_uncertainty_suite(cfg: ExperimentConfig, records: list[dict]) -> tuple:
+    lines, violations = [], []
+    for d in cfg.d_sweep:
+        rows = [r for r in records if r["d"] == d]
+        drawn = [r for r in rows if r["case"] == "random"]
+        (extremal,) = [r for r in rows if r["case"] == "subgroup-extremal"]
+        violations += [
+            f"d={d} trial={r['trial']} seed={cfg.master_seed}: {r['product']} < {r['floor']}"
+            if r["case"] == "random" else
+            f"d={d} subgroup extremal: product {r['product']} != {round(r['floor'])}"
+            for r in rows if r["violation"]]
+        mu = mutual_coherence(build_dictionary("identity", d), build_dictionary("hadamard", d))
         lines.append(
-            f"d = {d}: mu = {mu:.6f}, floor = {floor:.1f}, violations = "
-            f"{sum(1 for r in records if r['d'] == d and r['violation'])}, "
-            f"min slack = {min(slacks):.3f}, extremal product = {extremal}"
-        )
+            f"d = {d}: mu = {mu:.6f}, floor = {extremal['floor']:.1f}, "
+            f"violations = {sum(r['violation'] for r in rows)}, "
+            f"min slack = {min(r['product'] - r['floor'] for r in drawn):.3f}, "
+            f"extremal product = {extremal['product']}")
     lines.append(f"total violations: {len(violations)} (must be 0)")
-    return records, lines, (), violations
+    return lines, (), violations
 
 
 def perturbation_bases(master_seed: int, trials: int) -> Iterator[np.ndarray]:
@@ -340,7 +340,7 @@ def perturbation_bases(master_seed: int, trials: int) -> Iterator[np.ndarray]:
         yield from stream_bases(master_seed, np.concatenate([children[:, :1], plants], axis=1))
 
 
-def run_perturbation_suite(cfg: ExperimentConfig) -> tuple:
+def run_perturbation_suite(cfg: ExperimentConfig) -> list[dict]:
     d, n, k = cfg.d, cfg.n, cfg.k
     psi = build_dictionary("identity", n)
 
@@ -357,8 +357,11 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> tuple:
         row["holds"], row["slack"] = holds, slack
         return row
 
-    records = [one(t, row.tolist())
-               for t, row in enumerate(perturbation_bases(cfg.master_seed, cfg.trials_per_cell))]
+    return [one(t, row.tolist())
+            for t, row in enumerate(perturbation_bases(cfg.master_seed, cfg.trials_per_cell))]
+
+
+def summarize_perturbation_suite(cfg: ExperimentConfig, records: list[dict]) -> tuple:
     slacks = [r["slack"] for r in records if not r["degenerate"]]
     violations = [f"trial={r['trial']} seed={cfg.master_seed}: slack {r['slack']}"
                   for r in records if not r["holds"]]
@@ -367,7 +370,7 @@ def run_perturbation_suite(cfg: ExperimentConfig) -> tuple:
         f"violations: {len(violations)} (must be 0)",
         f"slack range: [{min(slacks):.6g}, {max(slacks):.6g}]" if slacks else "no valid slacks",
     ]
-    return records, lines, (), violations
+    return lines, (), violations
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +385,7 @@ REGIME_COLORS = {
 }
 
 
-def run_regime_map(cfg: ExperimentConfig) -> tuple:
+def run_regime_map(cfg: ExperimentConfig) -> list[dict]:
     psi = build_dictionary(cfg.basis, cfg.d, seed=cfg.master_seed)
     base = RandomStream(cfg.master_seed)
 
@@ -412,31 +415,30 @@ def run_regime_map(cfg: ExperimentConfig) -> tuple:
             "regime": label.label, "evidence": label.evidence.replace(",", ";"),
         }
 
-    records = [one_cell(mi, ki, m, k)
-               for mi, m in enumerate(cfg.m_sweep) for ki, k in enumerate(cfg.k_sweep)]
+    return [one_cell(mi, ki, m, k)
+            for mi, m in enumerate(cfg.m_sweep) for ki, k in enumerate(cfg.k_sweep)]
 
-    lines = ["| m \\ k | " + " | ".join(str(k) for k in cfg.k_sweep) + " |",
-             "|---" * (len(cfg.k_sweep) + 1) + "|"]
-    for m in cfg.m_sweep:
-        row = [next(r["regime"] for r in records if r["m"] == m and r["k"] == k)
-               for k in cfg.k_sweep]
-        lines.append(f"| {m} | " + " | ".join(row) + " |")
-    lines.append("")
-    lines.append("classifier thresholds: " + repr(cfg.thresholds))
-    fig = os.path.join(cfg.output_dir, "regime_map.svg")
+
+def summarize_regime_map(cfg: ExperimentConfig, records: list[dict]) -> tuple:
     grid = {(r["k"], r["m"]): r["regime"] for r in records}
+    lines = ["| m \\ k | " + " | ".join(str(k) for k in cfg.k_sweep) + " |",
+             "|---" * (len(cfg.k_sweep) + 1) + "|",
+             *(f"| {m} | {' | '.join(grid[k, m] for k in cfg.k_sweep)} |" for m in cfg.m_sweep),
+             "", "classifier thresholds: " + repr(cfg.thresholds)]
+    fig = os.path.join(cfg.output_dir, "regime_map.svg")
     svgplot.heat_map(fig, grid, list(cfg.k_sweep), list(cfg.m_sweep), "k", "m",
                      "discovery regimes", colors=REGIME_COLORS)
-    return records, lines, (fig,), []
+    return lines, (fig,), []
 
 
-# each returns (records, summary lines, figures it drew, violations) for run_experiment
+# each experiment's (run, summarize): run(cfg) returns the records, and summarize(cfg,
+# records), which reads nothing else, returns (summary lines, figures it drew, violations)
 RUNNERS = {
-    "phase": run_phase_transition,
-    "mismatch": run_mismatch,
-    "uncertainty-principle": run_uncertainty_suite,
-    "perturbation": run_perturbation_suite,
-    "regime-map": run_regime_map,
+    "phase": (run_phase_transition, summarize_phase_transition),
+    "mismatch": (run_mismatch, summarize_mismatch),
+    "uncertainty-principle": (run_uncertainty_suite, summarize_uncertainty_suite),
+    "perturbation": (run_perturbation_suite, summarize_perturbation_suite),
+    "regime-map": (run_regime_map, summarize_regime_map),
 }
 
 
@@ -444,7 +446,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """Run cfg's experiment and write its report into cfg.output_dir, made if missing;
     a suite that found violations raises SuiteFailure once its report is written."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    records, lines, figures, violations = RUNNERS[cfg.experiment](cfg)
+    run, summarize = RUNNERS[cfg.experiment]
+    records = run(cfg)
+    lines, figures, violations = summarize(cfg, records)
     bundle = render_report(records, cfg, cfg.experiment.replace("-", "_"), lines, figures)
     if violations:
         raise SuiteFailure(violations)

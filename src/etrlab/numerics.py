@@ -50,7 +50,6 @@ class Tolerances:
     reachability: float = 1e-8     # BP: residual off range(A) allowed beyond epsilon
     path_end: float = 1e-9         # BP: the path ends once lambda falls below this times its start
     success_rel_error: float = 1e-4  # recovery succeeds at relative error <= this
-    instance_atol: float = 1e-12   # a planted x may differ from psi @ alpha by this per entry
     functional_slack: float = 1e-12  # rounding allowed below the uncertainty functional's floor
 
 

@@ -20,11 +20,6 @@ MIN_COEFF = 0.1  # planted magnitudes bounded away from the zero threshold
 class PlantedInstance:
     alpha_star: np.ndarray
     x: np.ndarray
-    k: int
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.alpha_star))
 
 
 def effective_sparsity(x: np.ndarray, psi: np.ndarray) -> int:
@@ -73,7 +68,7 @@ def plant(psi: np.ndarray, k: int, bases) -> PlantedInstance:
     for i, u, g in zip(fisher_yates(n, base_uniforms(support_base, k)),
                        base_uniforms(sign_base, k), base_gaussians(magnitude_base, k)):
         alpha[i] = (-1.0 if u < 0.5 else 1.0) * (MIN_COEFF + abs(g))
-    return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
+    return PlantedInstance(alpha_star=alpha, x=psi @ alpha)
 
 
 def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream) -> np.ndarray:
@@ -92,13 +87,7 @@ def observe(x: np.ndarray, phi: np.ndarray, epsilon: float, stream: RandomStream
     return clean + noise
 
 
-def validate_instance(psi: np.ndarray, inst: PlantedInstance) -> None:
-    """Re-check PlantedInstance invariants against its basis psi, e.g. after
-    loading from disk."""
-    if not np.allclose(inst.x, psi @ inst.alpha_star, atol=TOL.instance_atol):
-        raise InvalidSparsity(f"x != psi @ alpha within {TOL.instance_atol}")
-    nz = np.abs(inst.alpha_star[np.flatnonzero(inst.alpha_star)])
-    if len(nz) != inst.k:
-        raise InvalidSparsity(f"||alpha||_0 = {len(nz)} != k = {inst.k}")
-    if len(nz) and np.min(nz) < MIN_COEFF:
+def check_magnitudes(alpha: np.ndarray) -> None:
+    """Raise InvalidSparsity for a nonzero entry of alpha below `plant`'s MIN_COEFF floor."""
+    if np.any((alpha != 0) & (np.abs(alpha) < MIN_COEFF)):
         raise InvalidSparsity("planted coefficient below the 0.1 magnitude floor")

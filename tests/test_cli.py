@@ -130,7 +130,8 @@ def test_recover_instance_rejects_invalid(tmp_path, capsys):
     save_matrix(tmp_path / "alpha.csv", np.array([0.0, 1e-6, 0.0]).reshape(-1, 1))
     rc = main(["recover", "--instance", str(tmp_path)])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: InvalidSparsity: planted coefficient below the 0.1 magnitude floor\n")
 
 
 @pytest.mark.parametrize("setting", [["--epsilon", "-0.01"], ["--max-sparsity", "-1"]])
@@ -211,6 +212,17 @@ def test_functional_rejects_a_gamma_that_is_not_finite(capsys, gamma):
     assert f"error: InvalidSetting: gamma_2k must be finite, got {float(gamma)}" in captured.err
 
 
+@pytest.mark.parametrize("k_psi, gamma, cost", [(1, "5e-324", 1), (3, "1e-308", 1000000)])
+def test_functional_rejects_a_gamma_whose_value_overflows(capsys, k_psi, gamma, cost):
+    # both printed u_value: inf, lower_bound: inf and regime: indeterminate, with exit 0
+    rc = main(["functional", "--k-psi", str(k_psi), "--gamma", gamma, "--cost", str(cost)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: InvalidSetting: gamma_2k = {float(gamma)} is too small: "
+                            "the value overflows\n")
+
+
 def test_phase_with_config(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("[phase]\nd = 8\nk = 1\nm_sweep = 2,8\ntrials_per_cell = 3\n"
@@ -279,10 +291,13 @@ def test_verify_suite_must_match_the_config(tmp_path, capsys):
 
 
 with open(os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")) as fh:
-    SHIPPED_PINS = dict(line.split() for line in fh if line.strip())
+    # `<config>  <records sha256>  <summary sha256>` lines
+    SHIPPED_PINS = {name: records
+                    for name, records, _ in (line.split() for line in fh if line.strip())}
 
-# sha256 of the records each experiment subcommand writes without a config
-NO_CONFIG_PINS = [
+# sha256 of the records each experiment subcommand writes without a config, with the
+# command as the test id
+NO_CONFIG_PINS = [pytest.param(command, digest, id=command) for command, digest in (
     ("phase", "864d4001e01628fc139dcbdb25ab4339127e2f5944beff985bd2d4c0381f9e2c"),
     ("mismatch", "735de51e0e3d83fb1af9062ba4db079b94c7e2982bf4347a6f78653414add88e"),
     ("verify", "b592eff1d3affaab3d2974e3ab5dbf39f60648451c1d3dcd41f8eb9439cc818e"),
@@ -291,7 +306,7 @@ NO_CONFIG_PINS = [
     # perturbation.cfg at 200 trials, as in test_harness's SHRUNK_PINS
     ("verify --suite perturbation",
      "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
-]
+)]
 
 
 @pytest.mark.parametrize("command, digest", NO_CONFIG_PINS)

@@ -92,6 +92,17 @@ def test_functional_and_bound_reject_a_gamma_that_is_not_finite(gamma):
             call()
 
 
+@pytest.mark.parametrize("k_psi, gamma, cost", [(1, 5e-324, 1), (3, 1e-308, 10 ** 6)])
+def test_functional_and_bound_reject_a_gamma_whose_value_overflows(k_psi, gamma, cost):
+    # each value was inf, and the report labelled it indeterminate
+    message = f"^gamma_2k = {gamma} is too small: the value overflows$"
+    for call in (lambda: uncertainty_functional(k_psi, gamma, cost),
+                 lambda: nonvanishing_bound(k_psi, gamma),
+                 lambda: build_uncertainty_report(k_psi, gamma, cost)):
+        with pytest.raises(InvalidSetting, match=message):
+            call()
+
+
 def test_functional_invalid_inputs():
     with pytest.raises(InvalidSparsity, match=r"^k_psi must be >= 1, got 0$"):
         uncertainty_functional(0, 1.0, 10)

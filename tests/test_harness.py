@@ -546,33 +546,83 @@ def _summary_digest(path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of each shipped config's summary, reproduce line removed. Like the record
-# pins, these were taken with numpy 2.4.6 running its X86_V4 (AVX-512) loops; on
-# another dispatch level a summary line that prints a float may differ (ROADMAP item 9)
-SUMMARY_PINS = {
-    "toy.cfg": "3abbfdc6f12696c8d870ff3a3ba4944875a00621cfc57cf79e78470fff506547",
-    "regime.cfg": "1ab5dfe7b14b704cd8dde0e3531efca166d8479c2aef1cb5388a5363840fd901",
-    "phase.cfg": "ccd38cc8615c29356bf626fbfc582264689cab64c95612b187c0914d9de4e663",
-    "mismatch.cfg": "7e6319965a677679002a1a378fcf3b84deb0b46ca1981a8caf1030f2eff87a2f",
-    "uncertainty.cfg": "01bb9469da7c79703aa04fa3b300c925f42bc8aa558f7ef5349cab2914fe0aa8",
+# the type of each records column: the CSV writes a bool as 1 or 0 and a float by a
+# repr that reads back to the same float
+_BOOL = {"1": True, "0": False}.__getitem__
+COLUMN_TYPES = {
+    **dict.fromkeys(("success", "support_match", "converged", "violation", "holds",
+                     "degenerate"), _BOOL),
+    **dict.fromkeys(("m", "k", "n", "d", "trial", "cost_total", "k_eff", "k1", "k2",
+                     "product"), int),
+    **dict.fromkeys(("rel_error", "floor", "gamma_2k", "slack", "l0_rate", "omp_rate",
+                     "bp_rate"), float),
+    **dict.fromkeys(("experiment", "solver", "error", "phase", "arm", "case",
+                     "gamma_method", "regime", "evidence"), str),
 }
+
+
+# what draws or solves: a summary computes from its records and calls none of these
+SUMMARY_NEVER_CALLS = ("RandomStream", "build_sensing", "compose", "plant", "observe",
+                       "effective_sparsity", "run_battery", "gamma_exact", "geometry_report",
+                       "classify_regime", "perturbation_check")
+
+
+def _never(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"a summary called {name}")
+    return called
+
+
+def _assert_summary_is_a_function_of_the_records(cfg, bundle, out, violations=()):
+    """The experiment's summarize, given cfg and the records CSV read back from disk,
+    returns the lines of the written summary, figures of the same bytes and the
+    violations run_experiment raised."""
+    with open(bundle.records_csv) as fh:
+        header, *rows = fh.read().splitlines()
+    columns = header.split(",")
+    records = [{c: COLUMN_TYPES[c](v) for c, v in zip(columns, row.split(","))} for row in rows]
+    os.makedirs(out)
+    typed = os.path.join(out, "typed.csv")
+    write_records_csv(typed, records)  # the types write the same bytes back
+    with open(bundle.records_csv, "rb") as written, open(typed, "rb") as again:
+        assert again.read() == written.read()
+    _, summarize = harness.RUNNERS[cfg.experiment]
+    with pytest.MonkeyPatch.context() as patch:
+        for name in SUMMARY_NEVER_CALLS:
+            patch.setattr(harness, name, _never(name))
+        lines, figures, found = summarize(dataclasses.replace(cfg, output_dir=str(out)), records)
+    with open(bundle.summary_md) as fh:
+        # render_report writes seven header lines before the summary lines
+        assert fh.read().split("\n")[7:] == [*lines, ""]
+    assert [os.path.basename(f) for f in figures] == [os.path.basename(f) for f in bundle.figures]
+    for again, written in zip(figures, bundle.figures):
+        with open(again, "rb") as a, open(written, "rb") as w:
+            assert a.read() == w.read()
+    assert found == list(violations)
+
+
+def _pinned_digests() -> dict:
+    """The table scripts/records_digests.py checks: config -> (records, summary) sha256."""
+    table = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")
+    with open(table) as fh:
+        return {name: (records, summary)
+                for name, records, summary in (line.split() for line in fh if line.strip())}
 
 
 @pytest.mark.parametrize("config", ["toy.cfg", "regime.cfg", "phase.cfg", "mismatch.cfg",
                                     "uncertainty.cfg"])
 def test_shipped_records_digest_is_pinned(tmp_path, config):
-    # a change to any record byte of these shipped configs shows up here; the
-    # pin is the config's line of the table that scripts/records_digests.py checks
-    table = os.path.join(os.path.dirname(__file__), "..", "scripts", "records_digests.txt")
-    with open(table) as fh:
-        pinned = dict(line.split() for line in fh if line.strip())
+    # a change to any record or summary byte of these shipped configs shows up here;
+    # the pins are the config's line of the table that scripts/records_digests.py
+    # checks. Like the table, they hold with numpy 2.4.6 running its X86_V4 (AVX-512)
+    # loops; on another dispatch level a float's last bits may differ (ROADMAP item 9)
     cfg = load_config(os.path.join(CONFIGS, config))
-    cfg.output_dir = str(tmp_path)
+    cfg.output_dir = str(tmp_path / "run")
     bundle = run_experiment(cfg)
     with open(bundle.records_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == pinned[config]
-    assert _summary_digest(bundle.summary_md) == SUMMARY_PINS[config]
+    assert (digest, _summary_digest(bundle.summary_md)) == _pinned_digests()[config]
+    _assert_summary_is_a_function_of_the_records(cfg, bundle, tmp_path / "again")
 
 
 def _digest_script(tmp_path, monkeypatch):
@@ -598,11 +648,28 @@ def test_digest_check_reports_a_pinned_config_that_is_gone(tmp_path, monkeypatch
     table.write_text(line)
     assert script.main(["--check", str(table)]) == 0
     assert capsys.readouterr().out.endswith(f"0 of 1 configs differ from {table}\n")
-    table.write_text(line + "gone.cfg  " + "0" * 64 + "\n")
+    zeros = "0" * 64
+    table.write_text(line + f"gone.cfg  {zeros}  {zeros}\n")
     assert script.main(["--check", str(table)]) == 1
     out = capsys.readouterr().out
-    assert "gone.cfg  MISMATCH" in out
+    assert f"gone.cfg  MISMATCH, pinned {zeros}  {zeros} but configs/ holds no gone.cfg" in out
     assert out.endswith(f"1 of 2 configs differ from {table}\n")
+
+
+def test_digest_check_compares_the_records_and_the_summary(tmp_path, monkeypatch, capsys):
+    # each line is `<config>  <records sha256>  <summary sha256>`, the summary hashed
+    # without its reproduce line; a change to either digest is a mismatch
+    script = _digest_script(tmp_path, monkeypatch)
+    assert script.main([]) == 0
+    line = capsys.readouterr().out
+    name, records, summary = line.split()
+    assert name == "tiny.cfg" and line == f"tiny.cfg  {records}  {summary}\n"
+    table = tmp_path / "table.txt"
+    for pinned in (f"{'0' * 64}  {summary}", f"{records}  {'0' * 64}"):
+        table.write_text(f"tiny.cfg  {pinned}\n")
+        assert script.main(["--check", str(table)]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"tiny.cfg  {records}  {summary}  MISMATCH, pinned {pinned}\n")
 
 
 def test_digest_check_prints_the_host_before_its_summary(tmp_path, monkeypatch, capsys):
@@ -626,20 +693,25 @@ def test_digest_check_prints_the_host_before_its_summary(tmp_path, monkeypatch, 
 
 # shrunk runs of the shipped configs on the benchmark's code paths: eps > 0 BP
 # and OMP, the three-solver battery with exact gamma, and the perturbation suite;
-# (config, overrides, sha256 of the records)
+# (config, overrides, sha256 of the records), each with an id that names the config
+# and not the digest, so a re-pin keeps the test's name
 SHRUNK_PINS = [
-    ("regime.cfg",
-     dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
-     "50e32e93f78c32df4e5f24c653b15936dea247131bf0b220963ef595898160af"),
-    ("perturbation.cfg", dict(trials_per_cell=200),
-     "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14"),
-    ("phase.cfg",
-     dict(epsilon=0.01, m_sweep=(8, 16), trials_per_cell=2, max_iterations=250,
-          solvers=("basis-pursuit", "omp")),
-     "4a547465cb415f444a60af9fa54f76d1244c268ffc92c21c1266b1e7d1f3f12e"),
+    pytest.param("regime.cfg",
+                 dict(k_sweep=(1, 3), m_sweep=(4, 8), trials_per_cell=20, max_iterations=1000),
+                 "50e32e93f78c32df4e5f24c653b15936dea247131bf0b220963ef595898160af",
+                 id="regime.cfg"),
+    pytest.param("perturbation.cfg", dict(trials_per_cell=200),
+                 "1879fd005702d87b0dfd11e6408e5637920df7d9cb8186d8b18e58adb2a83f14",
+                 id="perturbation.cfg"),
+    pytest.param("phase.cfg",
+                 dict(epsilon=0.01, m_sweep=(8, 16), trials_per_cell=2, max_iterations=250,
+                      solvers=("basis-pursuit", "omp")),
+                 "4a547465cb415f444a60af9fa54f76d1244c268ffc92c21c1266b1e7d1f3f12e",
+                 id="phase.cfg-epsilon-0.01"),
     # the phase workload's own path: epsilon = 0 BP at d = 64 and the 4000 cap
-    ("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
-     "19293c6c93edf0d2145b6c9b1994d0e0d32d50146e12b8795af4a260fcaf4abd"),
+    pytest.param("phase.cfg", dict(m_sweep=(4, 12, 24), trials_per_cell=3, max_iterations=4000),
+                 "19293c6c93edf0d2145b6c9b1994d0e0d32d50146e12b8795af4a260fcaf4abd",
+                 id="phase.cfg-epsilon-0"),
 ]
 # the summary of SHRUNK_PINS' perturbation run, pinned as SUMMARY_PINS are and taken
 # on the same host
@@ -651,11 +723,13 @@ SHRUNK_SUMMARY_PINS = {
 @pytest.mark.parametrize("config, overrides, digest", SHRUNK_PINS)
 def test_shrunk_records_digest_is_pinned(tmp_path, config, overrides, digest):
     cfg = load_config(os.path.join(CONFIGS, config))
-    bundle = run_experiment(dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path)))
+    cfg = dataclasses.replace(cfg, **overrides, output_dir=str(tmp_path / "run"))
+    bundle = run_experiment(cfg)
     with open(bundle.records_csv, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
     if config in SHRUNK_SUMMARY_PINS:
         assert _summary_digest(bundle.summary_md) == SHRUNK_SUMMARY_PINS[config]
+    _assert_summary_is_a_function_of_the_records(cfg, bundle, tmp_path / "again")
     with open(bundle.records_csv) as fh:
         rows = list(csv.DictReader(fh))
     # every basis-pursuit solve on these paths is certified
@@ -666,7 +740,7 @@ def test_colex_caches_hold_no_run_state(tmp_path, monkeypatch):
     # the perturbation and regime cases of test_shrunk_records_digest_is_pinned, run
     # twice in one process: with warm caches, then with 100-byte chunks (at most three
     # supports each) whose blocks take new cache keys and evict one another
-    cases = [pin for pin in SHRUNK_PINS if pin[0] in ("regime.cfg", "perturbation.cfg")]
+    cases = [pin.values for pin in SHRUNK_PINS if pin.id in ("regime.cfg", "perturbation.cfg")]
     for chunk_bytes in (geometry.CHUNK_BYTES, 100):
         monkeypatch.setattr(geometry, "CHUNK_BYTES", chunk_bytes)
         for config, overrides, digest in cases:
@@ -858,6 +932,9 @@ def test_violating_perturbation_suite_writes_its_report_before_it_raises(tmp_pat
     assert failure.value.violations == expected
     summary = (tmp_path / "perturbation_summary.md").read_text()
     assert f"\nviolations: {len(expected)} (must be 0)\n" in summary
+    bundle = harness.ReportBundle(str(tmp_path / "perturbation_records.csv"),
+                                  str(tmp_path / "perturbation_summary.md"))
+    _assert_summary_is_a_function_of_the_records(cfg, bundle, tmp_path / "again", expected)
 
 
 def test_perturbation_suite_skips_trials_whose_gamma_has_a_witness(tmp_path, monkeypatch):
@@ -898,3 +975,7 @@ def test_violating_uncertainty_suite_writes_its_report_before_it_raises(tmp_path
     summary = (tmp_path / "uncertainty_principle_summary.md").read_text()
     assert ", violations = 4, " in summary
     assert "\ntotal violations: 4 (must be 0)\n" in summary
+    bundle = harness.ReportBundle(str(tmp_path / "uncertainty_principle_records.csv"),
+                                  str(tmp_path / "uncertainty_principle_summary.md"))
+    _assert_summary_is_a_function_of_the_records(cfg, bundle, tmp_path / "again",
+                                                  failure.value.violations)

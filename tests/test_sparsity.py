@@ -15,7 +15,6 @@ from etrlab.sparsity import (
     effective_sparsity,
     observe,
     plant,
-    validate_instance,
 )
 
 
@@ -130,7 +129,8 @@ def test_plant_basics():
     inst = plant(psi, 1, RandomStream(0, 1).split_bases(3))
     assert np.sum(inst.alpha_star != 0) == 1
     assert np.sum(inst.x != 0) == 1
-    validate_instance(psi, inst)
+    np.testing.assert_array_equal(inst.x, psi @ inst.alpha_star)
+    assert np.min(np.abs(inst.alpha_star[inst.alpha_star != 0])) >= MIN_COEFF
 
 
 def test_plant_full_density_boundary():
@@ -157,7 +157,7 @@ def _old_plant(psi, k, stream):
     magnitudes = MIN_COEFF + np.abs(stream.split(2).gaussians(k))
     alpha = np.zeros(n)
     alpha[support] = signs * magnitudes
-    return PlantedInstance(alpha_star=alpha, x=psi @ alpha, k=k)
+    return PlantedInstance(alpha_star=alpha, x=psi @ alpha)
 
 
 # k = 1, 2, 3 and 20 on 10^4 streams each; then k = 12, 13, 16 and 17, and n = 64,
@@ -177,7 +177,6 @@ def test_plant_matches_array_form_on_many_streams(n, k, streams):
         assert np.array_equal(new.alpha_star, old.alpha_star), t
         assert new.alpha_star.tobytes() == old.alpha_star.tobytes()
         assert new.x.tobytes() == old.x.tobytes()
-        assert new.k == old.k
 
 
 def test_plant_invalid_k():
