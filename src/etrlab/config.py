@@ -2,14 +2,14 @@
 
 Config files use INI sections, one section named after the experiment
 (`phase`, `mismatch`, `uncertainty-principle`, `perturbation`,
-`regime-map`) plus, for phase and regime-map, an optional `[thresholds]`
-section. `EXPERIMENTS` lists the keys each experiment reads and their
-defaults. Unknown sections or keys are errors, and so is a key the
+`regime-map`) plus an optional `[thresholds]` section, which belongs to
+regime-map alone. `EXPERIMENTS` lists the keys each experiment reads and
+their defaults. Unknown sections or keys are errors, and so is a key the
 experiment does not read; silent typos are worse than loud ones. A
 setting the module that uses it would reject is an error at load time
 too, before any trial runs: config runs that module's own data-free check
-(see `ExperimentConfig._check_owners`) and re-raises its rejection as a
-ConfigError naming the keys and values.
+(see `ExperimentConfig._check_owners`) wherever the setting is read, and
+re-raises its rejection as a ConfigError naming the keys and values.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ EXPERIMENT_COMMANDS = {
 EXPERIMENTS = {
     "phase": dict(d=64, n=lambda cfg: cfg.d, k=3, m_sweep=tuple(range(4, 49, 4)), epsilon=0.0,
                   trials_per_cell=50, basis="identity", sensing="gaussian",
-                  solvers=("basis-pursuit",), max_iterations=SolverConfig.max_iterations,
-                  thresholds=RegimeThresholds()),
+                  solvers=("basis-pursuit",), max_iterations=SolverConfig.max_iterations),
     "mismatch": dict(d=32, k=4, m=lambda cfg: cfg.d // 2, epsilon=0.0, trials_per_cell=1000,
                      recovery_trials=50, sensing="gaussian",
                      max_iterations=SolverConfig.max_iterations),
@@ -53,10 +52,6 @@ EXPERIMENTS = {
 }
 # fields that every experiment takes; workers accepts only 1
 SHARED_FIELDS = ("experiment", "master_seed", "output_dir", "workers")
-# each experiment that builds m x d sensing matrices: the key holding its
-# budgets m and the key holding the width d (perturbation's are d x n)
-SENSING_SHAPES = {"phase": ("m_sweep", "d"), "mismatch": ("m", "d"),
-                  "perturbation": ("d", "n"), "regime-map": ("m_sweep", "d")}
 
 
 def _owned(keys: str, check, *args, **kwargs):
@@ -103,7 +98,7 @@ class ExperimentConfig:
         for name, default in reads.items():
             if getattr(self, name) is None:
                 setattr(self, name, default(self) if callable(default) else default)
-        if self.experiment in ("phase", "regime-map") and self.n != self.d:
+        if self.basis is not None and self.n != self.d:  # the basis is a d x d dictionary
             raise ConfigError(f"{self.experiment} builds a d x d dictionary: n must equal d "
                               f"(n = {self.n}, d = {self.d})")
         _owned(f"master_seed = {self.master_seed}", check_seed, self.master_seed)
@@ -121,34 +116,38 @@ class ExperimentConfig:
             # the isotonic 50% crossing and the heat-map axes read sweeps in order
             if any(lo >= hi for lo, hi in zip(sweep, sweep[1:])):
                 raise ConfigError(f"{name} must be strictly increasing, got {sweep}")
-        if self.experiment == "mismatch" and self.recovery_trials < 1:
-            raise ConfigError("mismatch needs recovery_trials >= 1")
+        if self.recovery_trials is not None and self.recovery_trials < 1:
+            raise ConfigError(f"{self.experiment} needs recovery_trials >= 1")
         self._check_owners()
 
+    def _each(self, key: str, width_key: str, check, *lead):
+        """`check(*lead, v, width)` for each value v that `key` holds."""
+        values, width = getattr(self, key), getattr(self, width_key)
+        for v in values if isinstance(values, tuple) else (values,):
+            _owned(f"{key} = {values}, {width_key} = {width}", check, *lead, v, width)
+
     def _check_owners(self):
-        # the data-free checks the modules that use these settings run first
-        if self.experiment != "uncertainty-principle":  # plant k of n columns (d in mismatch)
-            key = "k_sweep" if self.experiment == "regime-map" else "k"
-            dim = "d" if self.experiment == "mismatch" else "n"
-            ks, width = getattr(self, key), getattr(self, dim)
-            for k in ks if isinstance(ks, tuple) else (ks,):
-                _owned(f"{key} = {ks}, {dim} = {width}", check_sparsity, k, width)
-        if self.experiment == "perturbation":  # its exact gamma_2k runs at r = min(2k, n)
+        # the data-free checks the modules that use these settings run first; each
+        # fires wherever its setting is read
+        for key in [key for key in ("k", "k_sweep") if getattr(self, key) is not None]:
+            self._each(key, "d" if self.n is None else "n", check_sparsity)  # plant k of n
+        # the one rule that names its experiment: perturbation's runner calls gamma_exact,
+        # with no sampled fallback, at r = min(2k, n)
+        if self.experiment == "perturbation":
             _owned(f"k = {self.k}, n = {self.n}", check_exact, self.n, min(2 * self.k, self.n))
-        if self.experiment == "regime-map":
+        if self.thresholds is not None:
             _owned(f"trials_per_cell = {self.trials_per_cell}", self.thresholds.check_evidence,
                    self.trials_per_cell)
-        _owned(f"solvers = {self.solvers}", check_solvers, self.solvers or ())
+        if self.solvers is not None:
+            _owned(f"solvers = {self.solvers}", check_solvers, self.solvers)
         for d in self.d_sweep or ():  # uncertainty-principle builds hadamard bases
             _owned(f"d_sweep = {self.d_sweep}", check_dictionary, "hadamard", d)
         if self.basis is not None:
             _owned(f"basis = {self.basis}, d = {self.d}", check_dictionary, self.basis, self.d)
-        if self.sensing is not None:
-            key, width_key = SENSING_SHAPES[self.experiment]
-            value, width = getattr(self, key), getattr(self, width_key)
-            for m in value if isinstance(value, tuple) else (value,):
-                _owned(f"{key} = {value}, {width_key} = {width}",
-                       check_sensing, self.sensing, m, width)
+        if self.sensing is not None:  # m x d matrices, or d x n where no budget m is read
+            budgets = [key for key in ("m_sweep", "m") if getattr(self, key) is not None]
+            for key, width_key in [(key, "d") for key in budgets] or [("d", "n")]:
+                self._each(key, width_key, check_sensing, self.sensing)
 
 
 def _parse_sweep(text: str) -> tuple:
@@ -167,7 +166,6 @@ def _parse_sweep(text: str) -> tuple:
 
 
 _PARSERS = {
-    "experiment": str,
     "basis": str,
     "sensing": str,
     "output_dir": str,
@@ -178,8 +176,11 @@ _PARSERS = {
     "solvers": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
 }
 
-# each threshold is cast to the type of its default
-_THRESHOLD_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(RegimeThresholds)}
+# the keys of the experiment section and of [thresholds], each with its parser: an
+# experiment key by `_PARSERS` or as an int, a threshold as the type of its default
+_KEYS = {f.name: _PARSERS.get(f.name, int) for f in dataclasses.fields(ExperimentConfig)
+         if f.name not in ("experiment", "thresholds")}
+_THRESHOLD_KEYS = {f.name: type(f.default) for f in dataclasses.fields(RegimeThresholds)}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -196,29 +197,22 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"unknown sections {extra}")
 
     name = experiment_sections[0]
-    kwargs = {"experiment": name}
-    valid = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "thresholds"}
-    for key, raw in parser.items(name):
-        if key not in valid:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        parse = _PARSERS.get(key, int)
-        try:
-            kwargs[key] = parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-    if parser.has_section("thresholds"):
-        tkw = {}
-        for key, raw in parser.items("thresholds"):
-            if key not in _THRESHOLD_FIELDS:
-                raise ConfigError(f"unknown key {key!r} in section [thresholds]")
+    parsed = {}
+    for section, keys in ((name, _KEYS), ("thresholds", _THRESHOLD_KEYS)):
+        if not parser.has_section(section):
+            continue
+        parsed[section] = {}
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                tkw[key] = _THRESHOLD_FIELDS[key](raw)
+                parsed[section][key] = keys[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        kwargs["thresholds"] = _owned("[thresholds]", RegimeThresholds, **tkw)
-
-    return ExperimentConfig(**kwargs)
+    kwargs = parsed[name]
+    if "thresholds" in parsed:
+        kwargs["thresholds"] = _owned("[thresholds]", RegimeThresholds, **parsed["thresholds"])
+    return ExperimentConfig(experiment=name, **kwargs)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -84,6 +84,14 @@ def _finite(value: float, gamma_2k: float) -> float:
     return value
 
 
+def _as_float(value: int, name: str, error: type) -> float:
+    """value as a float, or `error` naming it where it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is too large: it overflows a float") from None
+
+
 def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     """k_psi * (1/gamma_2k) * ln(1 + cost); diverges as gamma vanishes."""
     if k_psi < 1:
@@ -91,12 +99,15 @@ def uncertainty_functional(k_psi: int, gamma_2k: float, cost: int) -> float:
     if cost < 1:
         raise InvalidSetting(f"cost must be >= 1, got {cost}")
     check_gamma(gamma_2k)
+    k_psi = _as_float(k_psi, "k_psi", InvalidSparsity)
+    cost = _as_float(cost, "cost", InvalidSetting)
     return _finite(k_psi * (1.0 / gamma_2k) * math.log1p(cost), gamma_2k)
 
 
 def nonvanishing_bound(k_psi: int, gamma_2k: float) -> float:
     """(k_psi / gamma_2k) * ln 2; a floor under every uncertainty value."""
     check_gamma(gamma_2k)
+    k_psi = _as_float(k_psi, "k_psi", InvalidSparsity)
     return _finite(k_psi / gamma_2k * math.log(2.0), gamma_2k)
 
 

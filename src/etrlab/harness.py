@@ -191,7 +191,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> list[dict]:
 
 
 def summarize_phase_transition(cfg: ExperimentConfig, records: list[dict]) -> tuple:
-    threshold = sample_threshold(cfg.k, cfg.n, cfg.thresholds.sample_c0)
+    threshold = sample_threshold(cfg.k, cfg.n)
     lines = [f"budget threshold m* = ceil(c0 * k * (ln(n/k)+1)) = {threshold}", "",
              "| m | solver | success rate |", "|---|--------|--------------|"]
     series: dict = {}
@@ -445,7 +445,10 @@ RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """Run cfg's experiment and write its report into cfg.output_dir, made if missing;
     a suite that found violations raises SuiteFailure once its report is written."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
     run, summarize = RUNNERS[cfg.experiment]
     records = run(cfg)
     lines, figures, violations = summarize(cfg, records)

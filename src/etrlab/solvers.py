@@ -384,10 +384,16 @@ SOLVER_NAMES = tuple(_SOLVE)  # the order run_battery runs them in by default
 
 
 def check_solvers(names) -> None:
-    """Raise InvalidSetting for a name `run_battery` does not know."""
+    """Raise InvalidSetting for an empty list, a name `run_battery` does not know or
+    a name given twice, which would solve each instance twice."""
+    if not names:
+        raise InvalidSetting("no solvers named")
     unknown = [name for name in names if name not in SOLVER_NAMES]
     if unknown:
         raise InvalidSetting(f"unknown solvers {unknown}; known: {', '.join(SOLVER_NAMES)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidSetting(f"solvers named more than once: {repeated}")
 
 
 def run_battery(

@@ -223,6 +223,20 @@ def test_functional_rejects_a_gamma_whose_value_overflows(capsys, k_psi, gamma, 
                             "the value overflows\n")
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--k-psi", "error: InvalidSparsity: k_psi is too large: it overflows a float\n"),
+    ("--cost", "error: InvalidSetting: cost is too large: it overflows a float\n")],
+    ids=["k-psi", "cost"])
+def test_functional_rejects_an_int_too_large_for_a_float(capsys, flag, message):
+    # each ended in OverflowError: int too large to convert to float
+    args = {"--k-psi": "2", "--gamma": "0.5", "--cost": "10", flag: "9" * 400}
+    rc = main(["functional", *(item for pair in args.items() for item in pair)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_phase_with_config(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("[phase]\nd = 8\nk = 1\nm_sweep = 2,8\ntrials_per_cell = 3\n"
@@ -250,6 +264,19 @@ def test_seed_flag_is_checked_like_a_config_seed(tmp_path, capsys):
     assert rc == 1
     assert "ConfigError: master_seed = -1: seed must be a u64" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_output_dir_that_cannot_be_made_is_an_io_failure(tmp_path, capsys, below):
+    # --out naming a file, or a path below one, ended in a FileExistsError or
+    # NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[uncertainty-principle]\nd_sweep = 4\ntrials_per_cell = 1\n")
+    rc = main(["verify", "--config", str(cfg), "--out", str(taken / below)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: IoFailure: ")
 
 
 def test_suite_failure_exit_code_2(monkeypatch, capsys):
@@ -336,10 +363,10 @@ def test_format_flag_rejected():
 def test_experiment_always_draws_its_svg(tmp_path, experiment, figure):
     # the config names no formats
     path = tmp_path / "run.cfg"
-    sparsity = "k = 1" if experiment == "phase" else "k_sweep = 1"
+    sparsity, thresholds = (("k = 1", "") if experiment == "phase"
+                            else ("k_sweep = 1", "[thresholds]\ntrials = 3\n"))
     path.write_text(f"[{experiment}]\nd = 8\n{sparsity}\nm_sweep = 2,8\n"
-                    f"trials_per_cell = 3\noutput_dir = {tmp_path / 'o'}\n"
-                    "[thresholds]\ntrials = 3\n")
+                    f"trials_per_cell = 3\noutput_dir = {tmp_path / 'o'}\n{thresholds}")
     bundle = run_experiment(load_config(path))
     assert bundle.figures == (str(tmp_path / "o" / figure),)
     assert os.path.getsize(bundle.figures[0]) > 0

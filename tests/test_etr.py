@@ -103,6 +103,20 @@ def test_functional_and_bound_reject_a_gamma_whose_value_overflows(k_psi, gamma,
             call()
 
 
+def test_functional_and_bound_reject_an_int_too_large_for_a_float():
+    # each ended in OverflowError: int too large to convert to float
+    huge = 10 ** 400
+    for call in (lambda: uncertainty_functional(huge, 0.5, 10),
+                 lambda: nonvanishing_bound(huge, 0.5),
+                 lambda: build_uncertainty_report(huge, 0.5, 10)):
+        with pytest.raises(InvalidSparsity, match="^k_psi is too large: it overflows a float$"):
+            call()
+    for call in (lambda: uncertainty_functional(2, 0.5, huge),
+                 lambda: build_uncertainty_report(2, 0.5, huge)):
+        with pytest.raises(InvalidSetting, match="^cost is too large: it overflows a float$"):
+            call()
+
+
 def test_functional_invalid_inputs():
     with pytest.raises(InvalidSparsity, match=r"^k_psi must be >= 1, got 0$"):
         uncertainty_functional(0, 1.0, 10)

@@ -296,11 +296,16 @@ def test_config_rejects_mismatch_without_recovery_trials(tmp_path):
 # rejects the same setting)
 BUILD_REJECTS = [
     ("[mismatch]\nm = 0\n", "m must be >= 1", lambda: build_sensing("gaussian", 0, 32)),
+    ("[mismatch]\nd = 8\nsensing = row-subsample\nm = 9\n",
+     "m = 9, d = 8: row-subsample needs m <= d", lambda: build_sensing("row-subsample", 9, 8)),
     ("[phase]\nd = 16\nsensing = row-subsample\nm_sweep = 8,32\n",
      "m_sweep = (8, 32), d = 16: row-subsample needs m <= d",
      lambda: build_sensing("row-subsample", 32, 16)),
     ("[regime-map]\nd = 8\nsensing = identity\nm_sweep = 4,9\n",
      "m_sweep = (4, 9), d = 8: identity needs m = d", lambda: build_sensing("identity", 4, 8)),
+    ("[regime-map]\nd = 8\nsensing = row-subsample\nm_sweep = 4,9\n",
+     "m_sweep = (4, 9), d = 8: row-subsample needs m <= d",
+     lambda: build_sensing("row-subsample", 9, 8)),
     ("[phase]\nmax_iterations = 0\n", "max_iterations",
      lambda: solvers.SolverConfig(epsilon=0.0, max_iterations=0)),
     ("[mismatch]\nmax_iterations = 0\n", "max_iterations",
@@ -329,6 +334,11 @@ BUILD_REJECTS = [
      lambda: geometry.gamma_exact(EffectiveSensing(np.ones((6, 40))), 8)),
     ("[phase]\nsolvers = omp,lasso\n", "solvers = ('omp', 'lasso'): unknown solvers ['lasso']",
      lambda: solvers.run_battery(None, None, names=("omp", "lasso"))),
+    ("[phase]\nsolvers =\n", "solvers = (): no solvers named",
+     lambda: solvers.run_battery(None, None, names=())),
+    ("[phase]\nsolvers = omp,omp\n",
+     "solvers = ('omp', 'omp'): solvers named more than once: ['omp']",
+     lambda: solvers.run_battery(None, None, names=("omp", "omp"))),
     ("[regime-map]\ntrials_per_cell = 19\n",
      "trials_per_cell = 19: a verdict needs trials >= 20, got 19",
      lambda: etr.classify_regime(None, 8, 16, 1, etr.BatteryStats(trials=19))),
@@ -336,7 +346,7 @@ BUILD_REJECTS = [
      lambda: rng.check_seed(-1)),
     ("[phase]\nmaster_seed = 18446744073709551616\n",
      "master_seed = 18446744073709551616: seed must be a u64", lambda: rng.check_seed(2**64)),
-    ("[phase]\n[thresholds]\nsample_c0 = inf\n", "[thresholds]: sample_c0 must be finite",
+    ("[regime-map]\n[thresholds]\nsample_c0 = inf\n", "[thresholds]: sample_c0 must be finite",
      lambda: etr.RegimeThresholds(sample_c0=math.inf)),
     ("[regime-map]\n[thresholds]\nstable_c = nan\n", "[thresholds]: stable_c must be finite",
      lambda: etr.RegimeThresholds(stable_c=math.nan)),
@@ -516,7 +526,8 @@ def test_config_rejects_a_key_the_experiment_never_reads(tmp_path, experiment, k
         ExperimentConfig(experiment=experiment, **{key: value})
 
 
-@pytest.mark.parametrize("experiment", ["mismatch", "uncertainty-principle", "perturbation"])
+@pytest.mark.parametrize("experiment", ["phase", "mismatch", "uncertainty-principle",
+                                        "perturbation"])
 def test_config_rejects_thresholds_the_experiment_never_reads(tmp_path, experiment):
     with pytest.raises(ConfigError, match=f"{experiment} does not read thresholds"):
         load_config(_write(tmp_path, f"[{experiment}]\n[thresholds]\ntrials = 5\n"))

@@ -924,6 +924,21 @@ def test_battery_raises_on_an_unknown_solver_before_any_runs(monkeypatch):
     assert not ran
 
 
+@pytest.mark.parametrize("names, message", [
+    ((), "^no solvers named$"),
+    (("omp", "basis-pursuit", "omp"), r"^solvers named more than once: \['omp'\]$")],
+    ids=["empty", "repeated"])
+def test_battery_raises_on_an_empty_or_repeated_list_before_any_runs(monkeypatch, names,
+                                                                     message):
+    # an empty list solved nothing, and a repeated name solved each instance twice
+    ran = []
+    monkeypatch.setitem(solvers._SOLVE, "omp", lambda *args: ran.append(args))
+    a, inst, y = _planted(8, 16, 1, seed=5)
+    with pytest.raises(InvalidSetting, match=message):
+        run_battery(a, y, SolverConfig(), names)
+    assert not ran
+
+
 def test_battery_checks_its_names_once(monkeypatch):
     checked = []
     monkeypatch.setattr(solvers, "check_solvers", checked.append)
