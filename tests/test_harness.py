@@ -346,6 +346,10 @@ BUILD_REJECTS = [
      lambda: rng.check_seed(-1)),
     ("[phase]\nmaster_seed = 18446744073709551616\n",
      "master_seed = 18446744073709551616: seed must be a u64", lambda: rng.check_seed(2**64)),
+    # the loader builds [thresholds] as it reads the section, before the experiment's
+    # reads are checked, so a phase file's bad threshold gets the owner's message
+    ("[phase]\n[thresholds]\nsample_c0 = inf\n", "[thresholds]: sample_c0 must be finite",
+     lambda: etr.RegimeThresholds(sample_c0=math.inf)),
     ("[regime-map]\n[thresholds]\nsample_c0 = inf\n", "[thresholds]: sample_c0 must be finite",
      lambda: etr.RegimeThresholds(sample_c0=math.inf)),
     ("[regime-map]\n[thresholds]\nstable_c = nan\n", "[thresholds]: stable_c must be finite",
